@@ -26,9 +26,6 @@ for h in cert.hypotheses:
         extra = f" via {h.detail['profile_strategy']}"
     print(f"  [{'ok' if h.verified else 'FAIL'}] {h.name}{extra}")
 
-dc = bx.standard_collection(factors)
-dc.validate(bx.cartesian_product(factors), check_block_optimality=False)
-cert = bx.crosscheck(cert, factors, dc)
 print("crosscheck samples:", cert.crosschecks[-1]["samples"])
 print("conclusion:", cert.conclusion)
 print()
@@ -44,6 +41,8 @@ print()
 # A deliberately wrong order loses to the oracle and gets the certificate
 # revoked, with the counterexample preserved.
 g = bx.cartesian_product(factors)
+dc = bx.standard_collection(factors)
+dc.validate(g, check_block_optimality=False)
 wrong = bx.lex_order(g, [bx.TotalOrder.identity(f.n) for f in g.factors])
 cert2 = bx.certify(factors, "standard")
 cert2 = bx.crosscheck(cert2, factors, dc, sample_ms=list(range(g.n + 1)),

@@ -83,9 +83,6 @@ from .compression import (
     OrderFamily,
     compress_once,
     compress_to_fixpoint,
-    count_downsets,
-    downset_profile,
-    enumerate_compressed,
     is_block_compressed,
     is_compressed,
     is_slice_compressed,
@@ -93,6 +90,7 @@ from .compression import (
     strongly_compress,
     weight,
 )
+from .staircase import count_downsets, downset_profile, enumerate_compressed
 from .certify import (
     Certificate,
     ExplorationReport,

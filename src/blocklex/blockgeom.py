@@ -31,6 +31,7 @@ from .partitions import (
     standard_monotonic_partition,
 )
 from .solver import (
+    FULL_ENUM_CAP,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,
@@ -194,7 +195,6 @@ class DominationCollection:
         g: Graph,
         *,
         check_block_optimality: bool = True,
-        cap: int = 24,
     ) -> tuple[bool, list[str]]:
         """Structural validation; optionally verifies that every block's
         domination order is optimal for the block-induced graph (feasible
@@ -220,15 +220,15 @@ class DominationCollection:
         if check_block_optimality:
             for bid in self.block_ids():
                 size = self.block_size(bid)
-                if size > cap:
+                if size > FULL_ENUM_CAP:
                     ok = False
                     diags.append(
-                        f"block {bid} has {size} vertices, beyond the cap {cap}; "
+                        f"block {bid} has {size} vertices, beyond the cap {FULL_ENUM_CAP}; "
                         "cannot verify its domination order"
                     )
                     continue
                 sub, order = block_graph_and_order(g, self, bid)
-                prof = exact_profile(sub, "full", cap=cap, with_witnesses=False)
+                prof = exact_profile(sub, "full", with_witnesses=False)
                 good, bad_m = verify_order_optimal(sub, order, prof)
                 if not good:
                     ok = False
@@ -467,7 +467,7 @@ def block_lex_order(g: Graph, dc: DominationCollection) -> TotalOrder:
 
 
 def standard_block_lex_order(
-    g: Graph, dc: Optional[DominationCollection] = None, cap: int = 24
+    g: Graph, dc: Optional[DominationCollection] = None
 ) -> tuple[TotalOrder, DominationCollection]:
     """Standard block-lexicographic order of a product: standard monotonic
     partitions with size-sorted block domination."""
@@ -475,14 +475,14 @@ def standard_block_lex_order(
         raise ValueError("requires a product graph")
     if dc is None:
         dc = standard_collection(g.factors)
-    ok, diags = dc.validate(g, cap=cap)
+    ok, diags = dc.validate(g)
     if not ok:
         raise ValueError("standard collection failed validation: " + "; ".join(diags))
     return block_lex_order(g, dc), dc
 
 
 def validate_regular_domination_collection(
-    g: Graph, dc: DominationCollection, cap: int = 24
+    g: Graph, dc: DominationCollection
 ) -> tuple[bool, list[str]]:
     """The two regularity conditions: middle factors' partitions regular,
     and the two corner blocks of the middle subproduct carry the same
@@ -491,7 +491,7 @@ def validate_regular_domination_collection(
     ok = True
     d = dc.d
     for i in range(1, d - 1):
-        if not is_regular_partition(g.factors[i], dc.partitions[i], cap):
+        if not is_regular_partition(g.factors[i], dc.partitions[i]):
             ok = False
             diags.append(f"partition of factor {i + 1} is not regular")
     if d >= 3:

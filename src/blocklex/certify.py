@@ -31,7 +31,6 @@ from .blockgeom import (
     uniform_collection,
     validate_regular_domination_collection,
 )
-from .compression import downset_profile, stacked_profile
 from .graphs import Graph, cartesian_product, clique, path, petersen, cycle, subproduct
 from .orders import TotalOrder, lex_order
 from .partitions import (
@@ -54,7 +53,7 @@ from .solver import (
     prefix_edge_counts,
     verify_order_optimal,
 )
-from .staircase import rank_edge_tables
+from .staircase import downset_profile, rank_edge_tables, stacked_profile
 
 __all__ = [
     "Hypothesis",
@@ -192,11 +191,10 @@ def _pair_profile(
     pair: Graph,
     factor_orders: Sequence[TotalOrder],
     strategy: str,
-    cap: int,
 ) -> tuple[Profile, str]:
-    if strategy == "full" or (strategy == "auto" and pair.n <= cap):
+    if strategy == "full" or (strategy == "auto" and pair.n <= FULL_ENUM_CAP):
         return (
-            exact_profile(pair, "full", cap=cap, with_witnesses=False),
+            exact_profile(pair, "full", with_witnesses=False),
             "full_enumeration",
         )
     return (
@@ -212,8 +210,7 @@ def certify(
     *,
     pairwise_strategy: str = "auto",
     budget_seconds: Optional[float] = None,
-    cap: int = FULL_ENUM_CAP,
-    threads: int = 1,
+    crosscheck_ms: Optional[Sequence[int]] = None,
 ) -> Certificate:
     """Run every hypothesis of the local-global principle on the given
     factors and emit a certificate that the block-lexicographic order of
@@ -224,6 +221,10 @@ def certify(
     non-decreasing; the block permutations form a (validated) regular
     domination collection; for every factor pair the two-factor
     block-lexicographic order matches an exact profile at every size.
+
+    A certified three-factor product is then cross-checked (`crosscheck`)
+    at the sizes `crosscheck_ms`, by default {1, 5, 10, 20, n // 2}; an
+    empty sequence skips the cross-check.
     """
     gs = list(gs)
     d = len(gs)
@@ -265,7 +266,7 @@ def certify(
         # (a) isoperimetric partitions, factor by factor
         for i, (g, p) in enumerate(zip(gs, parts)):
             budget.check()
-            ok, diags = validate_isoperimetric_partition(g, p, cap=cap)
+            ok, diags = validate_isoperimetric_partition(g, p)
             hyps.append(
                 Hypothesis(
                     f"isoperimetric_partition_factor_{i + 1}",
@@ -279,7 +280,7 @@ def certify(
         # (b) non-decreasing partitions on factors 1..d-1
         for i in range(d - 1):
             budget.check()
-            ok = is_non_decreasing(gs[i], parts[i], cap)
+            ok = is_non_decreasing(gs[i], parts[i])
             hyps.append(
                 Hypothesis(
                     f"non_decreasing_partition_factor_{i + 1}",
@@ -292,7 +293,7 @@ def certify(
                 return make("hypothesis_failed")
         # (c) domination collection: structural + per-block order optimality
         prod_graph = cartesian_product(gs)
-        ok, diags = dc.validate(prod_graph, check_block_optimality=True, cap=cap)
+        ok, diags = dc.validate(prod_graph, check_block_optimality=True)
         hyps.append(
             Hypothesis(
                 "domination_collection",
@@ -304,7 +305,7 @@ def certify(
         if not ok:
             return make("hypothesis_failed")
         # (d) regular domination collection
-        ok, diags = validate_regular_domination_collection(prod_graph, dc, cap)
+        ok, diags = validate_regular_domination_collection(prod_graph, dc)
         hyps.append(
             Hypothesis(
                 "regular_domination_collection",
@@ -315,18 +316,17 @@ def certify(
         )
         if not ok:
             return make("hypothesis_failed")
-        # (e) pairwise two-factor optimality; independent checks may run in
-        # a thread pool, the assembly below is a deterministic reduction
+        # (e) pairwise two-factor optimality, computed once per distinct pair
         def verify_pair(i: int, j: int) -> dict:
             budget.check()
             pair = cartesian_product([gs[i], gs[j]])
             pair_dc = dc.restricted((i, j))
-            okv, diags = pair_dc.validate(pair, cap=cap)
+            okv, diags = pair_dc.validate(pair)
             if not okv:
                 return {"optimal": False, "diagnostics": diags, "n": pair.n}
             order2 = block_lex_order(pair, pair_dc)
             profile, used = _pair_profile(
-                pair, [parts[i].order, parts[j].order], pairwise_strategy, cap
+                pair, [parts[i].order, parts[j].order], pairwise_strategy
             )
             ok, bad_m = verify_order_optimal(pair, order2, profile)
             return {
@@ -347,19 +347,7 @@ def certify(
         unique: dict[str, tuple[int, int]] = {}
         for (i, j), key in keys.items():
             unique.setdefault(key, (i, j))
-        if threads > 1 and len(unique) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {
-                    key: pool.submit(verify_pair, i, j)
-                    for key, (i, j) in unique.items()
-                }
-                transcripts = {key: f.result() for key, f in futures.items()}
-        else:
-            transcripts = {
-                key: verify_pair(i, j) for key, (i, j) in unique.items()
-            }
+        transcripts = {key: verify_pair(i, j) for key, (i, j) in unique.items()}
         for i, j in pairs:
             detail = dict(transcripts[keys[(i, j)]])
             if unique[keys[(i, j)]] != (i, j):
@@ -381,7 +369,10 @@ def certify(
     except BudgetExceeded:
         inconclusive_note = "budget exceeded"
         return make("inconclusive")
-    return make("certified")
+    cert = make("certified")
+    if d == 3 and (crosscheck_ms is None or len(crosscheck_ms)):
+        cert = crosscheck(cert, prod_graph, dc, crosscheck_ms)
+    return cert
 
 
 def certify_domination(
@@ -390,7 +381,6 @@ def certify_domination(
     *,
     pairwise_strategy: str = "auto",
     budget_seconds: Optional[float] = None,
-    cap: int = FULL_ENUM_CAP,
 ) -> Certificate:
     """Atomic-partition specialization: the domination order with
     significance permutation `pi` is optimal once the plain lexicographic
@@ -428,7 +418,7 @@ def certify_domination(
             else:
                 order2 = lex_order(pair, [orders[i], orders[j]])
                 profile, used = _pair_profile(
-                    pair, [orders[i], orders[j]], pairwise_strategy, cap
+                    pair, [orders[i], orders[j]], pairwise_strategy
                 )
                 ok, bad_m = verify_order_optimal(pair, order2, profile)
                 detail = {
@@ -489,7 +479,7 @@ def _oracle_profile_3d(g: Graph, factor_orders: Sequence[TotalOrder]) -> np.ndar
 
 def crosscheck(
     cert: Certificate,
-    gs: Sequence[Graph],
+    gs: Graph | Sequence[Graph],
     dc: DominationCollection,
     sample_ms: Optional[Sequence[int]] = None,
     *,
@@ -497,15 +487,15 @@ def crosscheck(
 ) -> Certificate:
     """Compare certified initial segments against the downset oracle on the
     three-factor product at the sampled sizes.  Any disagreement revokes
-    the certificate and records the counterexample.
+    the certificate and records the counterexample.  `gs` is the three
+    factors or their product graph; `dc` must be validated.
 
     `order_override` substitutes a different order for the certified one;
     it exists so tests can demonstrate the revocation path.
     """
-    gs = list(gs)
-    if len(gs) != 3:
+    g = gs if isinstance(gs, Graph) else cartesian_product(gs)
+    if g.factors is None or len(g.factors) != 3:
         raise ValueError("cross-checks run on three-factor products")
-    g = cartesian_product(gs)
     if sample_ms is None:
         sample_ms = sorted({1, 5, 10, 20, g.n // 2})
     sample_ms = [m for m in sample_ms if 0 <= m <= g.n]
@@ -584,14 +574,14 @@ class ExplorationReport:
         }
 
 
-def _nested_instance(name: str, g: Graph, budget: Budget, cap: int) -> Instance:
+def _nested_instance(name: str, g: Graph, budget: Budget) -> Instance:
     if budget.expired():
         return Instance(name, g.n, "INCONCLUSIVE", {"reason": "budget exhausted"})
-    if g.n > cap:
+    if g.n > FULL_ENUM_CAP:
         return Instance(
-            name, g.n, "INCONCLUSIVE", {"reason": f"{g.n} vertices beyond cap {cap}"}
+            name, g.n, "INCONCLUSIVE", {"reason": f"{g.n} vertices beyond cap {FULL_ENUM_CAP}"}
         )
-    prof = exact_profile(g, "full", cap=cap, with_witnesses=False)
+    prof = exact_profile(g, "full", with_witnesses=False)
     res = find_nested_chain(g, prof)
     if res.status == "order":
         return Instance(
@@ -652,7 +642,6 @@ def explore_conjecture(
     params: Optional[dict] = None,
     *,
     budget_seconds: Optional[float] = None,
-    cap: int = FULL_ENUM_CAP,
 ) -> ExplorationReport:
     """Search small instances of a conjectured family and report
     SUPPORTED / REFUTED (with a re-verifiable witness) / INCONCLUSIVE per
@@ -687,7 +676,7 @@ def explore_conjecture(
                             else factors[0]
                         )
                         name = f"P{n1}^{d1} x K{n2}^{d2}"
-                        instances.append(_nested_instance(name, g, budget, cap))
+                        instances.append(_nested_instance(name, g, budget))
         note = f"all path-power by clique-power products with <= {max_n} vertices"
     elif family == "hspi":
         s = int(params.get("s", 2))
@@ -706,7 +695,7 @@ def explore_conjecture(
         name = f"K{2 * p} minus {i} matchings"
         # the stated bound is i <= p - p/s; evaluate it exactly in rationals
         inside_bound = s * i <= s * p - p
-        ins = _nested_instance(name, g, budget, cap)
+        ins = _nested_instance(name, g, budget)
         ins.detail["conjecture_bound_holds"] = inside_bound
         instances.append(ins)
         if d >= 2 and ins.status == "SUPPORTED":
@@ -716,7 +705,7 @@ def explore_conjecture(
             if prod.n <= 200:
                 _, o = factor_profile_and_order(g)
                 prof = exact_profile(
-                    prod, "compressed" if prod.n > cap else "full",
+                    prod, "compressed" if prod.n > FULL_ENUM_CAP else "full",
                     factor_orders=[o] * d, with_witnesses=False,
                 )
                 lx = lex_order(prod, [o] * d)
@@ -764,7 +753,7 @@ def explore_conjecture(
             f"{k}^{v}" for k, v in dims.items() if v
         )
         if len(factors) == 1:
-            instances.append(_nested_instance(name, factors[0], budget, cap))
+            instances.append(_nested_instance(name, factors[0], budget))
         else:
             g = cartesian_product(factors)
             if len(factors) == 2 and g.n <= 200:
@@ -774,7 +763,7 @@ def explore_conjecture(
                     order, dc = standard_block_lex_order(g)
                     prof = exact_profile(
                         g,
-                        "compressed" if g.n > cap else "full",
+                        "compressed" if g.n > FULL_ENUM_CAP else "full",
                         factor_orders=list(dc.factor_orders),
                         with_witnesses=False,
                     )
@@ -793,12 +782,6 @@ def explore_conjecture(
                     )
             elif len(factors) == 3:
                 cert = certify(factors, "standard", budget_seconds=budget_seconds)
-                if cert.status == "certified":
-                    from .blockgeom import standard_collection as _std
-
-                    dc = _std(factors)
-                    dc.validate(g)
-                    cert = crosscheck(cert, factors, dc)
                 status = {
                     "certified": "SUPPORTED",
                     "hypothesis_failed": "REFUTED",

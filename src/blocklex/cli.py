@@ -12,11 +12,8 @@ so randomized runs can be replayed.  Exit codes: 0 success/certified,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -26,9 +23,8 @@ from .blockgeom import (
     block_lex_order,
     standard_block_lex_order,
     standard_collection,
-    uniform_collection,
 )
-from .certify import certify, certify_domination, crosscheck, explore_conjecture
+from .certify import certify, certify_domination, explore_conjecture
 from .compression import (
     OrderFamily,
     compress_once,
@@ -74,32 +70,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    spec: Optional[str] = None
-    strategy: str = "full"
-    budget: float = 600.0
-    threads: int = 1
-    fmt: str = "text"
-    seed: int = 0
-    out: Optional[str] = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise UsageError("budget must be positive")
-        if self.fmt not in ("json", "csv", "text"):
-            raise UsageError(f"unknown format {self.fmt!r}")
-
-
-def _digest(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def _envelope(cfg: RunConfig, inputs: dict, result: dict) -> dict:
+def _envelope(cfg: argparse.Namespace, inputs: dict, result: dict) -> dict:
     return {
         "tool": "blocklex",
         "version": __version__,
@@ -110,7 +81,7 @@ def _envelope(cfg: RunConfig, inputs: dict, result: dict) -> dict:
     }
 
 
-def _write(cfg: RunConfig, text: str) -> None:
+def _write(cfg: argparse.Namespace, text: str) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as f:
             f.write(text if text.endswith("\n") else text + "\n")
@@ -118,7 +89,7 @@ def _write(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit(cfg: RunConfig, inputs: dict, result: dict, text_lines, csv_lines=None) -> None:
+def _emit(cfg: argparse.Namespace, inputs: dict, result: dict, text_lines, csv_lines=None) -> None:
     if cfg.fmt == "json":
         _write(cfg, json.dumps(_envelope(cfg, inputs, result), indent=2, sort_keys=True))
     elif cfg.fmt == "csv":
@@ -137,7 +108,7 @@ def _load_json_arg(text: str):
     return json.loads(text)
 
 
-def _graph_from_spec(cfg: RunConfig) -> Graph:
+def _graph_from_spec(cfg: argparse.Namespace) -> Graph:
     spec = cfg.spec
     if spec.startswith("@"):
         return Graph.from_json(_load_json_arg(spec))
@@ -147,11 +118,7 @@ def _graph_from_spec(cfg: RunConfig) -> Graph:
         raise UsageError(str(e))
 
 
-def _profile_for(cfg: RunConfig, g: Graph):
-    if cfg.strategy in ("compressed", "compressed_only"):
-        return exact_profile(
-            g, "compressed", budget_seconds=cfg.budget, with_witnesses=False
-        )
+def _profile_for(cfg: argparse.Namespace, g: Graph):
     return exact_profile(
         g, cfg.strategy, budget_seconds=cfg.budget, with_witnesses=False
     )
@@ -160,7 +127,7 @@ def _profile_for(cfg: RunConfig, g: Graph):
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_graph(cfg: RunConfig) -> int:
+def _cmd_graph(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     data = g.to_json()
     deg = g.regular_degree()
@@ -175,20 +142,17 @@ def _cmd_graph(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(cfg: RunConfig) -> int:
+def _cmd_profile(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
-    want_theta = cfg.extra.get("theta", False)
-    want_witnesses = cfg.extra.get("witnesses", False)
+    want_theta, want_witnesses = cfg.theta, cfg.witnesses
     if want_theta:
         prof = theta_profile(
             g, budget_seconds=cfg.budget, with_witnesses=want_witnesses
         )
-    elif want_witnesses and cfg.strategy not in ("compressed", "compressed_only"):
-        prof = exact_profile(
-            g, cfg.strategy, budget_seconds=cfg.budget, with_witnesses=True
-        )
     else:
-        prof = _profile_for(cfg, g)
+        prof = exact_profile(
+            g, cfg.strategy, budget_seconds=cfg.budget, with_witnesses=want_witnesses
+        )
     inputs = {"spec": cfg.spec, "graph_digest": g.digest, "strategy": prof.strategy}
     if not prof.complete:
         _emit(
@@ -227,19 +191,19 @@ def _cmd_profile(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _resolve_partition(cfg: RunConfig, g: Graph) -> Partition:
+def _resolve_partition(cfg: argparse.Namespace, g: Graph) -> Partition:
     prof, order = factor_profile_and_order(g)
-    if cfg.extra.get("atomic"):
+    if cfg.atomic:
         return atomic_partition(order)
-    if cfg.extra.get("boundaries"):
-        bounds = [int(x) for x in cfg.extra["boundaries"].split(",")]
+    if cfg.boundaries:
+        bounds = [int(x) for x in cfg.boundaries.split(",")]
         return Partition.from_boundaries(order, bounds)
-    if cfg.extra.get("file"):
-        return Partition.from_json(_load_json_arg("@" + cfg.extra["file"]))
+    if cfg.file:
+        return Partition.from_json(_load_json_arg("@" + cfg.file))
     return standard_monotonic_partition(delta_sequence(prof, order))
 
 
-def _cmd_partition(cfg: RunConfig) -> int:
+def _cmd_partition(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     if g.n > 24:
         raise UsageError("partition command profiles the graph exactly; n <= 24 required")
@@ -265,35 +229,42 @@ def _cmd_partition(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
-def _cmd_order(cfg: RunConfig) -> int:
+def _cmd_order(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
-    kind = cfg.extra.get("kind", "lex")
+    if cfg.domination:
+        kind = "domination"
+    elif cfg.sbl:
+        kind = "sbl"
+    elif cfg.bl:
+        kind = "bl"
+    elif cfg.optimal:
+        kind = "optimal"
+    else:
+        kind = "lex"
     if kind in ("lex", "domination") and g.factors is None:
         raise UsageError("lex/domination orders require a product spec")
     if kind == "lex":
         orders = [factor_profile_and_order(f)[1] for f in g.factors]
         order = lex_order(g, orders)
     elif kind == "domination":
-        perm = tuple(int(x) - 1 for x in cfg.extra["perm"].split(","))
+        perm = tuple(int(x) - 1 for x in cfg.domination.split(","))
         orders = [factor_profile_and_order(f)[1] for f in g.factors]
         order = domination_order(g, orders, perm)
     elif kind == "sbl":
         order, _ = standard_block_lex_order(g)
     elif kind == "bl":
-        dc = DominationCollection.from_json(_load_json_arg("@" + cfg.extra["dc_file"]))
+        dc = DominationCollection.from_json(_load_json_arg("@" + cfg.bl))
         ok, diags = dc.validate(g)
         if not ok:
             raise UsageError("domination collection failed validation: " + "; ".join(diags))
         order = block_lex_order(g, dc)
-    elif kind == "optimal":
-        _, order = factor_profile_and_order(g)
     else:
-        raise UsageError(f"unknown order kind {kind!r}")
-    if cfg.extra.get("reverse"):
+        _, order = factor_profile_and_order(g)
+    if cfg.reverse:
         order = reverse_order(order)
     verified = None
     failing = None
-    if cfg.extra.get("verify"):
+    if cfg.verify:
         try:
             prof = _profile_for(cfg, g)
         except SizeCapExceeded as e:
@@ -319,12 +290,12 @@ def _cmd_order(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_compress(cfg: RunConfig) -> int:
+def _cmd_compress(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     if g.factors is None:
         raise UsageError("compression requires a product spec")
     orders = [factor_profile_and_order(f)[1] for f in g.factors]
-    if cfg.extra.get("family") == "sbl":
+    if cfg.family == "sbl":
         dc = standard_collection(g.factors)
         ok, diags = dc.validate(g)
         if not ok:
@@ -335,18 +306,18 @@ def _cmd_compress(cfg: RunConfig) -> int:
         family = OrderFamily.lexicographic(g, orders)
     inputs = {"spec": cfg.spec, "graph_digest": g.digest, "family": family.kind}
 
-    if cfg.extra.get("laws"):
+    if cfg.laws:
         return _compress_laws(cfg, g, family, inputs)
 
-    raw = cfg.extra.get("set")
+    raw = cfg.set_arg
     if raw is None:
         raise UsageError("--set is required (JSON id list or @file)")
     ids = _load_json_arg(raw)
     a = VertexSet.from_ids(g.n, ids)
     result: dict = {"set": a.ids().tolist(), "size": len(a)}
     lines = [f"set of size {len(a)} on {cfg.spec}"]
-    if cfg.extra.get("once"):
-        s = tuple(int(x) - 1 for x in cfg.extra["once"].split(","))
+    if cfg.once:
+        s = tuple(int(x) - 1 for x in cfg.once.split(","))
         out = compress_once(g, a, s, family)
         result["compressed"] = out.ids().tolist()
         result["induced_before"] = induced_edges(g, a)
@@ -355,12 +326,12 @@ def _cmd_compress(cfg: RunConfig) -> int:
             f"compress once along factors {list(x + 1 for x in s)}: "
             f"{result['compressed']} (I {result['induced_before']} -> {result['induced_after']})"
         )
-    elif cfg.extra.get("fixpoint"):
+    elif cfg.fixpoint:
         out, cycles = compress_to_fixpoint(g, a, singleton_schedule(len(g.factors)), family)
         result["fixpoint"] = out.ids().tolist()
         result["cycles"] = cycles
         lines.append(f"fixpoint after {cycles} cycles: {result['fixpoint']}")
-    elif cfg.extra.get("weight"):
+    elif cfg.weight:
         deltas = [
             delta_sequence(factor_profile_and_order(f)[0], o)
             for f, o in zip(g.factors, orders)
@@ -381,10 +352,10 @@ def _cmd_compress(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _compress_laws(cfg: RunConfig, g: Graph, family: OrderFamily, inputs: dict) -> int:
+def _compress_laws(cfg: argparse.Namespace, g: Graph, family: OrderFamily, inputs: dict) -> int:
     """Seeded randomized compression-law check; violations are dumped as
     JSON so counterexamples are preserved."""
-    n_samples = int(cfg.extra["laws"])
+    n_samples = cfg.laws
     rng = np.random.default_rng(cfg.seed)
     violations = []
     d = len(g.factors)
@@ -417,56 +388,32 @@ def _compress_laws(cfg: RunConfig, g: Graph, family: OrderFamily, inputs: dict) 
     return EXIT_OK if not violations else EXIT_HYPOTHESIS
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
+def _cmd_certify(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     if g.factors is None or len(g.factors) < 3:
         raise UsageError("certify needs a product spec with at least 3 factors")
     gs = list(g.factors)
-    style = cfg.extra.get("partitions", "standard")
+    style = cfg.partitions
     try:
-        if cfg.extra.get("domination"):
-            perm = tuple(int(x) - 1 for x in cfg.extra["domination"].split(","))
+        if cfg.domination:
+            perm = tuple(int(x) - 1 for x in cfg.domination.split(","))
             cert = certify_domination(
                 gs, perm, budget_seconds=cfg.budget, pairwise_strategy="auto"
             )
         else:
-            if style == "standard":
-                parts = "standard"
-                dc = None
-            elif style == "atomic":
-                parts = "atomic"
-                dc = None
+            if style in ("standard", "atomic"):
+                parts, dc = style, None
             else:
-                data = _load_json_arg("@" + style)
-                dc = DominationCollection.from_json(data)
+                dc = DominationCollection.from_json(_load_json_arg("@" + style))
                 parts = list(dc.partitions)
+            samples = None
+            if cfg.no_crosscheck:
+                samples = ()
+            elif cfg.crosscheck:
+                samples = [int(x) for x in cfg.crosscheck.split(",")]
             cert = certify(
-                gs,
-                parts,
-                dc,
-                budget_seconds=cfg.budget,
-                threads=cfg.threads,
+                gs, parts, dc, budget_seconds=cfg.budget, crosscheck_ms=samples
             )
-            if (
-                cert.status == "certified"
-                and len(gs) == 3
-                and not cfg.extra.get("no_crosscheck")
-            ):
-                used_dc = dc
-                if used_dc is None:
-                    used_dc = (
-                        standard_collection(gs)
-                        if parts == "standard"
-                        else uniform_collection(
-                            [atomic_partition(factor_profile_and_order(f)[1]) for f in gs]
-                        )
-                    )
-                prod = g
-                used_dc.validate(prod, check_block_optimality=False)
-                samples = None
-                if cfg.extra.get("crosscheck"):
-                    samples = [int(x) for x in cfg.extra["crosscheck"].split(",")]
-                cert = crosscheck(cert, gs, used_dc, samples)
     except SizeCapExceeded as e:
         raise UsageError(str(e))
     result = cert.to_json()
@@ -485,12 +432,12 @@ def _cmd_certify(cfg: RunConfig) -> int:
     return cert.exit_code()
 
 
-def _cmd_explore(cfg: RunConfig) -> int:
-    family = cfg.extra["family"]
+def _cmd_explore(cfg: argparse.Namespace) -> int:
+    family = cfg.family
     params = {}
     for key in ("max_vertices", "s", "p", "i", "d", "c5", "petersen", "c4", "k2", "c3"):
-        if cfg.extra.get(key) is not None:
-            params[key] = cfg.extra[key]
+        if getattr(cfg, key) is not None:
+            params[key] = getattr(cfg, key)
     report = explore_conjecture(family, params, budget_seconds=cfg.budget)
     result = report.to_json()
     lines = [f"explore {family}: {report.statuses}"]
@@ -509,23 +456,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="blocklex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, default_fmt: str = "text"):
+    def common(p: _Parser, handler, default_fmt: str = "text"):
+        p.set_defaults(handler=handler)
         p.add_argument("--strategy", choices=["full", "compressed", "bnb"], default="full")
         p.add_argument("--budget", type=float, default=600.0, help="wall-clock seconds")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", dest="fmt", choices=["json", "csv", "text"], default=default_fmt)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("graph", help="build a graph from a spec and export it")
     p.add_argument("spec")
-    common(p, "json")
+    common(p, _cmd_graph, "json")
 
     p = sub.add_parser("profile", help="exact I/theta/delta profile")
     p.add_argument("spec")
     p.add_argument("--theta", action="store_true")
     p.add_argument("--witnesses", action="store_true", help="include optimal sets")
-    common(p, "csv")
+    common(p, _cmd_profile, "csv")
 
     p = sub.add_parser("partition", help="standard/atomic/custom partitions with validation")
     p.add_argument("spec")
@@ -533,7 +480,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--atomic", action="store_true")
     p.add_argument("--boundaries", default=None, help="comma-separated segment end ranks")
     p.add_argument("--file", default=None, help="partition JSON file")
-    common(p)
+    common(p, _cmd_partition)
 
     p = sub.add_parser("order", help="build and optionally verify orders")
     p.add_argument("spec")
@@ -544,7 +491,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--optimal", action="store_true", help="order from the nested-chain search")
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--verify", action="store_true")
-    common(p)
+    common(p, _cmd_order)
 
     p = sub.add_parser("compress", help="compression operations and predicates")
     p.add_argument("spec")
@@ -555,7 +502,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--weight", action="store_true")
     p.add_argument("--laws", type=int, default=None, help="run N seeded law checks")
     p.add_argument("--family", choices=["lex", "sbl"], default="lex")
-    common(p)
+    common(p, _cmd_compress)
 
     p = sub.add_parser("certify", help="local-global certification of a product")
     p.add_argument("spec")
@@ -563,7 +510,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--domination", default=None, help="certify a domination order instead")
     p.add_argument("--crosscheck", default=None, help="comma-separated sample sizes")
     p.add_argument("--no-crosscheck", action="store_true")
-    common(p, "json")
+    common(p, _cmd_certify, "json")
 
     p = sub.add_parser("explore", help="conjecture exploration (search only)")
     p.add_argument("family", choices=["path_clique", "hspi", "petersen_tori"])
@@ -577,91 +524,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--c4", type=int, default=None)
     p.add_argument("--k2", type=int, default=None)
     p.add_argument("--c3", type=int, default=None)
-    common(p, "json")
+    common(p, _cmd_explore, "json")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        extra = {}
-        if ns.command == "profile":
-            extra["theta"] = ns.theta
-            extra["witnesses"] = ns.witnesses
-        elif ns.command == "partition":
-            extra = {
-                "atomic": ns.atomic,
-                "boundaries": ns.boundaries,
-                "file": ns.file,
-            }
-        elif ns.command == "order":
-            kind = "lex"
-            if ns.domination:
-                kind = "domination"
-                extra["perm"] = ns.domination
-            elif ns.sbl:
-                kind = "sbl"
-            elif ns.bl:
-                kind = "bl"
-                extra["dc_file"] = ns.bl
-            elif ns.optimal:
-                kind = "optimal"
-            extra["kind"] = kind
-            extra["reverse"] = ns.reverse
-            extra["verify"] = ns.verify
-        elif ns.command == "compress":
-            extra = {
-                "set": ns.set_arg,
-                "once": ns.once,
-                "fixpoint": ns.fixpoint,
-                "check": ns.check,
-                "weight": ns.weight,
-                "laws": ns.laws,
-                "family": ns.family,
-            }
-        elif ns.command == "certify":
-            extra = {
-                "partitions": ns.partitions,
-                "domination": ns.domination,
-                "crosscheck": ns.crosscheck,
-                "no_crosscheck": ns.no_crosscheck,
-            }
-        elif ns.command == "explore":
-            extra = {
-                "family": ns.family,
-                "max_vertices": ns.max_vertices,
-                "s": ns.s,
-                "p": ns.p,
-                "i": ns.i,
-                "d": ns.d,
-                "c5": ns.c5,
-                "petersen": ns.petersen,
-                "c4": ns.c4,
-                "k2": ns.k2,
-                "c3": ns.c3,
-            }
-        cfg = RunConfig(
-            command=ns.command,
-            spec=getattr(ns, "spec", None),
-            strategy=getattr(ns, "strategy", "full"),
-            budget=ns.budget,
-            threads=ns.threads,
-            fmt=ns.fmt,
-            seed=ns.seed,
-            out=ns.out,
-            extra=extra,
-        )
-        handler = {
-            "graph": _cmd_graph,
-            "profile": _cmd_profile,
-            "partition": _cmd_partition,
-            "order": _cmd_order,
-            "compress": _cmd_compress,
-            "certify": _cmd_certify,
-            "explore": _cmd_explore,
-        }[cfg.command]
-        return handler(cfg)
+        cfg = parser.parse_args(argv)
+        if cfg.budget <= 0:
+            raise UsageError("budget must be positive")
+        if cfg.fmt not in ("json", "csv", "text"):
+            raise UsageError(f"unknown format {cfg.fmt!r}")
+        return cfg.handler(cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 """Sectional compression on Cartesian products: single compressions,
-fixpoint iteration, compressed-set predicates, the coordinate weight
-function, and the compressed-set generators and profile oracles.
+fixpoint iteration, compressed-set predicates and the coordinate weight
+function.  The compressed-set generators and profile oracles live in
+`staircase`.
 
 Compressing a set with respect to a factor subset S replaces, inside every
 cut parallel to the S coordinates, the set's intersection with an initial
@@ -13,7 +14,7 @@ block structure the geometry checkers verify.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,14 +22,6 @@ from .blockgeom import DominationCollection, block_lex_order, block_occupancy, b
 from .graphs import Graph, VertexSet, subproduct
 from .orders import TotalOrder, lex_order
 from .solver import DeltaSequence
-from .staircase import (
-    count_downsets,
-    downset_profile,
-    enumerate_compressed,
-    enumerate_downsets,
-    stacked_profile,
-    staircase_scan_2d,
-)
 
 __all__ = [
     "OrderFamily",
@@ -44,12 +37,6 @@ __all__ = [
     "weight",
     "is_block_compressed",
     "is_slice_compressed",
-    "enumerate_compressed",
-    "enumerate_downsets",
-    "count_downsets",
-    "downset_profile",
-    "stacked_profile",
-    "staircase_scan_2d",
 ]
 
 
@@ -197,27 +184,25 @@ def compress_to_fixpoint(
     a,
     schedule: Sequence[Sequence[int]],
     orders,
-    cap: Optional[int] = None,
 ) -> tuple[VertexSet, int]:
     """Apply the schedule cyclically until a full cycle changes nothing.
 
     Returns (stable set, cycles used).  The iteration is guaranteed to
     stabilize when every schedule order is consistent with one global
-    order; the cycle cap (default n * d) turns a violated hypothesis into
+    order; the cycle cap of n * d cycles turns a violated hypothesis into
     a CompressionDidNotStabilize error instead of an endless loop.
     """
     family = _ensure_family(g, orders)
     a = a if isinstance(a, VertexSet) else VertexSet.from_ids(g.n, a)
-    if cap is None:
-        cap = g.n * family.d
+    max_cycles = g.n * family.d
     schedule = [tuple(sorted(set(int(i) for i in s))) for s in schedule]
     if not schedule:
         raise ValueError("empty schedule")
     cycles = 0
     while True:
-        if cycles > cap:
+        if cycles > max_cycles:
             raise CompressionDidNotStabilize(
-                f"no fixpoint after {cap} cycles; the schedule orders are "
+                f"no fixpoint after {max_cycles} cycles; the schedule orders are "
                 "probably not consistent with a common global order"
             )
         changed = False

@@ -157,17 +157,17 @@ def segment_subgraph(
     return sub, TotalOrder.identity(len(old)), old
 
 
-def segment_delta(g: Graph, p: Partition, i: int, cap: int = 24) -> DeltaSequence:
+def segment_delta(g: Graph, p: Partition, i: int) -> DeltaSequence:
     """Delta-sequence of the segment-induced subgraph under its induced
     order (exact, by full enumeration on the small subgraph)."""
     sub, order, _ = segment_subgraph(g, p, i)
-    prof = exact_profile(sub, "full", cap=cap, with_witnesses=False)
+    prof = exact_profile(sub, "full", with_witnesses=False)
     return delta_sequence(prof, order)
 
 
-def _graph_delta(g: Graph, profile: Optional[Profile], cap: int) -> DeltaSequence:
+def _graph_delta(g: Graph, profile: Optional[Profile]) -> DeltaSequence:
     if profile is None:
-        profile = exact_profile(g, "full", cap=cap, with_witnesses=False)
+        profile = exact_profile(g, "full", with_witnesses=False)
     return delta_sequence(profile)
 
 
@@ -176,14 +176,13 @@ def validate_isoperimetric_partition(
     p: Partition,
     *,
     profile: Optional[Profile] = None,
-    cap: int = 24,
 ) -> tuple[bool, list[str]]:
     """Check the two isoperimetric-partition conditions; returns
     (ok, diagnostics).  Requires (and checks) that the partition's own
     order is optimal for g."""
     diags: list[str] = []
     if profile is None:
-        profile = exact_profile(g, "full", cap=cap, with_witnesses=False)
+        profile = exact_profile(g, "full", with_witnesses=False)
     ok_order, bad_m = verify_order_optimal(g, p.order, profile)
     if not ok_order:
         diags.append(f"partition order is not optimal for the graph (fails at m={bad_m})")
@@ -192,7 +191,7 @@ def validate_isoperimetric_partition(
     ok = True
     for i, (a, b) in enumerate(p.segments):
         sub, sub_order, old = segment_subgraph(g, p, i)
-        sub_prof = exact_profile(sub, "full", cap=cap, with_witnesses=False)
+        sub_prof = exact_profile(sub, "full", with_witnesses=False)
         seg_ok, seg_bad = verify_order_optimal(sub, sub_order, sub_prof)
         if not seg_ok:
             ok = False
@@ -214,19 +213,19 @@ def validate_isoperimetric_partition(
     return ok, diags
 
 
-def is_non_decreasing(g: Graph, p: Partition, cap: int = 24) -> bool:
+def is_non_decreasing(g: Graph, p: Partition) -> bool:
     """Each segment's induced delta-sequence is non-decreasing."""
     for i in range(p.num_segments):
-        vals = segment_delta(g, p, i, cap).values
+        vals = segment_delta(g, p, i).values
         if any(vals[j + 1] < vals[j] for j in range(len(vals) - 1)):
             return False
     return True
 
 
-def is_regular_partition(g: Graph, p: Partition, cap: int = 24) -> bool:
+def is_regular_partition(g: Graph, p: Partition) -> bool:
     """First and last segments have identical induced delta-sequences."""
-    first = segment_delta(g, p, 0, cap).values
-    last = segment_delta(g, p, p.num_segments - 1, cap).values
+    first = segment_delta(g, p, 0).values
+    last = segment_delta(g, p, p.num_segments - 1).values
     return first == last
 
 
@@ -238,7 +237,6 @@ def segment_delta_shift(
     y: int,
     *,
     profile: Optional[Profile] = None,
-    cap: int = 24,
 ) -> tuple[int, int]:
     """Both sides of the within-segment delta-shift identity for vertices
     x, y of segment i: the ambient delta difference and the induced
@@ -248,8 +246,8 @@ def segment_delta_shift(
     rx, ry = p.order.rank(x), p.order.rank(y)
     if not (a <= rx <= b and a <= ry <= b):
         raise ValueError("both vertices must lie in the given segment")
-    ambient = _graph_delta(g, profile, cap)
+    ambient = _graph_delta(g, profile)
     lhs = ambient.at_rank(rx) - ambient.at_rank(ry)
-    seg = segment_delta(g, p, i, cap)
+    seg = segment_delta(g, p, i)
     rhs = seg.at_rank(rx - a + 1) - seg.at_rank(ry - a + 1)
     return lhs, rhs

@@ -4,7 +4,7 @@ search, and order-optimality verification.
 The full-enumeration strategy is the brute-force oracle that everything
 else in the package is validated against.  It runs a subset dynamic
 program over all 2^n membership words (edge counts extend one vertex at a
-time), so it is exact and practical up to the configured cap.  Products
+time), so it is exact and practical up to FULL_ENUM_CAP vertices.  Products
 whose factor orders are verified optimal can instead be profiled through
 the rank-space downset oracle, which scales to hundreds of vertices.
 """
@@ -305,25 +305,24 @@ def exact_profile(
     *,
     factor_orders: Optional[Sequence[TotalOrder]] = None,
     budget_seconds: Optional[float] = None,
-    cap: int = FULL_ENUM_CAP,
     with_witnesses: bool = True,
 ) -> Profile:
     """Exact I(m) for all m under the chosen strategy.
 
-    "full" and "bnb" enumerate subsets and work on any graph up to `cap`
-    vertices.  "compressed" restricts the search to sets stable under all
-    single-factor compressions; it requires a product graph whose factor
-    orders are optimal (verified here against per-factor full profiles)
-    and is exact under that hypothesis.
+    "full" and "bnb" enumerate subsets and work on any graph up to
+    FULL_ENUM_CAP vertices.  "compressed" restricts the search to sets
+    stable under all single-factor compressions; it requires a product
+    graph whose factor orders are optimal (verified here against
+    per-factor full profiles) and is exact under that hypothesis.
     """
     strat = _STRATEGY_ALIASES.get(strategy)
     if strat is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     budget = Budget(budget_seconds)
     if strat in ("full", "bnb"):
-        if g.n > cap:
+        if g.n > FULL_ENUM_CAP:
             raise SizeCapExceeded(
-                f"{g.n} vertices exceed the {strat} cap of {cap}; "
+                f"{g.n} vertices exceed the {strat} cap of {FULL_ENUM_CAP}; "
                 "use strategy='compressed' on a product with optimal factor orders"
             )
         try:
@@ -379,7 +378,6 @@ def theta_profile(
     strategy: str = "full",
     *,
     budget_seconds: Optional[float] = None,
-    cap: int = FULL_ENUM_CAP,
     with_witnesses: bool = True,
     induced_profile: Optional[Profile] = None,
 ) -> Profile:
@@ -395,7 +393,7 @@ def theta_profile(
             raise ValueError("via_regular requires a regular graph")
         if induced_profile is None:
             induced_profile = exact_profile(
-                g, "full", budget_seconds=budget_seconds, cap=cap, with_witnesses=False
+                g, "full", budget_seconds=budget_seconds, with_witnesses=False
             )
         if not induced_profile.complete:
             return Profile(
@@ -407,8 +405,10 @@ def theta_profile(
         return Profile("boundary_min", vals, None, True, "via_regular", g.digest)
     if strategy not in ("full", "full_enumeration"):
         raise ValueError(f"unknown theta strategy {strategy!r}")
-    if g.n > cap:
-        raise SizeCapExceeded(f"{g.n} vertices exceed the full-enumeration cap of {cap}")
+    if g.n > FULL_ENUM_CAP:
+        raise SizeCapExceeded(
+            f"{g.n} vertices exceed the full-enumeration cap of {FULL_ENUM_CAP}"
+        )
     budget = Budget(budget_seconds)
     try:
         val = _dp_subset_values(g, "boundary", budget)

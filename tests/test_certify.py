@@ -13,7 +13,6 @@ from blocklex import (
     cycle,
     disjoint_union,
     explore_conjecture,
-    factor_profile_and_order,
     lex_order,
     petersen,
     standard_collection,
@@ -69,12 +68,6 @@ def test_certify_reuses_equal_pair_transcripts():
     assert len(reused) == 2  # three identical pairs, one computed
 
 
-def test_certify_threads_match_sequential():
-    a = certify([cycle(5), cycle(4), cycle(3)], "standard", threads=1)
-    b = certify([cycle(5), cycle(4), cycle(3)], "standard", threads=4)
-    assert a.to_json() == b.to_json()
-
-
 def test_certify_domination_ascending():
     cert = certify_domination([clique(2), clique(3), clique(4)], (0, 1, 2))
     assert cert.status == "certified"
@@ -125,9 +118,6 @@ def test_certify_petersen_square_times_k2_with_crosscheck():
     gs = [petersen(), petersen(), clique(2)]
     cert = certify(gs, "standard")
     assert cert.status == "certified", cert.failing
-    dc = standard_collection(gs)
-    dc.validate(cartesian_product(gs), check_block_optimality=False)
-    cert = crosscheck(cert, gs, dc)
     assert cert.crosschecks[-1]["agreement"]
 
 
@@ -140,26 +130,19 @@ def test_certify_irregular_middle_factor_fails():
 
 
 def test_crosscheck_cube_all_m():
-    gs = [clique(2)] * 3
-    cert = certify(gs, "atomic")
-    from blocklex import atomic_partition, uniform_collection
-
-    parts = [atomic_partition(factor_profile_and_order(g)[1]) for g in gs]
-    dc = uniform_collection(parts)
-    dc.validate(cartesian_product(gs))
-    cert = crosscheck(cert, gs, dc, sample_ms=list(range(9)))
-    assert cert.crosschecks[-1]["agreement"]
+    cert = certify([clique(2)] * 3, "atomic", crosscheck_ms=list(range(9)))
+    [check] = cert.crosschecks
+    assert [s["m"] for s in check["samples"]] == list(range(9))
+    assert check["agreement"]
     assert not cert.revoked
 
 
 def test_crosscheck_c5_cube_samples():
-    gs = [cycle(5)] * 3
-    cert = certify(gs, "standard")
+    cert = certify([cycle(5)] * 3, "standard")
     assert cert.status == "certified"
-    dc = standard_collection(gs)
-    dc.validate(cartesian_product(gs))
-    cert = crosscheck(cert, gs, dc)
-    assert cert.crosschecks[-1]["agreement"]
+    [check] = cert.crosschecks
+    assert [s["m"] for s in check["samples"]] == [1, 5, 10, 20, 62]
+    assert check["agreement"]
 
 
 def test_crosscheck_revokes_wrong_order():
@@ -285,3 +268,11 @@ def test_explore_petersen_tori_pair():
     rep = explore_conjecture("petersen_tori", {"c5": 1, "c4": 1}, budget_seconds=120)
     assert len(rep.instances) == 1
     assert rep.instances[0].status == "SUPPORTED"
+
+
+def test_explore_petersen_tori_three_factors():
+    rep = explore_conjecture("petersen_tori", {"c5": 1, "c4": 1, "k2": 1})
+    [ins] = rep.instances
+    assert ins.n == 40
+    assert ins.status == "SUPPORTED"
+    assert ins.detail == {"certificate_status": "certified"}

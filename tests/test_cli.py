@@ -144,6 +144,19 @@ def test_certify_exit_codes(capsys):
     assert json.loads(out2)["result"]["status"] == "hypothesis_failed"
 
 
+def test_certify_report_is_the_library_certificate(capsys):
+    from blocklex import certify, cycle
+
+    _, out, _ = run(capsys, "certify", "C5xC4xC3", "--format", "json")
+    assert json.loads(out)["result"] == certify([cycle(5), cycle(4), cycle(3)]).to_json()
+    code, out, _ = run(capsys, "certify", "C5xC4xC3", "--format", "json", "--no-crosscheck")
+    assert code == 0
+    assert json.loads(out)["result"]["crosschecks"] == []
+    _, out, _ = run(capsys, "certify", "C5xC4xC3", "--format", "json", "--crosscheck", "1,5")
+    [check] = json.loads(out)["result"]["crosschecks"]
+    assert {s["m"] for s in check["samples"]} == {1, 5}
+
+
 def test_certify_domination_flag(capsys):
     code, _, _ = run(capsys, "certify", "K2xK3xK4", "--domination", "1,2,3")
     assert code == 0

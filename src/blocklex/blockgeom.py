@@ -18,13 +18,20 @@ independent of the dropped coordinates; `restricted` checks that.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, induced_subgraph
-from .orders import TotalOrder, identity_perm, restrict_perm
+from .graphs import Graph, VertexSet, induced_subgraph, mixed_radix
+from .orders import (
+    TotalOrder,
+    _rank_matrix,
+    identity_perm,
+    order_by_keys,
+    restrict_perm,
+)
 from .partitions import (
     Partition,
     is_regular_partition,
@@ -284,39 +291,36 @@ def standard_collection(
 
 
 class _Geometry:
-    """Cached per-(graph, collection) lookup tables.
+    """Cached per-(graph, collection) vertex tables.
 
-    The composite block index is the mixed-radix encoding of the segment
-    index tuple with factor 0 most significant, so composite order equals
-    the block order (lexicographic on starts)."""
+    ranks[v, i] is the rank of v's i-th coordinate in the i-th factor
+    order, and block_index[v, i] the index of the segment holding it.  The
+    composite block index is the mixed-radix encoding of the segment index
+    tuple with factor 0 most significant, so composite order equals the
+    block order (lexicographic on starts).  within[v] lists v's ranks in
+    the significance order of its block's domination permutation."""
 
-    __slots__ = ("tables", "block_index", "composite", "radix", "n_blocks", "sizes")
+    __slots__ = ("ranks", "block_index", "radix", "composite", "sizes", "within")
 
     def __init__(self, g: Graph, dc: DominationCollection):
-        self.tables = []
-        for f, p in zip(g.factors, dc.partitions):
-            t = np.empty(f.n, dtype=np.int64)
-            for j, (a, b) in enumerate(p.segments):
-                for r in range(a, b + 1):
-                    t[p.order.vertex_at(r)] = j
-            self.tables.append(t)
-        coords = g.coords()
-        cols = [self.tables[i][coords[:, i]] for i in range(dc.d)]
-        self.block_index = np.stack(cols, axis=1)
-        counts = dc.segment_counts
-        radix = np.ones(dc.d, dtype=np.int64)
-        for i in range(dc.d - 2, -1, -1):
-            radix[i] = radix[i + 1] * counts[i + 1]
-        self.radix = radix
-        self.n_blocks = int(np.prod(counts))
-        self.composite = self.block_index @ radix
-        self.sizes = np.bincount(self.composite, minlength=self.n_blocks)
+        self.ranks = _rank_matrix(g, dc.factor_orders)
+        self.block_index = np.stack(
+            [
+                np.searchsorted(p.boundaries, self.ranks[:, i])
+                for i, p in enumerate(dc.partitions)
+            ],
+            axis=1,
+        )
+        self.radix = mixed_radix(dc.segment_counts)
+        self.composite = self.block_index @ self.radix
+        self.sizes = np.bincount(
+            self.composite, minlength=math.prod(dc.segment_counts)
+        )
+        perms = np.array([dc.perm_for(bid) for bid in dc.block_ids()])
+        self.within = np.take_along_axis(self.ranks, perms[self.composite], axis=1)
 
-    def bid_of_composite(self, c: int, counts) -> BlockId:
-        out = []
-        for i in range(len(counts)):
-            out.append(int(c // self.radix[i]) % counts[i])
-        return tuple(out)
+    def in_block(self, bid: BlockId) -> np.ndarray:
+        return self.composite == int(np.dot(bid, self.radix))
 
 
 def _geometry(g: Graph, dc: DominationCollection) -> _Geometry:
@@ -329,11 +333,6 @@ def _geometry(g: Graph, dc: DominationCollection) -> _Geometry:
         geo = _Geometry(g, dc)
         cache[g.digest] = geo
     return geo
-
-
-def block_index_matrix(g: Graph, dc: DominationCollection) -> np.ndarray:
-    """(n, d) matrix of per-factor segment indices for every vertex."""
-    return _geometry(g, dc).block_index
 
 
 def block_of(g: Graph, dc: DominationCollection, v: int) -> BlockId:
@@ -350,62 +349,46 @@ def start_of(g: Graph, dc: DominationCollection, bid: BlockId) -> int:
     return g.vertex_id(coords)
 
 
+def _block_and_offsets(
+    g: Graph, dc: DominationCollection, bid: BlockId
+) -> tuple[np.ndarray, np.ndarray]:
+    """The block's vertex mask, and per vertex and factor whether the
+    coordinate's rank differs from the start rank of the block's segment."""
+    dc._check_block_id(tuple(bid))
+    geo = _geometry(g, dc)
+    starts = [p.segments[j][0] for p, j in zip(dc.partitions, bid)]
+    return geo.in_block(bid), geo.ranks != np.asarray(starts)
+
+
 def bone(g: Graph, dc: DominationCollection, bid: BlockId, i: int) -> VertexSet:
     """Segment i of the block crossed with the other coordinates pinned at
     the segment starts."""
-    dc._check_block_id(tuple(bid))
+    inside, off = _block_and_offsets(g, dc, bid)
     if not 0 <= i < dc.d:
         raise ValueError("bone direction out of range")
-    coords = []
-    for k, j in enumerate(bid):
-        p = dc.partitions[k]
-        a, b = p.segments[j]
-        if k == i:
-            coords.append([p.order.vertex_at(r) for r in range(a, b + 1)])
-        else:
-            coords.append([p.order.vertex_at(a)])
-    ids = [g.vertex_id(c) for c in itertools.product(*coords)]
-    return VertexSet.from_ids(g.n, ids)
+    off[:, i] = False
+    return VertexSet(inside & ~off.any(axis=1))
 
 
 def skeleton(g: Graph, dc: DominationCollection, bid: BlockId) -> VertexSet:
-    out = VertexSet.empty(g.n)
-    for i in range(dc.d):
-        out = out | bone(g, dc, bid, i)
-    return out
+    """Union of the block's bones: its vertices with at most one coordinate
+    off the segment starts."""
+    inside, off = _block_and_offsets(g, dc, bid)
+    return VertexSet(inside & (off.sum(axis=1) <= 1))
 
 
 def block_vertices(g: Graph, dc: DominationCollection, bid: BlockId) -> VertexSet:
     dc._check_block_id(tuple(bid))
-    coords = []
-    for k, j in enumerate(bid):
-        p = dc.partitions[k]
-        a, b = p.segments[j]
-        coords.append([p.order.vertex_at(r) for r in range(a, b + 1)])
-    ids = [g.vertex_id(c) for c in itertools.product(*coords)]
-    return VertexSet.from_ids(g.n, ids)
+    return VertexSet(_geometry(g, dc).in_block(bid))
 
 
 def block_graph_and_order(
     g: Graph, dc: DominationCollection, bid: BlockId
 ) -> tuple[Graph, TotalOrder]:
     """Graph induced by a block together with its domination order."""
-    vs = block_vertices(g, dc, bid)
-    ids = vs.ids().tolist()
-    sub, old = induced_subgraph(g, ids)
-    perm = dc.perm_for(tuple(bid))
-    coords = g.coords()
-    keys = []
-    for v in old:
-        rank_tuple = tuple(
-            dc.partitions[i].order.rank(int(coords[v, i])) for i in range(dc.d)
-        )
-        keys.append(tuple(rank_tuple[perm[q]] for q in range(dc.d)))
-    ranked = sorted(range(len(old)), key=lambda idx: keys[idx])
-    ranks = [0] * len(old)
-    for r, idx in enumerate(ranked, start=1):
-        ranks[idx] = r
-    return sub, TotalOrder(ranks)
+    ids = block_vertices(g, dc, bid).ids()
+    sub, _ = induced_subgraph(g, ids.tolist())
+    return sub, order_by_keys(_geometry(g, dc).within[ids])
 
 
 def stack(g: Graph, dc: DominationCollection, direction: int, anchor) -> VertexSet:
@@ -417,22 +400,16 @@ def stack(g: Graph, dc: DominationCollection, direction: int, anchor) -> VertexS
         g, dc, int(anchor)
     )
     dc._check_block_id(bid)
-    out = VertexSet.empty(g.n)
-    for j in range(dc.partitions[direction].num_segments):
-        nbid = bid[:direction] + (j,) + bid[direction + 1 :]
-        out = out | block_vertices(g, dc, nbid)
-    return out
+    other = [k for k in range(dc.d) if k != direction]
+    rows = _geometry(g, dc).block_index[:, other]
+    return VertexSet(np.all(rows == np.asarray(bid)[other], axis=1))
 
 
 def slice_vertices(g: Graph, dc: DominationCollection, q: int) -> VertexSet:
     """Union of the blocks whose first factor segment index is q (0-based)."""
     if not 0 <= q < dc.partitions[0].num_segments:
         raise ValueError("slice index out of range")
-    out = VertexSet.empty(g.n)
-    for bid in dc.block_ids():
-        if bid[0] == q:
-            out = out | block_vertices(g, dc, bid)
-    return out
+    return VertexSet(_geometry(g, dc).block_index[:, 0] == q)
 
 
 # -- block-lexicographic orders -----------------------------------------------
@@ -447,23 +424,8 @@ def block_lex_order(g: Graph, dc: DominationCollection) -> TotalOrder:
         )
     if g.factors is None or len(g.factors) != dc.d:
         raise ValueError("graph does not match the collection")
-    bl = block_index_matrix(g, dc)
-    coords = g.coords()
-    d = dc.d
-    rank_cols = [
-        dc.partitions[i].order.ranks[coords[:, i]] for i in range(d)
-    ]
-    keys = np.empty((g.n, 2 * d), dtype=np.int64)
-    keys[:, :d] = bl
-    perm_cache = {bid: dc.perm_for(bid) for bid in dc.block_ids()}
-    for v in range(g.n):
-        perm = perm_cache[tuple(int(x) for x in bl[v])]
-        for q in range(d):
-            keys[v, d + q] = rank_cols[perm[q]][v]
-    order_ids = np.lexsort(tuple(keys[:, c] for c in range(2 * d - 1, -1, -1)))
-    ranks = np.empty(g.n, dtype=np.int64)
-    ranks[order_ids] = np.arange(1, g.n + 1)
-    return TotalOrder(ranks)
+    geo = _geometry(g, dc)
+    return order_by_keys(np.column_stack([geo.composite, geo.within]))
 
 
 def standard_block_lex_order(
@@ -515,23 +477,13 @@ def validate_regular_domination_collection(
 # -- occupancy and the structural implications of strong compression ----------
 
 
-def block_order_key(bid: BlockId) -> tuple[int, ...]:
-    """Blocks are ordered by their starts, which is the lexicographic order
-    of segment-index tuples."""
-    return tuple(bid)
-
-
 def block_occupancy(
     g: Graph, dc: DominationCollection, a: VertexSet
 ) -> dict[BlockId, tuple[int, int]]:
-    """Per block: (members of a inside, block size)."""
+    """Per block, in block order: (members of a inside, block size)."""
     geo = _geometry(g, dc)
-    counts = np.bincount(geo.composite[a.mask], minlength=geo.n_blocks)
-    seg_counts = dc.segment_counts
-    return {
-        geo.bid_of_composite(c, seg_counts): (int(counts[c]), int(geo.sizes[c]))
-        for c in range(geo.n_blocks)
-    }
+    counts = np.bincount(geo.composite[a.mask], minlength=geo.sizes.shape[0])
+    return dict(zip(dc.block_ids(), zip(counts.tolist(), geo.sizes.tolist())))
 
 
 def _stacks(dc: DominationCollection, direction: int) -> list[list[BlockId]]:
@@ -546,7 +498,6 @@ def _stacks(dc: DominationCollection, direction: int) -> list[list[BlockId]]:
                 bid[i] = fixed[pos]
             bid[direction] = j
             blocks.append(tuple(bid))
-        blocks.sort(key=block_order_key)
         stacks.append(blocks)
     return stacks
 
@@ -576,7 +527,7 @@ def check_shared_bone_containment(
     """For blocks B1 < B2 sharing the i-th bone (same i-th segment): if
     bone(B2, i) lies inside a then all of B1 does."""
     out = []
-    blocks = sorted(dc.block_ids(), key=block_order_key)
+    blocks = dc.block_ids()
     occ = block_occupancy(g, dc, a)
     for x, b1 in enumerate(blocks):
         for b2 in blocks[x + 1 :]:
@@ -600,9 +551,7 @@ def check_slice_block_consecutive(
     occ = block_occupancy(g, dc, a)
     out = []
     for q in range(dc.partitions[0].num_segments):
-        blocks = sorted(
-            (bid for bid in dc.block_ids() if bid[0] == q), key=block_order_key
-        )
+        blocks = [bid for bid in dc.block_ids() if bid[0] == q]
         for x, b1 in enumerate(blocks):
             c1, s1 = occ[b1]
             if c1 == s1:

@@ -43,6 +43,7 @@ from .partitions import (
 from .solver import (
     Budget,
     BudgetExceeded,
+    COMPRESSED_CAP,
     FULL_ENUM_CAP,
     Profile,
     SizeCapExceeded,
@@ -702,7 +703,7 @@ def explore_conjecture(
             # the conjecture's claims (lex optimal inside the bound, no
             # nested solutions beyond it) are about the powers of g
             prod = cartesian_product([g] * d)
-            if prod.n <= 200:
+            if prod.n <= COMPRESSED_CAP:
                 _, o = factor_profile_and_order(g)
                 prof = exact_profile(
                     prod, "compressed" if prod.n > FULL_ENUM_CAP else "full",
@@ -756,7 +757,7 @@ def explore_conjecture(
             instances.append(_nested_instance(name, factors[0], budget))
         else:
             g = cartesian_product(factors)
-            if len(factors) == 2 and g.n <= 200:
+            if len(factors) == 2 and g.n <= COMPRESSED_CAP:
                 from .blockgeom import standard_block_lex_order
 
                 try:

@@ -47,6 +47,7 @@ from .partitions import (
     validate_isoperimetric_partition,
 )
 from .solver import (
+    FULL_ENUM_CAP,
     SizeCapExceeded,
     delta_sequence,
     exact_profile,
@@ -205,8 +206,10 @@ def _resolve_partition(cfg: argparse.Namespace, g: Graph) -> Partition:
 
 def _cmd_partition(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
-    if g.n > 24:
-        raise UsageError("partition command profiles the graph exactly; n <= 24 required")
+    if g.n > FULL_ENUM_CAP:
+        raise UsageError(
+            f"partition command profiles the graph exactly; n <= {FULL_ENUM_CAP} required"
+        )
     p = _resolve_partition(cfg, g)
     ok, diags = validate_isoperimetric_partition(g, p)
     nondec = is_non_decreasing(g, p)

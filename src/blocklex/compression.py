@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockgeom import DominationCollection, block_lex_order, block_occupancy, block_order_key
-from .graphs import Graph, VertexSet, subproduct
+from .blockgeom import DominationCollection, block_lex_order, block_occupancy
+from .graphs import Graph, VertexSet, split_ids, subproduct
 from .orders import TotalOrder, lex_order
 from .solver import DeltaSequence
 
@@ -61,7 +61,9 @@ class OrderFamily:
         self.kind = kind
         self._orders = factor_orders
         self._dc = collection
-        self._cache: dict[tuple[int, ...], tuple[Graph, TotalOrder]] = {}
+        # per subset: (subproduct, its order, each vertex's rank in that
+        # order, each vertex's cut id, number of cuts)
+        self._cache: dict[tuple[int, ...], tuple] = {}
 
     @classmethod
     def lexicographic(
@@ -92,7 +94,7 @@ class OrderFamily:
             sub = subproduct(g, key)
             if order.n != sub.n:
                 raise ValueError(f"order for subset {key} has wrong size")
-            fam._cache[key] = (sub, order)
+            fam._store(key, sub, order)
         return fam
 
     @property
@@ -105,7 +107,13 @@ class OrderFamily:
             return self._orders
         return self._dc.factor_orders
 
-    def order_for(self, s: Sequence[int]) -> tuple[Graph, TotalOrder]:
+    def _store(self, key: tuple[int, ...], sub: Graph, order: TotalOrder) -> tuple:
+        sub_id, cut_id, ncuts = split_ids(self.g, key)
+        entry = (sub, order, order.ranks[sub_id], cut_id, ncuts)
+        self._cache[key] = entry
+        return entry
+
+    def _entry(self, s: Sequence[int]) -> tuple:
         key = tuple(sorted(set(int(i) for i in s)))
         if not key:
             raise ValueError("empty factor subset")
@@ -120,8 +128,10 @@ class OrderFamily:
         else:
             sub_dc = self._dc.restricted(key)
             order = block_lex_order(sub, sub_dc)
-        self._cache[key] = (sub, order)
-        return sub, order
+        return self._store(key, sub, order)
+
+    def order_for(self, s: Sequence[int]) -> tuple[Graph, TotalOrder]:
+        return self._entry(s)[:2]
 
 
 def _ensure_family(g: Graph, orders) -> OrderFamily:
@@ -157,26 +167,9 @@ def compress_once(g: Graph, a, s: Sequence[int], orders) -> VertexSet:
     if any(i < 0 or i >= family.d for i in key):
         raise ValueError("factor subset out of range")
     a = a if isinstance(a, VertexSet) else VertexSet.from_ids(g.n, a)
-    _, sub_order = family.order_for(key)
-    coords = g.coords()
-    shape = g.factor_shape
-    comp = [i for i in range(family.d) if i not in key]
-    sub_radix = np.ones(len(key), dtype=np.int64)
-    for i in range(len(key) - 2, -1, -1):
-        sub_radix[i] = sub_radix[i + 1] * shape[key[i + 1]]
-    sub_id = coords[:, key] @ sub_radix
-    if comp:
-        comp_radix = np.ones(len(comp), dtype=np.int64)
-        for i in range(len(comp) - 2, -1, -1):
-            comp_radix[i] = comp_radix[i + 1] * shape[comp[i + 1]]
-        cut_key = coords[:, comp] @ comp_radix
-        ncuts = int(np.prod([shape[i] for i in comp]))
-    else:
-        cut_key = np.zeros(g.n, dtype=np.int64)
-        ncuts = 1
-    counts = np.bincount(cut_key[a.mask], minlength=ncuts)
-    new_mask = sub_order.ranks[sub_id] <= counts[cut_key]
-    return VertexSet(new_mask)
+    _, _, sub_rank, cut_id, ncuts = family._entry(key)
+    counts = np.bincount(cut_id[a.mask], minlength=ncuts)
+    return VertexSet(sub_rank <= counts[cut_id])
 
 
 def compress_to_fixpoint(
@@ -279,7 +272,7 @@ def is_block_compressed(g: Graph, dc: DominationCollection, a) -> bool:
     fully contained."""
     a = a if isinstance(a, VertexSet) else VertexSet.from_ids(g.n, a)
     occ = block_occupancy(g, dc, a)
-    blocks = sorted(occ, key=block_order_key)
+    blocks = list(occ)
     touched = [i for i, b in enumerate(blocks) if occ[b][0] > 0]
     if not touched:
         return True
@@ -292,9 +285,7 @@ def is_slice_compressed(g: Graph, dc: DominationCollection, a) -> bool:
     a = a if isinstance(a, VertexSet) else VertexSet.from_ids(g.n, a)
     occ = block_occupancy(g, dc, a)
     for q in range(dc.partitions[0].num_segments):
-        blocks = sorted(
-            (b for b in occ if b[0] == q), key=block_order_key
-        )
+        blocks = [b for b in occ if b[0] == q]
         touched = [i for i, b in enumerate(blocks) if occ[b][0] > 0]
         if not touched:
             continue

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from typing import Iterable, Iterator, Sequence
 
@@ -38,7 +39,17 @@ __all__ = [
     "boundary_edges",
     "induced_subgraph",
     "parse_graph_spec",
+    "mixed_radix",
+    "split_ids",
 ]
+
+
+def mixed_radix(shape: Sequence[int]) -> np.ndarray:
+    """Place values of the mixed-radix code over `shape`, digit 0 most
+    significant: id = sum digits[i] * w[i]."""
+    w = np.ones(len(shape), dtype=np.int64)
+    w[:-1] = np.cumprod(np.asarray(shape[:0:-1], dtype=np.int64))[::-1]
+    return w
 
 
 class VertexSet:
@@ -251,11 +262,7 @@ class Graph:
         if self.factors is None:
             raise ValueError("graph was not built as a product")
         if self._radix is None:
-            shape = self.factor_shape
-            d = len(shape)
-            w = np.ones(d, dtype=np.int64)
-            for i in range(d - 2, -1, -1):
-                w[i] = w[i + 1] * shape[i + 1]
+            w = mixed_radix(self.factor_shape)
             w.setflags(write=False)
             self._radix = w
         return self._radix
@@ -336,12 +343,9 @@ def _extract_factors(g: Graph, shape: list[int]) -> list[Graph]:
     Factor i is read off the axis line through the origin (all other
     coordinates 0); the caller re-validates the full product structure.
     """
-    d = len(shape)
-    w = [1] * d
-    for i in range(d - 2, -1, -1):
-        w[i] = w[i + 1] * shape[i + 1]
+    w = mixed_radix(shape).tolist()
     factors = []
-    for i in range(d):
+    for i in range(len(shape)):
         edges = []
         for a in range(shape[i]):
             for b in range(a + 1, shape[i]):
@@ -408,16 +412,11 @@ def cartesian_product(graphs: Sequence[Graph]) -> Graph:
         raise ValueError("product of no graphs")
     shape = [g.n for g in graphs]
     d = len(shape)
-    n = 1
-    for s in shape:
-        n *= s
-    w = [1] * d
-    for i in range(d - 2, -1, -1):
-        w[i] = w[i + 1] * shape[i + 1]
+    n = math.prod(shape)
+    w = mixed_radix(shape).tolist()
     edges = []
     for i, gi in enumerate(graphs):
         # line copies of factor i across all assignments of the others
-        other = [range(shape[j]) if j != i else [0] for j in range(d)]
         bases = [0]
         for j in range(d):
             if j == i:
@@ -464,6 +463,18 @@ def permute_factors(g: Graph, pi: Sequence[int]) -> tuple[Graph, np.ndarray]:
     new_coords = g.coords()[:, pi]
     psi = new_coords @ h.radix()
     return h, psi
+
+
+def split_ids(g: Graph, s: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Split the vertex ids of a product over the sorted factor subset s:
+    (each vertex's id in the subproduct over s, the id of its cut, i.e. of
+    its coordinates outside s, and the number of cuts)."""
+    shape = g.factor_shape
+    comp = [i for i in range(len(shape)) if i not in s]
+    coords = g.coords()
+    sub_id = coords[:, list(s)] @ mixed_radix([shape[i] for i in s])
+    cut_id = coords[:, comp] @ mixed_radix([shape[i] for i in comp])
+    return sub_id, cut_id, math.prod(shape[i] for i in comp)
 
 
 # -- edge functionals --------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, split_ids
 
 __all__ = [
     "TotalOrder",
@@ -151,6 +151,16 @@ def _rank_matrix(g: Graph, factor_orders: Sequence[TotalOrder]) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def order_by_keys(keys: np.ndarray) -> TotalOrder:
+    """Order of the rows of an (n, k) key matrix, compared column 0 first.
+    The rows must be distinct."""
+    # np.lexsort sorts by the LAST key first; feed least significant first.
+    sorted_ids = np.lexsort(keys.T[::-1])
+    ranks = np.empty(keys.shape[0], dtype=np.int64)
+    ranks[sorted_ids] = np.arange(1, keys.shape[0] + 1)
+    return TotalOrder(ranks)
+
+
 def domination_order(
     g: Graph, factor_orders: Sequence[TotalOrder], pi: Sequence[int]
 ) -> TotalOrder:
@@ -161,12 +171,7 @@ def domination_order(
     """
     keys = _rank_matrix(g, factor_orders)
     pi = _check_perm(pi, keys.shape[1])
-    # np.lexsort sorts by the LAST key first; feed least significant first.
-    lex_keys = tuple(keys[:, pi[i]] for i in range(len(pi) - 1, -1, -1))
-    sorted_ids = np.lexsort(lex_keys)
-    ranks = np.empty(g.n, dtype=np.int64)
-    ranks[sorted_ids] = np.arange(1, g.n + 1)
-    return TotalOrder(ranks)
+    return order_by_keys(keys[:, pi])
 
 
 def lex_order(g: Graph, factor_orders: Sequence[TotalOrder]) -> TotalOrder:
@@ -194,24 +199,10 @@ def is_consistent(
     s_sorted = sorted(set(int(i) for i in s))
     if not s_sorted or s_sorted[0] < 0 or s_sorted[-1] >= d:
         raise ValueError("bad factor index set")
-    comp = [i for i in range(d) if i not in s_sorted]
-    coords = g.coords()
-    shape = g.factor_shape
-    sub_radix = np.ones(len(s_sorted), dtype=np.int64)
-    for i in range(len(s_sorted) - 2, -1, -1):
-        sub_radix[i] = sub_radix[i + 1] * shape[s_sorted[i + 1]]
-    sub_id = coords[:, s_sorted] @ sub_radix
+    sub_id, cut_id, _ = split_ids(g, s_sorted)
     small_rank = o_small.ranks[sub_id]
-    if not comp:
-        # full index set: projection is the identity
-        key = np.zeros(g.n, dtype=np.int64)
-    else:
-        comp_radix = np.ones(len(comp), dtype=np.int64)
-        for i in range(len(comp) - 2, -1, -1):
-            comp_radix[i] = comp_radix[i + 1] * shape[comp[i + 1]]
-        key = coords[:, comp] @ comp_radix
-    order_in_cut = np.lexsort((o_big.ranks, key))
-    sorted_keys = key[order_in_cut]
+    order_in_cut = np.lexsort((o_big.ranks, cut_id))
+    sorted_keys = cut_id[order_in_cut]
     sorted_small = small_rank[order_in_cut]
     same_cut = sorted_keys[1:] == sorted_keys[:-1]
     rising = sorted_small[1:] > sorted_small[:-1]

@@ -42,16 +42,6 @@ __all__ = [
 FULL_ENUM_CAP = 24
 COMPRESSED_CAP = 200
 
-_STRATEGY_ALIASES = {
-    "full": "full",
-    "full_enumeration": "full",
-    "bnb": "bnb",
-    "branch_and_bound": "bnb",
-    "compressed": "compressed",
-    "compressed_only": "compressed",
-}
-
-
 class SizeCapExceeded(ValueError):
     """Raised when an exact strategy is asked to handle too many vertices."""
 
@@ -315,18 +305,17 @@ def exact_profile(
     graph whose factor orders are optimal (verified here against
     per-factor full profiles) and is exact under that hypothesis.
     """
-    strat = _STRATEGY_ALIASES.get(strategy)
-    if strat is None:
+    if strategy not in ("full", "bnb", "compressed"):
         raise ValueError(f"unknown strategy {strategy!r}")
     budget = Budget(budget_seconds)
-    if strat in ("full", "bnb"):
+    if strategy in ("full", "bnb"):
         if g.n > FULL_ENUM_CAP:
             raise SizeCapExceeded(
-                f"{g.n} vertices exceed the {strat} cap of {FULL_ENUM_CAP}; "
+                f"{g.n} vertices exceed the {strategy} cap of {FULL_ENUM_CAP}; "
                 "use strategy='compressed' on a product with optimal factor orders"
             )
         try:
-            if strat == "full":
+            if strategy == "full":
                 val = _dp_subset_values(g, "induced", budget)
                 values, wits = _profile_from_values(
                     g.n, val, True, with_witnesses, budget
@@ -335,14 +324,14 @@ def exact_profile(
                 values, wits = _bnb_profile(g, budget)
         except BudgetExceeded:
             return Profile(
-                "induced_max", None, None, False, strat, g.digest, "budget exceeded"
+                "induced_max", None, None, False, strategy, g.digest, "budget exceeded"
             )
         return Profile(
             "induced_max",
             tuple(values),
             tuple(wits) if wits is not None else None,
             True,
-            strat,
+            strategy,
             g.digest,
         )
     # compressed oracle
@@ -403,7 +392,7 @@ def theta_profile(
             d * m - 2 * induced_profile.value(m) for m in range(g.n + 1)
         )
         return Profile("boundary_min", vals, None, True, "via_regular", g.digest)
-    if strategy not in ("full", "full_enumeration"):
+    if strategy != "full":
         raise ValueError(f"unknown theta strategy {strategy!r}")
     if g.n > FULL_ENUM_CAP:
         raise SizeCapExceeded(

@@ -16,7 +16,6 @@ I(m)) holds when the per-factor orders are optimal; callers verify that.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 NEG = -(1 << 40)
+# largest slab lattice the three-factor downset DP builds
+SLAB_SHAPE_CAP = 20000
 
 
 def rank_edge_tables(g: Graph, order: TotalOrder) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +142,7 @@ def _pure_profile_3d(
     n_b: int,
     n_c: int,
     m_max: int,
-    shape_cap: int = 20000,
+    shape_cap: int = SLAB_SHAPE_CAP,
 ) -> np.ndarray:
     n_shapes = math.comb(n_b + n_c, n_c)
     if n_shapes > shape_cap:
@@ -183,7 +184,7 @@ def downset_profile(
     g: Graph,
     factor_orders: Sequence[TotalOrder],
     m_max: int | None = None,
-    shape_cap: int = 20000,
+    shape_cap: int = SLAB_SHAPE_CAP,
 ) -> np.ndarray:
     """Max induced edges over rank-space downsets, per size m = 0..m_max.
 
@@ -322,28 +323,30 @@ def enumerate_compressed(
         yield VertexSet.from_ids(g.n, ids)
 
 
-@lru_cache(maxsize=None)
-def _count_chain(bound_key, levels: int, m: int) -> int:
-    # bound_key is a hashable structure (int or nested tuples)
-    if levels == 0:
-        return 1 if m == 0 else 0
-    total = 0
-    top = min(_struct_size(bound_key), m)
-    for t in range(top, -1, -1):
-        if t * levels < m:
-            break
-        for s in _gen_struct(bound_key, t):
-            total += _count_chain(s, levels - 1, m - t)
-    return total
-
-
 def count_downsets(sizes: Sequence[int], m: int) -> int:
-    """Number of downsets of the box with exactly m cells."""
+    """Number of downsets of the box with exactly m cells.
+
+    Up to three sides, padded to (a, b, c) with 1s, this is the q^m
+    coefficient of MacMahon's generating function for plane partitions in
+    an a x b x c box, prod_{i<=a, j<=b} (1 - q^(i+j+c-1)) / (1 - q^(i+j-1)),
+    expanded in exact integers modulo q^(m+1).  Boxes with more sides are
+    counted by enumeration."""
     sizes = [int(x) for x in sizes]
-    if len(sizes) == 1:
-        return 1 if 0 <= m <= sizes[0] else 0
-    inner = _full_struct(sizes[1:])
-    return _count_chain(inner, sizes[0], m)
+    if not 0 <= m <= math.prod(sizes):
+        return 0
+    if len(sizes) > 3:
+        return sum(1 for _ in enumerate_downsets(sizes, m))
+    a, b, c = sizes + [1] * (3 - len(sizes))
+    coef = [1] + [0] * m
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            k = i + j + c - 1
+            for t in range(m, k - 1, -1):
+                coef[t] -= coef[t - k]
+            k = i + j - 1
+            for t in range(k, m + 1):
+                coef[t] += coef[t - k]
+    return coef[m]
 
 
 def staircase_scan_2d(

@@ -37,7 +37,8 @@ from blocklex import (
     uniform_collection,
     validate_regular_domination_collection,
 )
-from blocklex.blockgeom import block_vertices
+from blocklex.blockgeom import block_graph_and_order, block_vertices
+from blocklex.graphs import VertexSet, induced_subgraph
 
 
 def atomic_dc(g):
@@ -301,3 +302,129 @@ def test_dc_json_roundtrip(pet2_setup):
     assert back.segment_counts == dc.segment_counts
     for bid in dc.block_ids():
         assert back.perm_for(bid) == dc.perm_for(bid)
+
+
+# -- per-vertex references for the array geometry -----------------------------
+
+# C5 x C4 x K3 with permuted factor orders; the block permutation depends on
+# the first segment index only, so every subproduct restriction is defined
+NONUNIFORM_DC_JSON = {
+    "partitions": [
+        {"order": [3, 1, 5, 2, 4], "boundaries": [2, 5]},
+        {"order": [2, 4, 1, 3], "boundaries": [1, 3, 4]},
+        {"order": [3, 1, 2], "boundaries": [1, 3]},
+    ],
+    "block_perms": {
+        f"1,{j},{k}": [2, 3, 1] for j in (1, 2, 3) for k in (1, 2)
+    },
+    "default_perm": [2, 1, 3],
+}
+
+
+def _segment_vertices(dc, k, j):
+    p = dc.partitions[k]
+    a, b = p.segments[j]
+    return [p.order.vertex_at(r) for r in range(a, b + 1)]
+
+
+def _ref_set(g, coord_lists):
+    ids = [g.vertex_id(c) for c in itertools.product(*coord_lists)]
+    return VertexSet.from_ids(g.n, ids)
+
+
+def _ref_block(g, dc, bid):
+    return _ref_set(g, [_segment_vertices(dc, k, j) for k, j in enumerate(bid)])
+
+
+def _ref_bone(g, dc, bid, i):
+    return _ref_set(
+        g,
+        [
+            _segment_vertices(dc, k, j)[: None if k == i else 1]
+            for k, j in enumerate(bid)
+        ],
+    )
+
+
+def _ref_union(g, sets):
+    out = VertexSet.empty(g.n)
+    for s in sets:
+        out = out | s
+    return out
+
+
+def _ref_within_key(g, dc, bid, v):
+    perm = dc.perm_for(bid)
+    return tuple(
+        dc.partitions[perm[q]].order.rank(g.vertex_tuple(v)[perm[q]])
+        for q in range(dc.d)
+    )
+
+
+def _ref_block_id(g, dc, v):
+    return tuple(
+        p.segment_of_rank(p.order.rank(c))
+        for p, c in zip(dc.partitions, g.vertex_tuple(v))
+    )
+
+
+def _nonuniform_case():
+    g = cartesian_product([cycle(5), cycle(4), clique(3)])
+    return g, DominationCollection.from_json(NONUNIFORM_DC_JSON)
+
+
+def _atomic_case():
+    g = cartesian_product([clique(2), clique(2), clique(3)])
+    parts = [atomic_partition(factor_profile_and_order(f)[1]) for f in g.factors]
+    return g, standard_collection(g.factors, parts)
+
+
+def _petersen_halves_case():
+    pet = petersen()
+    halves = Partition.from_boundaries(factor_profile_and_order(pet)[1], [5, 10])
+    return graph_power(pet, 3), uniform_collection([halves] * 3)
+
+
+@pytest.mark.parametrize(
+    "make", [_nonuniform_case, _atomic_case, _petersen_halves_case],
+    ids=["json_nonuniform", "atomic_k2k2k3", "petersen_halves_cube"],
+)
+def test_geometry_against_per_vertex_reference(make):
+    """Block queries and block-lex orders against literal per-vertex
+    constructions over segment ranks, on every block and direction."""
+    g, dc = make()
+    ok, diags = dc.validate(g, check_block_optimality=False)
+    assert ok, diags
+    for v in range(g.n):
+        assert block_of(g, dc, v) == _ref_block_id(g, dc, v)
+    for bid in dc.block_ids():
+        block = _ref_block(g, dc, bid)
+        assert block_vertices(g, dc, bid) == block
+        assert start_of(g, dc, bid) == g.vertex_id(
+            [_segment_vertices(dc, k, j)[0] for k, j in enumerate(bid)]
+        )
+        bones = [_ref_bone(g, dc, bid, i) for i in range(dc.d)]
+        for i in range(dc.d):
+            assert bone(g, dc, bid, i) == bones[i]
+            others = [bid[:i] + (j,) + bid[i + 1 :] for j in range(dc.segment_counts[i])]
+            assert stack(g, dc, i, bid) == _ref_union(
+                g, [_ref_block(g, dc, b) for b in others]
+            )
+        assert skeleton(g, dc, bid) == _ref_union(g, bones)
+        ids = block.ids().tolist()
+        sub, order = block_graph_and_order(g, dc, bid)
+        assert sub == induced_subgraph(g, ids)[0]
+        seq = sorted(range(len(ids)), key=lambda x: _ref_within_key(g, dc, bid, ids[x]))
+        assert order == TotalOrder.from_sequence(seq)
+    for q in range(dc.segment_counts[0]):
+        assert slice_vertices(g, dc, q) == _ref_union(
+            g, [_ref_block(g, dc, b) for b in dc.block_ids() if b[0] == q]
+        )
+    seq = sorted(
+        range(g.n),
+        key=lambda v: (
+            _ref_block_id(g, dc, v),
+            _ref_within_key(g, dc, _ref_block_id(g, dc, v), v),
+        ),
+    )
+    assert block_lex_order(g, dc) == TotalOrder.from_sequence(seq)

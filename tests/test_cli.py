@@ -228,6 +228,22 @@ def test_budget_exceeded_exit_3(capsys):
     assert code == 3
 
 
+def test_expired_budget_replays(capsys):
+    """A budget that runs out before the first hypothesis gives the same
+    inconclusive report on every run."""
+    runs = [
+        run(capsys, "certify", "C5xC4xC3", "--budget", "1e-9", "--format", "json")
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 3
+    result = json.loads(out)["result"]
+    assert result["status"] == "inconclusive"
+    assert result["hypotheses"] == []
+    assert result["crosschecks"] == [{"note": "budget exceeded"}]
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(

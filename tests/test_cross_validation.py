@@ -179,7 +179,7 @@ def test_downset_counts_plane_partition_formula():
     for boxed plane partitions."""
     from fractions import Fraction
 
-    for a, b, c in [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 4)]:
+    for a, b, c in [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 4), (4, 5, 6), (6, 6, 6)]:
         total = sum(count_downsets((a, b, c), m) for m in range(a * b * c + 1))
         formula = Fraction(1)
         for i in range(1, a + 1):
@@ -187,6 +187,7 @@ def test_downset_counts_plane_partition_formula():
                 for k in range(1, c + 1):
                     formula *= Fraction(i + j + k - 1, i + j + k - 2)
         assert total == int(formula)
+    assert count_downsets((6, 6, 6), 108) == 32498972194
 
 
 @settings(max_examples=25, deadline=None)

@@ -41,8 +41,10 @@ from .orders import (
 from .solver import (
     COMPRESSED_CAP,
     FULL_ENUM_CAP,
+    ChainSearchInconclusive,
     ChainSearchResult,
     DeltaSequence,
+    NoNestedSolutions,
     Profile,
     SizeCapExceeded,
     delta_sequence,

@@ -529,17 +529,24 @@ def check_shared_bone_containment(
     out = []
     blocks = dc.block_ids()
     occ = block_occupancy(g, dc, a)
+    bone_inside: dict[tuple[BlockId, int], bool] = {}
     for x, b1 in enumerate(blocks):
+        c, s = occ[b1]
+        if c == s:
+            continue
         for b2 in blocks[x + 1 :]:
             for i in range(dc.d):
-                if b1[i] == b2[i]:
-                    if bone(g, dc, b2, i).issubset(a):
-                        c, s = occ[b1]
-                        if c != s:
-                            out.append(
-                                f"blocks {b1} < {b2} share bone {i}; bone of {b2} "
-                                f"inside but {b1} not fully contained"
-                            )
+                if b1[i] != b2[i]:
+                    continue
+                inside = bone_inside.get((b2, i))
+                if inside is None:
+                    inside = bone(g, dc, b2, i).issubset(a)
+                    bone_inside[(b2, i)] = inside
+                if inside:
+                    out.append(
+                        f"blocks {b1} < {b2} share bone {i}; bone of {b2} "
+                        f"inside but {b1} not fully contained"
+                    )
     return out
 
 

@@ -48,7 +48,10 @@ from .partitions import (
 )
 from .solver import (
     FULL_ENUM_CAP,
+    ChainSearchInconclusive,
+    NoNestedSolutions,
     SizeCapExceeded,
+    clear_caches,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,
@@ -539,10 +542,18 @@ def main(argv=None) -> int:
             raise UsageError("budget must be positive")
         if cfg.fmt not in ("json", "csv", "text"):
             raise UsageError(f"unknown format {cfg.fmt!r}")
+        # a command's output must not depend on commands run before it
+        clear_caches()
         return cfg.handler(cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except NoNestedSolutions as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
+    except ChainSearchInconclusive as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

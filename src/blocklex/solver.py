@@ -11,8 +11,9 @@ the rank-space downset oracle, which scales to hundreds of vertices.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
     "FULL_ENUM_CAP",
     "COMPRESSED_CAP",
     "SizeCapExceeded",
+    "NoNestedSolutions",
+    "ChainSearchInconclusive",
     "Budget",
     "Profile",
     "DeltaSequence",
@@ -44,6 +47,15 @@ COMPRESSED_CAP = 200
 
 class SizeCapExceeded(ValueError):
     """Raised when an exact strategy is asked to handle too many vertices."""
+
+
+class NoNestedSolutions(ValueError):
+    """The chain search proved that the graph has no nested solutions."""
+
+
+class ChainSearchInconclusive(ValueError):
+    """The chain search stopped at its node cap: nested solutions are
+    neither found nor ruled out."""
 
 
 class BudgetExceeded(Exception):
@@ -175,73 +187,106 @@ class ChainSearchResult:
 
 # -- subset dynamic program ----------------------------------------------------
 
-_PC16: Optional[np.ndarray] = None
-
-
-def _pc16() -> np.ndarray:
-    global _PC16
-    if _PC16 is None:
-        t = np.zeros(1 << 16, dtype=np.uint8)
-        for i in range(16):
-            t[1 << i : 1 << (i + 1)] = t[: 1 << i] + 1
-        _PC16 = t
-    return _PC16
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    t = _pc16()
-    return t[arr & 0xFFFF] + t[arr >> 16]  # uint8 is plenty for n <= 64
+# Subset values are int16: at n <= FULL_ENUM_CAP a set has at most
+# n(n-1)/2 induced edges and at most n(n-1) boundary edges.
+if FULL_ENUM_CAP * (FULL_ENUM_CAP - 1) > np.iinfo(np.int16).max:
+    raise ImportError("FULL_ENUM_CAP is too large for int16 subset values")
 
 
 def _dp_subset_values(
     g: Graph, mode: str, budget: Budget
 ) -> np.ndarray:
-    """val[mask] for every membership word, by lowest-set-bit extension.
+    """val[mask] for every membership word, by highest-bit slice doubling.
 
     mode "induced": number of edges inside the set.
     mode "boundary": number of edges leaving the set.
+
+    The words whose highest bit is v fill val[2^v : 2^(v+1)].  That slice
+    first receives the change v brings to each word r < 2^v, itself built
+    by doubling over the bits u < v (popcount(r & adj[v]) edges inside, or
+    deg(v) - 2 * popcount(r & adj[v]) leaving), and then adds val[r].
     """
     n = g.n
     adj = g.adjacency_bitmasks()
-    degs = g.degrees()
-    val = np.zeros(1 << n, dtype=np.int32)
-    t = _pc16()
-    for v in range(n - 1, -1, -1):
+    induced = mode == "induced"
+    step = 1 if induced else -2
+    val = np.zeros(1 << n, dtype=np.int16)
+    for v in range(n):
         budget.check()
-        width = n - 1 - v
-        r = np.arange(1 << width, dtype=np.uint32)
-        adj_high = np.uint32(adj[v] >> (v + 1))
-        x = r & adj_high
-        pc = (t[x & 0xFFFF] + t[x >> 16]).astype(np.int32)
-        base = (r.astype(np.int64) << (v + 1)).astype(np.int64)
-        tgt = base | (1 << v)
-        if mode == "induced":
-            val[tgt] = val[base] + pc
-        else:
-            val[tgt] = val[base] + np.int32(degs[v]) - 2 * pc
+        low = 1 << v
+        top = val[low : 2 * low]
+        top[0] = 0 if induced else adj[v].bit_count()
+        for u in range(v):
+            b = 1 << u
+            if adj[v] >> u & 1:
+                np.add(top[:b], step, out=top[b : 2 * b])
+            else:
+                top[b : 2 * b] = top[:b]
+        top += val[:low]
     return val
+
+
+@functools.lru_cache(maxsize=None)
+def _popcount_classes(k: int) -> tuple[np.ndarray, ...]:
+    """For j = 0..k, the words r < 2^k with popcount j, ascending."""
+    pc = np.zeros(1 << k, dtype=np.int8)
+    for i in range(k):
+        pc[1 << i : 2 << i] = pc[: 1 << i] + 1
+    order = np.argsort(pc, kind="stable")
+    classes = tuple(np.split(order, np.cumsum(np.bincount(pc))[:-1]))
+    for c in classes:
+        c.flags.writeable = False
+    return classes
 
 
 def _profile_from_values(
     n: int, val: np.ndarray, maximize: bool, with_witnesses: bool, budget: Budget
 ) -> tuple[list[int], Optional[list[tuple[int, ...]]]]:
+    """Per-size extremum of val and, on request, its smallest attaining mask.
+
+    Split-popcount reduction: val viewed as (2^h, 2^l), rows of high bits
+    by columns of low bits.  Each row is reduced per column-popcount class
+    j, the result per row-popcount class i, and size m takes the best pair
+    with i + j = m.  argmax/argmin return the first extremum, so each stage
+    keeps the smallest column and row, hence the smallest mask.
+    """
     budget.check()
-    ids = np.arange(1 << n, dtype=np.uint32)
-    pc = _popcount(ids)
-    order = np.argsort(pc, kind="stable")
-    sorted_pc = pc[order]
-    bounds = np.searchsorted(sorted_pc, np.arange(n + 2))
+    h = n // 2
+    l = n - h
+    grid = val.reshape(1 << h, 1 << l)
+    pick = np.argmax if maximize else np.argmin
+    # per row and column class j: the extremum and its column
+    best = np.empty((1 << h, l + 1), dtype=val.dtype)
+    best_col = np.empty((1 << h, l + 1), dtype=np.int64)
+    all_rows = np.arange(1 << h)
+    for j, cols in enumerate(_popcount_classes(l)):
+        budget.check()
+        sub = np.take(grid, cols, axis=1)
+        k = pick(sub, axis=1)
+        best_col[:, j] = cols[k]
+        best[:, j] = sub[all_rows, k]
+    # per row class i and column class j: the extremum and its row
+    cls_val = np.empty((h + 1, l + 1), dtype=np.int64)
+    cls_row = np.empty((h + 1, l + 1), dtype=np.int64)
+    all_cols = np.arange(l + 1)
+    for i, rows in enumerate(_popcount_classes(h)):
+        sub = best[rows]
+        k = pick(sub, axis=0)
+        cls_row[i] = rows[k]
+        cls_val[i] = sub[k, all_cols]
+    sign = -1 if maximize else 1
+    vals, rows = cls_val.tolist(), cls_row.tolist()
     values: list[int] = []
     wits: Optional[list[tuple[int, ...]]] = [] if with_witnesses else None
     for m in range(n + 1):
-        budget.check()
-        seg = order[bounds[m] : bounds[m + 1]]
-        vals = val[seg]
-        k = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
-        values.append(int(vals[k]))
+        key, row, i = min(
+            (sign * vals[i][m - i], rows[i][m - i], i)
+            for i in range(max(0, m - l), min(h, m) + 1)
+        )
+        values.append(sign * key)
         if wits is not None:
-            mask = int(seg[k])
-            wits.append(tuple(i for i in range(n) if mask >> i & 1))
+            mask = row << l | int(best_col[row, m - i])
+            wits.append(tuple(x for x in range(n) if mask >> x & 1))
     return values, wits
 
 
@@ -289,6 +334,50 @@ def _bnb_profile(g: Graph, budget: Budget) -> tuple[list[int], list[tuple[int, .
     return best, wits
 
 
+# -- profile cache -------------------------------------------------------------
+
+# Complete "full" and "bnb" profiles by (kind, strategy, graph digest).  An
+# entry without witnesses does not answer a request for them.
+_PROFILE_CACHE: dict[tuple[str, str, str], Profile] = {}
+
+
+def _enumerated_profile(
+    g: Graph,
+    kind: str,
+    strategy: str,
+    budget_seconds: Optional[float],
+    with_witnesses: bool,
+) -> Profile:
+    """Profile by subset enumeration ("full": the DP, "bnb": branch and
+    bound), from the cache when an entry answers the request."""
+    key = (kind, strategy, g.digest)
+    hit = _PROFILE_CACHE.get(key)
+    if hit is not None and (hit.witnesses is not None or not with_witnesses):
+        return hit if with_witnesses else replace(hit, witnesses=None)
+    budget = Budget(budget_seconds)
+    try:
+        if strategy == "bnb":
+            values, wits = _bnb_profile(g, budget)
+        else:
+            mode = "induced" if kind == "induced_max" else "boundary"
+            val = _dp_subset_values(g, mode, budget)
+            values, wits = _profile_from_values(
+                g.n, val, kind == "induced_max", with_witnesses, budget
+            )
+    except BudgetExceeded:
+        return Profile(kind, None, None, False, strategy, g.digest, "budget exceeded")
+    prof = Profile(
+        kind,
+        tuple(values),
+        tuple(wits) if with_witnesses else None,
+        True,
+        strategy,
+        g.digest,
+    )
+    _PROFILE_CACHE[key] = prof
+    return prof
+
+
 def exact_profile(
     g: Graph,
     strategy: str = "full",
@@ -307,32 +396,14 @@ def exact_profile(
     """
     if strategy not in ("full", "bnb", "compressed"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    budget = Budget(budget_seconds)
     if strategy in ("full", "bnb"):
         if g.n > FULL_ENUM_CAP:
             raise SizeCapExceeded(
                 f"{g.n} vertices exceed the {strategy} cap of {FULL_ENUM_CAP}; "
                 "use strategy='compressed' on a product with optimal factor orders"
             )
-        try:
-            if strategy == "full":
-                val = _dp_subset_values(g, "induced", budget)
-                values, wits = _profile_from_values(
-                    g.n, val, True, with_witnesses, budget
-                )
-            else:
-                values, wits = _bnb_profile(g, budget)
-        except BudgetExceeded:
-            return Profile(
-                "induced_max", None, None, False, strategy, g.digest, "budget exceeded"
-            )
-        return Profile(
-            "induced_max",
-            tuple(values),
-            tuple(wits) if wits is not None else None,
-            True,
-            strategy,
-            g.digest,
+        return _enumerated_profile(
+            g, "induced_max", strategy, budget_seconds, with_witnesses
         )
     # compressed oracle
     if g.factors is None:
@@ -398,19 +469,8 @@ def theta_profile(
         raise SizeCapExceeded(
             f"{g.n} vertices exceed the full-enumeration cap of {FULL_ENUM_CAP}"
         )
-    budget = Budget(budget_seconds)
-    try:
-        val = _dp_subset_values(g, "boundary", budget)
-        values, wits = _profile_from_values(g.n, val, False, with_witnesses, budget)
-    except BudgetExceeded:
-        return Profile("boundary_min", None, None, False, "full", g.digest, "budget exceeded")
-    return Profile(
-        "boundary_min",
-        tuple(values),
-        tuple(wits) if wits is not None else None,
-        True,
-        "full",
-        g.digest,
+    return _enumerated_profile(
+        g, "boundary_min", "full", budget_seconds, with_witnesses
     )
 
 
@@ -528,21 +588,29 @@ _FACTOR_CACHE: dict[str, tuple[Profile, TotalOrder]] = {}
 
 def factor_profile_and_order(g: Graph) -> tuple[Profile, TotalOrder]:
     """Full-enumeration profile plus a deterministic optimal order for a
-    small graph, cached by content digest.  Raises if the graph has no
-    nested solutions."""
+    small graph, cached by content digest.  Raises NoNestedSolutions if the
+    graph has none, and ChainSearchInconclusive if the chain search stops
+    at its node cap first."""
     key = g.digest
     hit = _FACTOR_CACHE.get(key)
     if hit is not None:
         return hit
     prof = exact_profile(g, "full", with_witnesses=False)
     res = find_nested_chain(g, prof)
-    if res.status != "order":
-        raise ValueError(
+    if res.status == "not_isoperimetric":
+        raise NoNestedSolutions(
             f"graph has no nested solutions (chain search: {res.status})"
+        )
+    if res.status != "order":
+        raise ChainSearchInconclusive(
+            f"chain search for nested solutions is {res.status}: it stopped "
+            f"at its node cap after {res.explored} nodes"
         )
     _FACTOR_CACHE[key] = (prof, res.order)
     return prof, res.order
 
 
 def clear_caches():
+    """Empty the profile cache and the per-factor cache."""
+    _PROFILE_CACHE.clear()
     _FACTOR_CACHE.clear()

@@ -37,7 +37,12 @@ from blocklex import (
     uniform_collection,
     validate_regular_domination_collection,
 )
-from blocklex.blockgeom import block_graph_and_order, block_vertices
+from blocklex.blockgeom import (
+    block_graph_and_order,
+    block_occupancy,
+    block_vertices,
+    check_shared_bone_containment,
+)
 from blocklex.graphs import VertexSet, induced_subgraph
 
 
@@ -428,3 +433,49 @@ def test_geometry_against_per_vertex_reference(make):
         ),
     )
     assert block_lex_order(g, dc) == TotalOrder.from_sequence(seq)
+
+
+def _ref_shared_bone_messages(g, dc, a):
+    """check_shared_bone_containment by its literal definition: every
+    B1 < B2 sharing segment i, bone(B2, i) inside a, B1 not full."""
+    occ = block_occupancy(g, dc, a)
+    blocks = dc.block_ids()
+    out = []
+    for x, b1 in enumerate(blocks):
+        for b2 in blocks[x + 1 :]:
+            for i in range(dc.d):
+                if (
+                    b1[i] == b2[i]
+                    and bone(g, dc, b2, i).issubset(a)
+                    and occ[b1][0] != occ[b1][1]
+                ):
+                    out.append(
+                        f"blocks {b1} < {b2} share bone {i}; bone of {b2} "
+                        f"inside but {b1} not fully contained"
+                    )
+    return out
+
+
+@pytest.mark.parametrize(
+    "make", [_nonuniform_case, _atomic_case], ids=["json_nonuniform", "atomic_k2k2k3"]
+)
+def test_shared_bone_inside_with_earlier_block_partial_is_reported(make):
+    g, dc = make()
+    blocks = dc.block_ids()
+    b1 = blocks[0]
+    b2 = next(b for b in blocks[1:] if b[0] == b1[0])
+    a = bone(g, dc, b2, 0)  # the shared bone alone: b1 is not full
+    msgs = check_shared_bone_containment(g, dc, a)
+    assert (
+        f"blocks {b1} < {b2} share bone 0; bone of {b2} inside but {b1} "
+        "not fully contained"
+    ) in msgs
+    assert msgs == _ref_shared_bone_messages(g, dc, a)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        picks = rng.choice(len(blocks), size=3, replace=False)
+        ids = set(rng.choice(g.n, size=g.n // 4, replace=False).tolist())
+        for k in picks:
+            ids |= set(bone(g, dc, blocks[k], int(rng.integers(dc.d))).ids().tolist())
+        a = VertexSet.from_ids(g.n, sorted(ids))
+        assert check_shared_bone_containment(g, dc, a) == _ref_shared_bone_messages(g, dc, a)

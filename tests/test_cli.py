@@ -253,3 +253,31 @@ def test_out_file(capsys, tmp_path):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["result"]["values"][-1] == 10
+
+
+def test_no_nested_solutions_exits_2(capsys, tmp_path):
+    """A graph the chain search refutes fails a hypothesis (exit 2), not
+    a usage error (exit 64)."""
+    from blocklex import Graph
+    from test_certify import NON_NESTED_7
+
+    spec = tmp_path / "non_nested.json"
+    spec.write_text(json.dumps(Graph(7, NON_NESTED_7).to_json()))
+    for argv in (["order", f"@{spec}", "--optimal"], ["partition", f"@{spec}"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "no nested solutions" in err
+
+
+def test_chain_search_at_its_node_cap_exits_3(capsys, monkeypatch):
+    """A chain search cut at its node cap is inconclusive (exit 3), never
+    a refutation (2) or a usage error (64)."""
+    from blocklex import solver
+
+    search = solver.find_nested_chain
+    monkeypatch.setattr(
+        solver, "find_nested_chain", lambda g, prof, **kw: search(g, prof, node_cap=3)
+    )
+    code, _, err = run(capsys, "order", "petersen", "--optimal")
+    assert code == 3
+    assert "node cap" in err

@@ -4,6 +4,8 @@ Expected values for the small cases were frozen from independent
 brute-force enumeration over all subsets.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,179 @@ def test_budget_flags_incomplete():
     prof = exact_profile(g, budget_seconds=0.0)
     assert not prof.complete
     assert prof.note == "budget exceeded"
+
+
+# -- subset-DP kernels against literal references ---------------------------
+
+
+def _random_graph(n, rng):
+    p = rng.random()
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
+
+
+def _dp_cases():
+    """Seeded random graphs, n = 0..12 (n = 0 through a stand-in, since a
+    Graph needs a vertex)."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(11)
+    yield SimpleNamespace(n=0, adjacency_bitmasks=lambda: []), []
+    for n in range(1, 13):
+        for _ in range(3):
+            g = _random_graph(n, rng)
+            eu, ev = g.edge_arrays()
+            yield g, list(zip(eu.tolist(), ev.tolist()))
+
+
+def test_dp_subset_values_against_per_mask_count():
+    from blocklex.solver import Budget, _dp_subset_values
+
+    for g, edges in _dp_cases():
+        induced = _dp_subset_values(g, "induced", Budget())
+        boundary = _dp_subset_values(g, "boundary", Budget())
+        for mask in range(1 << g.n):
+            inside = [(mask >> u & 1) + (mask >> v & 1) for u, v in edges]
+            assert induced[mask] == inside.count(2), (g.n, mask)
+            assert boundary[mask] == inside.count(1), (g.n, mask)
+
+
+def _ref_profile(n, val, maximize):
+    """Per size m, the extremum over masks of popcount m and the smallest
+    mask that attains it."""
+    values, wits = [], []
+    for m in range(n + 1):
+        masks = [x for x in range(1 << n) if bin(x).count("1") == m]
+        best = (max if maximize else min)(int(val[x]) for x in masks)
+        first = min(x for x in masks if val[x] == best)
+        values.append(best)
+        wits.append(tuple(i for i in range(n) if first >> i & 1))
+    return values, wits
+
+
+def test_profile_from_values_against_smallest_extremal_mask():
+    from blocklex.solver import Budget, _dp_subset_values, _profile_from_values
+
+    rng = np.random.default_rng(12)
+    for g, _ in _dp_cases():
+        for mode, maximize in (("induced", True), ("boundary", False)):
+            val = _dp_subset_values(g, mode, Budget())
+            got = _profile_from_values(g.n, val, maximize, True, Budget())
+            assert got == _ref_profile(g.n, val, maximize)
+            assert _profile_from_values(g.n, val, maximize, False, Budget()) == (got[0], None)
+        # few distinct values, so ties everywhere
+        noise = rng.integers(0, 3, 1 << g.n).astype(np.int16)
+        for maximize in (True, False):
+            assert _profile_from_values(g.n, noise, maximize, True, Budget()) == (
+                _ref_profile(g.n, noise, maximize)
+            )
+
+
+def _cli_json(capsys, *argv):
+    from blocklex.cli import main
+
+    assert main(list(argv) + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+def _assert_witnesses(g, result):
+    from blocklex import induced_edges
+
+    for m, (w, v) in enumerate(zip(result["witnesses"], result["values"])):
+        assert len(w) == m
+        assert induced_edges(g, VertexSet.from_ids(g.n, w)) == v
+
+
+def test_cli_witness_profiles_at_the_cap(capsys):
+    """n = 24 and 20 through the CLI: the cycle against its closed forms,
+    the torus and the Petersen prism against branch and bound."""
+    from blocklex import parse_graph_spec
+
+    c24 = _cli_json(capsys, "profile", "C24", "--witnesses")
+    assert c24["values"] == [0] + list(range(23)) + [24]
+    _assert_witnesses(cycle(24), c24)
+    theta = _cli_json(capsys, "profile", "C24", "--theta", "--witnesses")
+    assert theta["values"] == [0] + [2] * 23 + [0]
+    for spec in ("C4xC6", "petersenxK2"):
+        g = parse_graph_spec(spec)
+        full = _cli_json(capsys, "profile", spec, "--witnesses")
+        bnb = _cli_json(capsys, "profile", spec, "--witnesses", "--strategy", "bnb")
+        assert full["values"] == bnb["values"]
+        _assert_witnesses(g, full)
+
+
+def test_profile_c24_peak_rss_under_200mb():
+    """The n = 24 DP holds 2^24 int16 values (32 MB); the int32 values and
+    int64 index arrays it replaced peaked near 450 MB."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "blocklex.cli", "profile", "C24"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 200 * 1024  # KiB on Linux
+
+
+# -- the profile cache --------------------------------------------------------
+
+
+def test_budget_cut_profile_is_not_cached():
+    from blocklex.solver import _PROFILE_CACHE, clear_caches
+
+    g = graph_power(clique(2), 4)
+    clear_caches()
+    assert not exact_profile(g, budget_seconds=0.0).complete
+    assert not theta_profile(g, budget_seconds=0.0).complete
+    assert not exact_profile(g, "bnb", budget_seconds=0.0).complete
+    assert _PROFILE_CACHE == {}
+    assert exact_profile(g).complete
+    assert len(_PROFILE_CACHE) == 1
+
+
+def test_cache_answers_witness_requests_only_with_witnesses():
+    from blocklex.solver import clear_caches
+
+    g = petersen()
+    clear_caches()
+    bare = exact_profile(g, with_witnesses=False)
+    assert bare.witnesses is None
+    full = exact_profile(g)
+    assert full.witnesses is not None
+    clear_caches()
+    assert exact_profile(g) == full
+    assert exact_profile(g, with_witnesses=False) == bare
+    clear_caches()
+    theta_bare = theta_profile(g, with_witnesses=False)
+    theta_full = theta_profile(g)
+    assert theta_bare.witnesses is None and theta_full.witnesses is not None
+    assert theta_profile(g, with_witnesses=False) == theta_bare
+    assert exact_profile(g, "bnb", with_witnesses=False).witnesses is None
+    assert exact_profile(g, "bnb").witnesses is not None
+
+
+def test_clear_caches_empties_both_caches():
+    from blocklex.solver import _FACTOR_CACHE, _PROFILE_CACHE, clear_caches
+
+    factor_profile_and_order(cycle(5))
+    theta_profile(cycle(6))
+    assert _PROFILE_CACHE and _FACTOR_CACHE
+    clear_caches()
+    assert _PROFILE_CACHE == {} and _FACTOR_CACHE == {}
+
+
+def test_cached_profile_does_not_hide_an_expired_cli_budget(capsys):
+    from blocklex.cli import main
+
+    assert main(["profile", "K2^4"]) == 0
+    assert main(["profile", "K2^4", "--budget", "0.0001"]) == 3
+    assert capsys.readouterr().out.endswith("# incomplete: budget exceeded\n")

@@ -225,6 +225,11 @@ class DominationCollection:
             ok = False
             diags.append(str(e))
         if check_block_optimality:
+            # Blocks with the same segment graphs and the same permutation
+            # are isomorphic with corresponding domination orders, so each
+            # such class is built and verified once.
+            seg_keys = _segment_graph_keys(g, self)
+            verdicts: dict[tuple, tuple[bool, Optional[int]]] = {}
             for bid in self.block_ids():
                 size = self.block_size(bid)
                 if size > FULL_ENUM_CAP:
@@ -234,9 +239,15 @@ class DominationCollection:
                         "cannot verify its domination order"
                     )
                     continue
-                sub, order = block_graph_and_order(g, self, bid)
-                prof = exact_profile(sub, "full", with_witnesses=False)
-                good, bad_m = verify_order_optimal(sub, order, prof)
+                key = (
+                    tuple(keys[j] for keys, j in zip(seg_keys, bid)),
+                    self.perm_for(bid),
+                )
+                if key not in verdicts:
+                    sub, order = block_graph_and_order(g, self, bid)
+                    prof = exact_profile(sub, "full", with_witnesses=False)
+                    verdicts[key] = verify_order_optimal(sub, order, prof)
+                good, bad_m = verdicts[key]
                 if not good:
                     ok = False
                     diags.append(
@@ -246,6 +257,24 @@ class DominationCollection:
         if ok:
             self.validated = True
         return ok, diags
+
+
+def _segment_graph_keys(g: Graph, dc: DominationCollection) -> list[list[tuple]]:
+    """Per factor and segment, the graph the factor induces on the segment
+    with each vertex labelled by its rank offset in the segment: the size
+    and the sorted edge list."""
+    keys = []
+    for f, p in zip(g.factors, dc.partitions):
+        eu, ev = f.edge_arrays()
+        ru, rv = p.order.ranks[eu], p.order.ranks[ev]
+        lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+        row = []
+        for a, b in p.segments:
+            inside = (lo >= a) & (hi <= b)
+            edges = sorted(zip((lo[inside] - a).tolist(), (hi[inside] - a).tolist()))
+            row.append((b - a + 1, tuple(edges)))
+        keys.append(row)
+    return keys
 
 
 def uniform_collection(

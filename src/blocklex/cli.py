@@ -12,6 +12,7 @@ so randomized runs can be replayed.  Exit codes: 0 success/certified,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -458,7 +459,10 @@ def _cmd_explore(cfg: argparse.Namespace) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first `main` call and kept for the
+    rest of the process: parsing reads it and leaves it unchanged."""
     parser = _Parser(prog="blocklex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

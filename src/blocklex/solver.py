@@ -244,49 +244,55 @@ def _profile_from_values(
 ) -> tuple[list[int], Optional[list[tuple[int, ...]]]]:
     """Per-size extremum of val and, on request, its smallest attaining mask.
 
-    Split-popcount reduction: val viewed as (2^h, 2^l), rows of high bits
-    by columns of low bits.  Each row is reduced per column-popcount class
-    j, the result per row-popcount class i, and size m takes the best pair
-    with i + j = m.  argmax/argmin return the first extremum, so each stage
-    keeps the smallest column and row, hence the smallest mask.
+    Rows-first split-popcount reduction: val viewed as (2^h, 2^l), rows of
+    high bits by columns of low bits.  a[i] is the column-wise extremum of
+    the rows of popcount i (whole contiguous rows, no column gather);
+    b[i, j] reduces a[i] over the columns of popcount j, and size m takes
+    the best b[i, m - i].
+
+    A witness is looked up only in the classes (i, m - i) that attain the
+    value: among the columns where a[i] attains it, the smallest row of
+    class i that hits one, then the smallest such column in that row.  The
+    smallest of these masks is the smallest attaining mask; the classes
+    partition the grid, so all witnesses together cost at most one pass.
     """
     budget.check()
     h = n // 2
     l = n - h
     grid = val.reshape(1 << h, 1 << l)
-    pick = np.argmax if maximize else np.argmin
-    # per row and column class j: the extremum and its column
-    best = np.empty((1 << h, l + 1), dtype=val.dtype)
-    best_col = np.empty((1 << h, l + 1), dtype=np.int64)
-    all_rows = np.arange(1 << h)
-    for j, cols in enumerate(_popcount_classes(l)):
+    ufunc = np.maximum if maximize else np.minimum
+    row_classes = _popcount_classes(h)
+    col_classes = _popcount_classes(l)
+    a = np.empty((h + 1, 1 << l), dtype=val.dtype)
+    for i, rows in enumerate(row_classes):
         budget.check()
-        sub = np.take(grid, cols, axis=1)
-        k = pick(sub, axis=1)
-        best_col[:, j] = cols[k]
-        best[:, j] = sub[all_rows, k]
-    # per row class i and column class j: the extremum and its row
-    cls_val = np.empty((h + 1, l + 1), dtype=np.int64)
-    cls_row = np.empty((h + 1, l + 1), dtype=np.int64)
-    all_cols = np.arange(l + 1)
-    for i, rows in enumerate(_popcount_classes(h)):
-        sub = best[rows]
-        k = pick(sub, axis=0)
-        cls_row[i] = rows[k]
-        cls_val[i] = sub[k, all_cols]
-    sign = -1 if maximize else 1
-    vals, rows = cls_val.tolist(), cls_row.tolist()
-    values: list[int] = []
-    wits: Optional[list[tuple[int, ...]]] = [] if with_witnesses else None
-    for m in range(n + 1):
-        key, row, i = min(
-            (sign * vals[i][m - i], rows[i][m - i], i)
-            for i in range(max(0, m - l), min(h, m) + 1)
-        )
-        values.append(sign * key)
-        if wits is not None:
-            mask = row << l | int(best_col[row, m - i])
-            wits.append(tuple(x for x in range(n) if mask >> x & 1))
+        ufunc.reduce(grid[rows], axis=0, out=a[i])
+    starts = np.cumsum([0] + [len(c) for c in col_classes[:-1]])
+    b = ufunc.reduceat(a[:, np.concatenate(col_classes)], starts, axis=1).tolist()
+    pick = max if maximize else min
+    values = [
+        pick(b[i][m - i] for i in range(max(0, m - l), min(h, m) + 1))
+        for m in range(n + 1)
+    ]
+    if not with_witnesses:
+        return values, None
+    wits: list[tuple[int, ...]] = []
+    for m, v in enumerate(values):
+        best = None
+        for i in range(max(0, m - l), min(h, m) + 1):
+            if best is not None and best >> l < (1 << i) - 1:
+                break  # the smallest row of class i, 2^i - 1, is larger
+            if b[i][m - i] != v:
+                continue
+            budget.check()
+            cols = col_classes[m - i]
+            cols = cols[a[i, cols] == v]
+            rows = row_classes[i]
+            hit = grid[np.ix_(rows, cols)] == v
+            k = int(hit.any(axis=1).argmax())
+            mask = int(rows[k]) << l | int(cols[hit[k].argmax()])
+            best = mask if best is None else min(best, mask)
+        wits.append(tuple(x for x in range(n) if best >> x & 1))
     return values, wits
 
 
@@ -299,7 +305,7 @@ def _bnb_profile(g: Graph, budget: Budget) -> tuple[list[int], list[tuple[int, .
     best = [-1] * (n + 1)
     best[0] = 0
     wit: list[int] = [0] * (n + 1)
-    pc_int = lambda x: bin(x).count("1")
+    pc_int = int.bit_count
 
     def rec(mask: int, start: int, size: int, edges: int):
         budget.check()
@@ -534,7 +540,7 @@ def find_nested_chain(
     failed: set[int] = set()
     explored = 0
     deepest = 0
-    pc_int = lambda x: bin(x).count("1")
+    pc_int = int.bit_count
 
     # stack frames: (mask, edges, size, next candidate vertex)
     stack = [(0, 0, 0, 0)]

@@ -281,3 +281,50 @@ def test_chain_search_at_its_node_cap_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "order", "petersen", "--optimal")
     assert code == 3
     assert "node cap" in err
+
+
+def _fresh_interpreter(*args):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_parser_reuse_leaks_nothing_between_commands(capsys):
+    """main keeps one parser for the process: a usage error, witnesses on
+    and off, and a certify run one after another in this process each give
+    what the same argv gives alone in a fresh interpreter."""
+    from blocklex import cli
+
+    argvs = [
+        ["profile", "C5", "--strategy", "nope"],
+        ["profile", "C5", "--witnesses"],
+        ["profile", "C5"],
+        ["certify", "C5xC4xC3", "--no-crosscheck"],
+    ]
+    here = [run(capsys, *argv) for argv in argvs]
+    assert cli._build_parser.cache_info().currsize == 1
+    assert [code for code, _, _ in here] == [64, 0, 0, 0]
+    for argv, got in zip(argvs, here):
+        alone = _fresh_interpreter("-m", "blocklex.cli", *argv)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+
+
+def test_import_does_not_build_the_parser():
+    proc = _fresh_interpreter(
+        "-c",
+        "import blocklex.cli as c; print(c._build_parser.cache_info().currsize)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

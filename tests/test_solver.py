@@ -281,11 +281,13 @@ def test_dp_subset_values_against_per_mask_count():
 def _ref_profile(n, val, maximize):
     """Per size m, the extremum over masks of popcount m and the smallest
     mask that attains it."""
+    popcount = np.array([bin(x).count("1") for x in range(1 << n)])
     values, wits = [], []
     for m in range(n + 1):
-        masks = [x for x in range(1 << n) if bin(x).count("1") == m]
-        best = (max if maximize else min)(int(val[x]) for x in masks)
-        first = min(x for x in masks if val[x] == best)
+        masks = np.flatnonzero(popcount == m)  # ascending
+        vals = val[masks]
+        best = int(vals.max() if maximize else vals.min())
+        first = int(masks[vals == best][0])
         values.append(best)
         wits.append(tuple(i for i in range(n) if first >> i & 1))
     return values, wits
@@ -307,6 +309,71 @@ def test_profile_from_values_against_smallest_extremal_mask():
             assert _profile_from_values(g.n, noise, maximize, True, Budget()) == (
                 _ref_profile(g.n, noise, maximize)
             )
+
+
+@pytest.mark.parametrize("n", [16, 17, 18])
+def test_reduction_when_every_set_ties(n):
+    """The edgeless graph: every set of a size has the same value, so every
+    row and column class attains it, and the smallest mask of size m is
+    the first m vertices."""
+    from blocklex.solver import Budget, _dp_subset_values, _profile_from_values
+
+    g = Graph(n, [])
+    for mode, maximize in (("induced", True), ("boundary", False)):
+        val = _dp_subset_values(g, mode, Budget())
+        assert not val.any()
+        got = _profile_from_values(n, val, maximize, True, Budget())
+        assert got == _ref_profile(n, val, maximize)
+        assert got == ([0] * (n + 1), [tuple(range(m)) for m in range(n + 1)])
+    assert exact_profile(g).witnesses == tuple(tuple(range(m)) for m in range(n + 1))
+    assert theta_profile(g).i_values == (0,) * (n + 1)
+
+
+def test_reduction_of_constant_values():
+    from blocklex.solver import Budget, _profile_from_values
+
+    for n in (0, 1, 2, 5, 9, 14, 17):
+        for c in (-3, 0, 7):
+            val = np.full(1 << n, c, dtype=np.int16)
+            for maximize in (True, False):
+                got = _profile_from_values(n, val, maximize, True, Budget())
+                assert got == _ref_profile(n, val, maximize)
+                assert got[0] == [c] * (n + 1)
+
+
+def test_budget_out_inside_the_reduction_is_incomplete_and_not_cached(monkeypatch):
+    """A budget that runs out at each poll after the DP's n polls, that is
+    inside the reduction (witness lookups included), gives an incomplete
+    profile, and nothing is cached."""
+    from blocklex import solver
+
+    g = petersen()
+
+    def budget_class(limit, polls):
+        class Counting(solver.Budget):
+            def check(self):
+                polls.append(None)
+                if limit is not None and len(polls) > limit:
+                    raise solver.BudgetExceeded
+
+        return Counting
+
+    for profile in (exact_profile, theta_profile):
+        total = []
+        for witnesses in (False, True):
+            polls = []
+            monkeypatch.setattr(solver, "Budget", budget_class(None, polls))
+            solver.clear_caches()
+            assert profile(g, with_witnesses=witnesses).complete
+            total.append(len(polls))
+            for limit in range(g.n, len(polls)):
+                monkeypatch.setattr(solver, "Budget", budget_class(limit, []))
+                solver.clear_caches()
+                prof = profile(g, with_witnesses=witnesses)
+                assert not prof.complete and prof.note == "budget exceeded"
+                assert solver._PROFILE_CACHE == {}
+        # the row classes poll, and the witness lookups poll again
+        assert g.n + 1 < total[0] < total[1]
 
 
 def _cli_json(capsys, *argv):

@@ -52,5 +52,6 @@ print("counterexample:", json.dumps(cert2.counterexample)[:100], "...")
 print()
 
 # The explorer searches conjectured families without ever asserting them.
-rep = bx.explore_conjecture("path_clique", {"max_vertices": 12}, budget_seconds=120)
+with bx.Budget(120):
+    rep = bx.explore_conjecture("path_clique", {"max_vertices": 12})
 print("path x clique exploration:", rep.statuses)

@@ -28,6 +28,7 @@ from .graphs import (
     petersen,
     subproduct,
 )
+from .budget import Budget, BudgetExceeded
 from .orders import (
     TotalOrder,
     colex_perm,

@@ -1,0 +1,44 @@
+"""One wall-clock deadline for the whole process.
+
+A `Budget` entered in a `with` statement sets the deadline, and every
+engine polls it with `Budget.check()`, which raises `BudgetExceeded` once
+it has passed.  Only the callers that make a report catch it, and turn it
+into an inconclusive answer; engines never turn it into data.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Optional
+
+__all__ = ["Budget", "BudgetExceeded"]
+
+
+class BudgetExceeded(Exception):
+    """The deadline passed before the answer was known."""
+
+
+class Budget:
+    """A deadline `seconds` from entering the `with` block.  A nested one
+    keeps the earlier deadline and restores the outer on exit.  With no
+    budget entered, `check` never raises."""
+
+    _deadline: Optional[float] = None
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def __enter__(self) -> "Budget":
+        self._outer = Budget._deadline
+        mine = time.monotonic() + self.seconds
+        Budget._deadline = mine if self._outer is None else min(mine, self._outer)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        Budget._deadline = self._outer
+
+    @staticmethod
+    def check() -> None:
+        deadline = Budget._deadline
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded("budget exceeded")

@@ -31,6 +31,7 @@ from .blockgeom import (
     uniform_collection,
     validate_regular_domination_collection,
 )
+from .budget import Budget, BudgetExceeded
 from .graphs import Graph, cartesian_product, clique, path, petersen, cycle, subproduct
 from .orders import TotalOrder, lex_order
 from .partitions import (
@@ -41,8 +42,6 @@ from .partitions import (
     validate_isoperimetric_partition,
 )
 from .solver import (
-    Budget,
-    BudgetExceeded,
     COMPRESSED_CAP,
     FULL_ENUM_CAP,
     Profile,
@@ -191,9 +190,8 @@ def resolve_partitions(gs: Sequence[Graph], partitions) -> list[Partition]:
 def _pair_profile(
     pair: Graph,
     factor_orders: Sequence[TotalOrder],
-    strategy: str,
 ) -> tuple[Profile, str]:
-    if strategy == "full" or (strategy == "auto" and pair.n <= FULL_ENUM_CAP):
+    if pair.n <= FULL_ENUM_CAP:
         return (
             exact_profile(pair, "full", with_witnesses=False),
             "full_enumeration",
@@ -205,17 +203,16 @@ def _pair_profile(
 
 
 def certify(
-    gs: Sequence[Graph],
+    gs: Graph | Sequence[Graph],
     partitions=None,
     dc: Optional[DominationCollection] = None,
     *,
-    pairwise_strategy: str = "auto",
-    budget_seconds: Optional[float] = None,
     crosscheck_ms: Optional[Sequence[int]] = None,
 ) -> Certificate:
     """Run every hypothesis of the local-global principle on the given
     factors and emit a certificate that the block-lexicographic order of
-    their product is optimal (valid for three or more factors).
+    their product is optimal (valid for three or more factors).  `gs` is
+    the factors or their product graph.
 
     Hypotheses, in order: every factor partition is isoperimetric with an
     optimal underlying order; partitions of all but the last factor are
@@ -225,22 +222,16 @@ def certify(
 
     A certified three-factor product is then cross-checked (`crosscheck`)
     at the sizes `crosscheck_ms`, by default {1, 5, 10, 20, n // 2}; an
-    empty sequence skips the cross-check.
+    empty sequence skips the cross-check.  A budget that runs out makes
+    the certificate inconclusive.
     """
-    gs = list(gs)
-    d = len(gs)
-    if d < 3:
+    prod_graph = gs if isinstance(gs, Graph) else cartesian_product(gs)
+    if prod_graph.factors is None or len(prod_graph.factors) < 3:
         raise ValueError("local-global certification needs at least 3 factors")
-    budget = Budget(budget_seconds)
-    parts = resolve_partitions(gs, partitions)
-    if dc is None:
-        if partitions == "atomic":
-            dc = uniform_collection(parts)
-        else:
-            dc = standard_collection(gs, parts)
+    gs = list(prod_graph.factors)
+    d = len(gs)
     product = _product_summary(gs)
-    parts_digest = _digest([p.to_json() for p in parts])
-    dc_digest = _digest(dc.to_json())
+    parts_digest = dc_digest = ""
     hyps: list[Hypothesis] = []
     inconclusive_note = None
 
@@ -264,9 +255,20 @@ def certify(
         return cert
 
     try:
+        parts = resolve_partitions(gs, partitions)
+    except BudgetExceeded as e:
+        inconclusive_note = str(e)
+        return make("inconclusive")
+    try:
+        if dc is None:
+            if partitions == "atomic":
+                dc = uniform_collection(parts)
+            else:
+                dc = standard_collection(gs, parts)
+        parts_digest = _digest([p.to_json() for p in parts])
+        dc_digest = _digest(dc.to_json())
         # (a) isoperimetric partitions, factor by factor
         for i, (g, p) in enumerate(zip(gs, parts)):
-            budget.check()
             ok, diags = validate_isoperimetric_partition(g, p)
             hyps.append(
                 Hypothesis(
@@ -280,7 +282,6 @@ def certify(
                 return make("hypothesis_failed")
         # (b) non-decreasing partitions on factors 1..d-1
         for i in range(d - 1):
-            budget.check()
             ok = is_non_decreasing(gs[i], parts[i])
             hyps.append(
                 Hypothesis(
@@ -293,7 +294,6 @@ def certify(
             if not ok:
                 return make("hypothesis_failed")
         # (c) domination collection: structural + per-block order optimality
-        prod_graph = cartesian_product(gs)
         ok, diags = dc.validate(prod_graph, check_block_optimality=True)
         hyps.append(
             Hypothesis(
@@ -318,17 +318,13 @@ def certify(
         if not ok:
             return make("hypothesis_failed")
         # (e) pairwise two-factor optimality, computed once per distinct pair
-        def verify_pair(i: int, j: int) -> dict:
-            budget.check()
+        def verify_pair(i: int, j: int, pair_dc: DominationCollection) -> dict:
             pair = cartesian_product([gs[i], gs[j]])
-            pair_dc = dc.restricted((i, j))
             okv, diags = pair_dc.validate(pair)
             if not okv:
                 return {"optimal": False, "diagnostics": diags, "n": pair.n}
             order2 = block_lex_order(pair, pair_dc)
-            profile, used = _pair_profile(
-                pair, [parts[i].order, parts[j].order], pairwise_strategy
-            )
+            profile, used = _pair_profile(pair, [parts[i].order, parts[j].order])
             ok, bad_m = verify_order_optimal(pair, order2, profile)
             return {
                 "n": pair.n,
@@ -339,16 +335,19 @@ def certify(
             }
 
         pairs = list(itertools.combinations(range(d), 2))
+        pair_dcs = {(i, j): dc.restricted((i, j)) for i, j in pairs}
         keys = {}
         for i, j in pairs:
             pair_key = _digest(
-                [gs[i].digest, gs[j].digest, dc.restricted((i, j)).to_json()]
+                [gs[i].digest, gs[j].digest, pair_dcs[(i, j)].to_json()]
             )
             keys[(i, j)] = pair_key
         unique: dict[str, tuple[int, int]] = {}
         for (i, j), key in keys.items():
             unique.setdefault(key, (i, j))
-        transcripts = {key: verify_pair(i, j) for key, (i, j) in unique.items()}
+        transcripts = {
+            key: verify_pair(i, j, pair_dcs[(i, j)]) for key, (i, j) in unique.items()
+        }
         for i, j in pairs:
             detail = dict(transcripts[keys[(i, j)]])
             if unique[keys[(i, j)]] != (i, j):
@@ -364,28 +363,23 @@ def certify(
             )
             if not ok:
                 return make("hypothesis_failed")
-    except SizeCapExceeded as e:
+        cert = make("certified")
+        if d == 3 and (crosscheck_ms is None or len(crosscheck_ms)):
+            cert = crosscheck(cert, prod_graph, dc, crosscheck_ms)
+        return cert
+    except (SizeCapExceeded, BudgetExceeded) as e:
         inconclusive_note = str(e)
         return make("inconclusive")
-    except BudgetExceeded:
-        inconclusive_note = "budget exceeded"
-        return make("inconclusive")
-    cert = make("certified")
-    if d == 3 and (crosscheck_ms is None or len(crosscheck_ms)):
-        cert = crosscheck(cert, prod_graph, dc, crosscheck_ms)
-    return cert
 
 
 def certify_domination(
     gs: Sequence[Graph],
     pi: Sequence[int],
-    *,
-    pairwise_strategy: str = "auto",
-    budget_seconds: Optional[float] = None,
 ) -> Certificate:
     """Atomic-partition specialization: the domination order with
     significance permutation `pi` is optimal once the plain lexicographic
-    order is optimal on every pair of factors taken in pi-order."""
+    order is optimal on every pair of factors taken in pi-order.  A budget
+    that runs out makes the certificate inconclusive."""
     gs = list(gs)
     d = len(gs)
     if d < 3:
@@ -393,57 +387,51 @@ def certify_domination(
     pi = tuple(int(x) for x in pi)
     if sorted(pi) != list(range(d)):
         raise ValueError("pi is not a permutation of the factor indices")
-    budget = Budget(budget_seconds)
     product = _product_summary(gs)
     hyps: list[Hypothesis] = []
-    orders = []
-    for g in gs:
-        _, o = factor_profile_and_order(g)
-        orders.append(o)
-    parts = [atomic_partition(o) for o in orders]
-    parts_digest = _digest([p.to_json() for p in parts])
+    parts_digest = ""
     dc_digest = _digest({"domination": list(pi)})
     status = "certified"
     note = None
     try:
-        transcripts: dict[str, dict] = {}
-        for k, l in itertools.combinations(range(d), 2):
-            budget.check()
-            i, j = pi[k], pi[l]
-            pair = cartesian_product([gs[i], gs[j]])
-            key = pair.digest
-            if key in transcripts:
-                detail = dict(transcripts[key])
-                detail["reused_transcript"] = True
-                ok = detail["optimal"]
-            else:
-                order2 = lex_order(pair, [orders[i], orders[j]])
-                profile, used = _pair_profile(
-                    pair, [orders[i], orders[j]], pairwise_strategy
+        orders = [factor_profile_and_order(g)[1] for g in gs]
+        parts_digest = _digest([atomic_partition(o).to_json() for o in orders])
+        try:
+            transcripts: dict[str, dict] = {}
+            for k, l in itertools.combinations(range(d), 2):
+                i, j = pi[k], pi[l]
+                pair = cartesian_product([gs[i], gs[j]])
+                key = pair.digest
+                if key in transcripts:
+                    detail = dict(transcripts[key])
+                    detail["reused_transcript"] = True
+                    ok = detail["optimal"]
+                else:
+                    order2 = lex_order(pair, [orders[i], orders[j]])
+                    profile, used = _pair_profile(pair, [orders[i], orders[j]])
+                    ok, bad_m = verify_order_optimal(pair, order2, profile)
+                    detail = {
+                        "n": pair.n,
+                        "profile_strategy": used,
+                        "optimal": ok,
+                        "first_failing_m": bad_m,
+                    }
+                    transcripts[key] = detail
+                hyps.append(
+                    Hypothesis(
+                        f"pairwise_lex_optimal_{i + 1}_{j + 1}",
+                        f"factors ({i + 1},{j + 1}) in permuted position ({k + 1},{l + 1})",
+                        ok,
+                        detail,
+                    )
                 )
-                ok, bad_m = verify_order_optimal(pair, order2, profile)
-                detail = {
-                    "n": pair.n,
-                    "profile_strategy": used,
-                    "optimal": ok,
-                    "first_failing_m": bad_m,
-                }
-                transcripts[key] = detail
-            hyps.append(
-                Hypothesis(
-                    f"pairwise_lex_optimal_{i + 1}_{j + 1}",
-                    f"factors ({i + 1},{j + 1}) in permuted position ({k + 1},{l + 1})",
-                    ok,
-                    detail,
-                )
-            )
-            if not ok:
-                status = "hypothesis_failed"
-                break
-    except SizeCapExceeded as e:
+                if not ok:
+                    status = "hypothesis_failed"
+                    break
+        except SizeCapExceeded as e:
+            status, note = "inconclusive", str(e)
+    except BudgetExceeded as e:
         status, note = "inconclusive", str(e)
-    except BudgetExceeded:
-        status, note = "inconclusive", "budget exceeded"
     concl = None
     if status == "certified":
         concl = (
@@ -575,15 +563,17 @@ class ExplorationReport:
         }
 
 
-def _nested_instance(name: str, g: Graph, budget: Budget) -> Instance:
-    if budget.expired():
-        return Instance(name, g.n, "INCONCLUSIVE", {"reason": "budget exhausted"})
+def _nested_instance(name: str, g: Graph) -> Instance:
     if g.n > FULL_ENUM_CAP:
         return Instance(
             name, g.n, "INCONCLUSIVE", {"reason": f"{g.n} vertices beyond cap {FULL_ENUM_CAP}"}
         )
-    prof = exact_profile(g, "full", with_witnesses=False)
-    res = find_nested_chain(g, prof)
+    try:
+        Budget.check()  # a cached profile would not poll
+        prof = exact_profile(g, "full", with_witnesses=False)
+        res = find_nested_chain(g, prof)
+    except BudgetExceeded as e:
+        return Instance(name, g.n, "INCONCLUSIVE", {"reason": str(e)})
     if res.status == "order":
         return Instance(
             name,
@@ -601,7 +591,9 @@ def _nested_instance(name: str, g: Graph, budget: Budget) -> Instance:
         return Instance(
             name, g.n, "REFUTED", {"nested_solutions": False}, witness=witness
         )
-    return Instance(name, g.n, "INCONCLUSIVE", {"reason": "search budget exhausted"})
+    return Instance(
+        name, g.n, "INCONCLUSIVE", {"reason": "chain search stopped at its node cap"}
+    )
 
 
 def verify_refutation(witness: dict) -> bool:
@@ -641,14 +633,12 @@ def matching_reduced_clique(p: int, i: int) -> Graph:
 def explore_conjecture(
     family: str,
     params: Optional[dict] = None,
-    *,
-    budget_seconds: Optional[float] = None,
 ) -> ExplorationReport:
     """Search small instances of a conjectured family and report
     SUPPORTED / REFUTED (with a re-verifiable witness) / INCONCLUSIVE per
-    instance.  Never asserts a conjecture."""
+    instance; an instance the budget cuts short is INCONCLUSIVE.  Never
+    asserts a conjecture."""
     params = dict(params or {})
-    budget = Budget(budget_seconds)
     instances: list[Instance] = []
     if family == "path_clique":
         # products of path powers and clique powers admitting nested solutions
@@ -677,7 +667,7 @@ def explore_conjecture(
                             else factors[0]
                         )
                         name = f"P{n1}^{d1} x K{n2}^{d2}"
-                        instances.append(_nested_instance(name, g, budget))
+                        instances.append(_nested_instance(name, g))
         note = f"all path-power by clique-power products with <= {max_n} vertices"
     elif family == "hspi":
         s = int(params.get("s", 2))
@@ -696,7 +686,7 @@ def explore_conjecture(
         name = f"K{2 * p} minus {i} matchings"
         # the stated bound is i <= p - p/s; evaluate it exactly in rationals
         inside_bound = s * i <= s * p - p
-        ins = _nested_instance(name, g, budget)
+        ins = _nested_instance(name, g)
         ins.detail["conjecture_bound_holds"] = inside_bound
         instances.append(ins)
         if d >= 2 and ins.status == "SUPPORTED":
@@ -704,31 +694,38 @@ def explore_conjecture(
             # nested solutions beyond it) are about the powers of g
             prod = cartesian_product([g] * d)
             if prod.n <= COMPRESSED_CAP:
-                _, o = factor_profile_and_order(g)
-                prof = exact_profile(
-                    prod, "compressed" if prod.n > FULL_ENUM_CAP else "full",
-                    factor_orders=[o] * d, with_witnesses=False,
-                )
-                lx = lex_order(prod, [o] * d)
-                ok, bad = verify_order_optimal(prod, lx, prof)
-                if inside_bound:
-                    status = "SUPPORTED" if ok else "REFUTED"
-                else:
-                    # lex losing is consistent with the no-nested claim; lex
-                    # winning exhibits nested solutions and refutes it
-                    status = "REFUTED" if ok else "SUPPORTED"
-                instances.append(
-                    Instance(
-                        f"{name} ^ {d} lexicographic",
-                        prod.n,
-                        status,
-                        {
-                            "lex_optimal": ok,
-                            "first_failing_m": bad,
-                            "conjecture_bound_holds": inside_bound,
-                        },
+                lex_name = f"{name} ^ {d} lexicographic"
+                try:
+                    _, o = factor_profile_and_order(g)
+                    prof = exact_profile(
+                        prod, "compressed" if prod.n > FULL_ENUM_CAP else "full",
+                        factor_orders=[o] * d, with_witnesses=False,
                     )
-                )
+                except BudgetExceeded as e:
+                    instances.append(
+                        Instance(lex_name, prod.n, "INCONCLUSIVE", {"reason": str(e)})
+                    )
+                else:
+                    lx = lex_order(prod, [o] * d)
+                    ok, bad = verify_order_optimal(prod, lx, prof)
+                    if inside_bound:
+                        status = "SUPPORTED" if ok else "REFUTED"
+                    else:
+                        # lex losing is consistent with the no-nested claim; lex
+                        # winning exhibits nested solutions and refutes it
+                        status = "REFUTED" if ok else "SUPPORTED"
+                    instances.append(
+                        Instance(
+                            lex_name,
+                            prod.n,
+                            status,
+                            {
+                                "lex_optimal": ok,
+                                "first_failing_m": bad,
+                                "conjecture_bound_holds": inside_bound,
+                            },
+                        )
+                    )
             else:
                 instances.append(
                     Instance(f"{name} ^ {d}", prod.n, "INCONCLUSIVE", {"reason": "too large"})
@@ -754,7 +751,7 @@ def explore_conjecture(
             f"{k}^{v}" for k, v in dims.items() if v
         )
         if len(factors) == 1:
-            instances.append(_nested_instance(name, factors[0], budget))
+            instances.append(_nested_instance(name, factors[0]))
         else:
             g = cartesian_product(factors)
             if len(factors) == 2 and g.n <= COMPRESSED_CAP:
@@ -777,12 +774,12 @@ def explore_conjecture(
                             {"standard_block_lex_optimal": ok, "first_failing_m": bad},
                         )
                     )
-                except (ValueError, SizeCapExceeded) as e:
+                except (ValueError, BudgetExceeded) as e:
                     instances.append(
                         Instance(name, g.n, "INCONCLUSIVE", {"reason": str(e)})
                     )
             elif len(factors) == 3:
-                cert = certify(factors, "standard", budget_seconds=budget_seconds)
+                cert = certify(g, "standard")
                 status = {
                     "certified": "SUPPORTED",
                     "hypothesis_failed": "REFUTED",

@@ -25,6 +25,7 @@ from .blockgeom import (
     standard_block_lex_order,
     standard_collection,
 )
+from .budget import Budget, BudgetExceeded
 from .certify import certify, certify_domination, explore_conjecture
 from .compression import (
     OrderFamily,
@@ -49,7 +50,6 @@ from .partitions import (
 )
 from .solver import (
     FULL_ENUM_CAP,
-    ChainSearchInconclusive,
     NoNestedSolutions,
     SizeCapExceeded,
     clear_caches,
@@ -64,6 +64,9 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
+
+# profile engines of `profile` and of `order --verify`
+STRATEGIES = ["full", "compressed", "bnb"]
 
 
 class UsageError(Exception):
@@ -123,12 +126,6 @@ def _graph_from_spec(cfg: argparse.Namespace) -> Graph:
         raise UsageError(str(e))
 
 
-def _profile_for(cfg: argparse.Namespace, g: Graph):
-    return exact_profile(
-        g, cfg.strategy, budget_seconds=cfg.budget, with_witnesses=False
-    )
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -150,22 +147,20 @@ def _cmd_graph(cfg: argparse.Namespace) -> int:
 def _cmd_profile(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     want_theta, want_witnesses = cfg.theta, cfg.witnesses
-    if want_theta:
-        prof = theta_profile(
-            g, budget_seconds=cfg.budget, with_witnesses=want_witnesses
-        )
-    else:
-        prof = exact_profile(
-            g, cfg.strategy, budget_seconds=cfg.budget, with_witnesses=want_witnesses
-        )
-    inputs = {"spec": cfg.spec, "graph_digest": g.digest, "strategy": prof.strategy}
-    if not prof.complete:
+    strategy = "full" if want_theta else cfg.strategy
+    inputs = {"spec": cfg.spec, "graph_digest": g.digest, "strategy": strategy}
+    try:
+        if want_theta:
+            prof = theta_profile(g, with_witnesses=want_witnesses)
+        else:
+            prof = exact_profile(g, strategy, with_witnesses=want_witnesses)
+    except BudgetExceeded as e:
         _emit(
             cfg,
             inputs,
-            {"complete": False, "note": prof.note},
-            [f"profile incomplete: {prof.note}"],
-            ["m,value", "# incomplete: " + prof.note],
+            {"complete": False, "note": str(e)},
+            [f"profile incomplete: {e}"],
+            ["m,value", f"# incomplete: {e}"],
         )
         return EXIT_BUDGET
     vals = list(prof.i_values)
@@ -273,10 +268,10 @@ def _cmd_order(cfg: argparse.Namespace) -> int:
     failing = None
     if cfg.verify:
         try:
-            prof = _profile_for(cfg, g)
+            prof = exact_profile(g, cfg.strategy, with_witnesses=False)
         except SizeCapExceeded as e:
             raise UsageError(str(e))
-        if not prof.complete:
+        except BudgetExceeded:
             _emit(cfg, {"spec": cfg.spec}, {"complete": False}, ["budget exhausted"])
             return EXIT_BUDGET
         verified, failing = verify_order_optimal(g, order, prof)
@@ -399,14 +394,11 @@ def _cmd_certify(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     if g.factors is None or len(g.factors) < 3:
         raise UsageError("certify needs a product spec with at least 3 factors")
-    gs = list(g.factors)
     style = cfg.partitions
     try:
         if cfg.domination:
             perm = tuple(int(x) - 1 for x in cfg.domination.split(","))
-            cert = certify_domination(
-                gs, perm, budget_seconds=cfg.budget, pairwise_strategy="auto"
-            )
+            cert = certify_domination(g.factors, perm)
         else:
             if style in ("standard", "atomic"):
                 parts, dc = style, None
@@ -418,9 +410,7 @@ def _cmd_certify(cfg: argparse.Namespace) -> int:
                 samples = ()
             elif cfg.crosscheck:
                 samples = [int(x) for x in cfg.crosscheck.split(",")]
-            cert = certify(
-                gs, parts, dc, budget_seconds=cfg.budget, crosscheck_ms=samples
-            )
+            cert = certify(g, parts, dc, crosscheck_ms=samples)
     except SizeCapExceeded as e:
         raise UsageError(str(e))
     result = cert.to_json()
@@ -445,7 +435,7 @@ def _cmd_explore(cfg: argparse.Namespace) -> int:
     for key in ("max_vertices", "s", "p", "i", "d", "c5", "petersen", "c4", "k2", "c3"):
         if getattr(cfg, key) is not None:
             params[key] = getattr(cfg, key)
-    report = explore_conjecture(family, params, budget_seconds=cfg.budget)
+    report = explore_conjecture(family, params)
     result = report.to_json()
     lines = [f"explore {family}: {report.statuses}"]
     for ins in report.instances:
@@ -468,7 +458,6 @@ def _build_parser() -> _Parser:
 
     def common(p: _Parser, handler, default_fmt: str = "text"):
         p.set_defaults(handler=handler)
-        p.add_argument("--strategy", choices=["full", "compressed", "bnb"], default="full")
         p.add_argument("--budget", type=float, default=600.0, help="wall-clock seconds")
         p.add_argument("--format", dest="fmt", choices=["json", "csv", "text"], default=default_fmt)
         p.add_argument("--seed", type=int, default=0)
@@ -482,6 +471,7 @@ def _build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--theta", action="store_true")
     p.add_argument("--witnesses", action="store_true", help="include optimal sets")
+    p.add_argument("--strategy", choices=STRATEGIES, default="full")
     common(p, _cmd_profile, "csv")
 
     p = sub.add_parser("partition", help="standard/atomic/custom partitions with validation")
@@ -501,6 +491,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--optimal", action="store_true", help="order from the nested-chain search")
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--verify", action="store_true")
+    p.add_argument("--strategy", choices=STRATEGIES, default="full")
     common(p, _cmd_order)
 
     p = sub.add_parser("compress", help="compression operations and predicates")
@@ -548,14 +539,15 @@ def main(argv=None) -> int:
             raise UsageError(f"unknown format {cfg.fmt!r}")
         # a command's output must not depend on commands run before it
         clear_caches()
-        return cfg.handler(cfg)
+        with Budget(cfg.budget):
+            return cfg.handler(cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except NoNestedSolutions as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except ChainSearchInconclusive as e:
+    except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, json.JSONDecodeError) as e:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .blockgeom import DominationCollection, block_lex_order, block_occupancy
+from .budget import Budget
 from .graphs import Graph, VertexSet, split_ids, subproduct
 from .orders import TotalOrder, lex_order
 from .solver import DeltaSequence
@@ -162,6 +163,7 @@ def compress_once(g: Graph, a, s: Sequence[int], orders) -> VertexSet:
     Preserves cardinality.  When the subproduct order is optimal the
     induced edge count cannot decrease.
     """
+    Budget.check()
     family = _ensure_family(g, orders)
     key = tuple(sorted(set(int(i) for i in s)))
     if any(i < 0 or i >= family.d for i in key):

@@ -125,13 +125,6 @@ class VertexSet:
     def issubset(self, other: "VertexSet") -> bool:
         return bool(np.all(~self.mask | other.mask))
 
-    def as_int(self) -> int:
-        """Bitmask encoding (bit v set iff v is a member)."""
-        out = 0
-        for v in self.ids().tolist():
-            out |= 1 << v
-        return out
-
     def __repr__(self) -> str:
         ids = self.ids().tolist()
         if len(ids) > 12:
@@ -249,12 +242,6 @@ class Graph:
         if self.factors is None:
             return None
         return tuple(f.n for f in self.factors)
-
-    @property
-    def num_factors(self) -> int:
-        if self.factors is None:
-            raise ValueError("graph was not built as a product")
-        return len(self.factors)
 
     def radix(self) -> np.ndarray:
         """Mixed-radix weights: id = sum coords[i] * radix[i], factor 0 most

@@ -83,10 +83,6 @@ class Partition:
         """The start set: the first vertex of each segment."""
         return tuple(self.order.vertex_at(a) for a, _ in self.segments)
 
-    def segment_vertices(self, i: int) -> VertexSet:
-        a, b = self.segments[i]
-        return self.order.segment(a, b)
-
     def segment_of_rank(self, r: int) -> int:
         for i, (a, b) in enumerate(self.segments):
             if a <= r <= b:

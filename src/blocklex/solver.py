@@ -12,13 +12,13 @@ the rank-space downset oracle, which scales to hundreds of vertices.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import staircase
+from .budget import Budget, BudgetExceeded
 from .graphs import Graph
 from .orders import TotalOrder
 
@@ -28,7 +28,6 @@ __all__ = [
     "SizeCapExceeded",
     "NoNestedSolutions",
     "ChainSearchInconclusive",
-    "Budget",
     "Profile",
     "DeltaSequence",
     "ChainSearchResult",
@@ -53,28 +52,9 @@ class NoNestedSolutions(ValueError):
     """The chain search proved that the graph has no nested solutions."""
 
 
-class ChainSearchInconclusive(ValueError):
+class ChainSearchInconclusive(BudgetExceeded):
     """The chain search stopped at its node cap: nested solutions are
     neither found nor ruled out."""
-
-
-class BudgetExceeded(Exception):
-    pass
-
-
-class Budget:
-    """Wall-clock budget; operations poll it and flag partial results."""
-
-    def __init__(self, seconds: Optional[float] = None):
-        self.seconds = seconds
-        self._deadline = None if seconds is None else time.monotonic() + seconds
-
-    def check(self):
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise BudgetExceeded
-
-    def expired(self) -> bool:
-        return self._deadline is not None and time.monotonic() > self._deadline
 
 
 @dataclass(frozen=True)
@@ -82,43 +62,31 @@ class Profile:
     """Exact profile of a graph: values[m] for m = 0..n.
 
     kind "induced_max" stores I(m) (max induced edges); kind
-    "boundary_min" stores the min boundary counts.  `complete` is False
-    when a budget ran out; incomplete profiles carry no values.
+    "boundary_min" stores the min boundary counts.
     """
 
     kind: str
-    i_values: Optional[tuple[int, ...]]
+    i_values: tuple[int, ...]
     witnesses: Optional[tuple[tuple[int, ...], ...]]
-    complete: bool
     strategy: str
     graph_digest: str
-    note: str = ""
 
     def __post_init__(self):
-        if self.complete:
-            vals = self.i_values
-            if vals is None:
-                raise ValueError("complete profile must carry values")
-            if self.kind == "induced_max":
-                if vals[0] != 0 or any(
-                    vals[i + 1] < vals[i] for i in range(len(vals) - 1)
-                ):
-                    raise ValueError("induced profile must start at 0 and be non-decreasing")
+        vals = self.i_values
+        if self.kind == "induced_max":
+            if vals[0] != 0 or any(
+                vals[i + 1] < vals[i] for i in range(len(vals) - 1)
+            ):
+                raise ValueError("induced profile must start at 0 and be non-decreasing")
 
     @property
     def n(self) -> int:
-        if self.i_values is None:
-            raise ValueError("incomplete profile")
         return len(self.i_values) - 1
 
     def value(self, m: int) -> int:
-        if self.i_values is None:
-            raise ValueError("incomplete profile")
         return self.i_values[m]
 
     def values_array(self) -> np.ndarray:
-        if self.i_values is None:
-            raise ValueError("incomplete profile")
         return np.asarray(self.i_values, dtype=np.int64)
 
     def witness(self, m: int) -> Optional[tuple[int, ...]]:
@@ -129,12 +97,10 @@ class Profile:
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
-            "values": list(self.i_values) if self.i_values is not None else None,
+            "values": list(self.i_values),
             "witnesses": [list(w) for w in self.witnesses] if self.witnesses else None,
-            "complete": self.complete,
             "strategy": self.strategy,
             "graph_digest": self.graph_digest,
-            "note": self.note,
         }
 
 
@@ -156,11 +122,6 @@ class DeltaSequence:
     def at_rank(self, r: int) -> int:
         return self.values[r - 1]
 
-    def of_vertex(self, v: int) -> int:
-        if self.source_order is None:
-            raise ValueError("no source order attached")
-        return self.values[self.source_order.rank(v) - 1]
-
     def step_bound_holds(self) -> bool:
         """Whether consecutive deltas rise by at most one (a necessary
         condition for graphs with nested solutions)."""
@@ -175,8 +136,9 @@ class ChainSearchResult:
 
     status is one of "order" (chain found; `order` holds it),
     "not_isoperimetric" (search exhausted; `failing_size` is the smallest
-    set size no chain reaches), or "inconclusive" (budget ran out, which
-    is deliberately distinct from a mathematical negative).
+    set size no chain reaches), or "inconclusive" (the node cap stopped
+    the search, which is deliberately distinct from a mathematical
+    negative).
     """
 
     status: str
@@ -193,9 +155,7 @@ if FULL_ENUM_CAP * (FULL_ENUM_CAP - 1) > np.iinfo(np.int16).max:
     raise ImportError("FULL_ENUM_CAP is too large for int16 subset values")
 
 
-def _dp_subset_values(
-    g: Graph, mode: str, budget: Budget
-) -> np.ndarray:
+def _dp_subset_values(g: Graph, mode: str) -> np.ndarray:
     """val[mask] for every membership word, by highest-bit slice doubling.
 
     mode "induced": number of edges inside the set.
@@ -212,7 +172,7 @@ def _dp_subset_values(
     step = 1 if induced else -2
     val = np.zeros(1 << n, dtype=np.int16)
     for v in range(n):
-        budget.check()
+        Budget.check()
         low = 1 << v
         top = val[low : 2 * low]
         top[0] = 0 if induced else adj[v].bit_count()
@@ -240,7 +200,7 @@ def _popcount_classes(k: int) -> tuple[np.ndarray, ...]:
 
 
 def _profile_from_values(
-    n: int, val: np.ndarray, maximize: bool, with_witnesses: bool, budget: Budget
+    n: int, val: np.ndarray, maximize: bool, with_witnesses: bool
 ) -> tuple[list[int], Optional[list[tuple[int, ...]]]]:
     """Per-size extremum of val and, on request, its smallest attaining mask.
 
@@ -256,7 +216,7 @@ def _profile_from_values(
     smallest of these masks is the smallest attaining mask; the classes
     partition the grid, so all witnesses together cost at most one pass.
     """
-    budget.check()
+    Budget.check()
     h = n // 2
     l = n - h
     grid = val.reshape(1 << h, 1 << l)
@@ -265,7 +225,7 @@ def _profile_from_values(
     col_classes = _popcount_classes(l)
     a = np.empty((h + 1, 1 << l), dtype=val.dtype)
     for i, rows in enumerate(row_classes):
-        budget.check()
+        Budget.check()
         ufunc.reduce(grid[rows], axis=0, out=a[i])
     starts = np.cumsum([0] + [len(c) for c in col_classes[:-1]])
     b = ufunc.reduceat(a[:, np.concatenate(col_classes)], starts, axis=1).tolist()
@@ -284,7 +244,7 @@ def _profile_from_values(
                 break  # the smallest row of class i, 2^i - 1, is larger
             if b[i][m - i] != v:
                 continue
-            budget.check()
+            Budget.check()
             cols = col_classes[m - i]
             cols = cols[a[i, cols] == v]
             rows = row_classes[i]
@@ -296,7 +256,7 @@ def _profile_from_values(
     return values, wits
 
 
-def _bnb_profile(g: Graph, budget: Budget) -> tuple[list[int], list[tuple[int, ...]]]:
+def _bnb_profile(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
     """Exact profile by depth-first search with a sound upper bound:
     extending a set A by k vertices from candidate pool C adds at most
     sum over the k best of (2*|N(v) & A| + |N(v) & C|) / 2 edges."""
@@ -308,7 +268,7 @@ def _bnb_profile(g: Graph, budget: Budget) -> tuple[list[int], list[tuple[int, .
     pc_int = int.bit_count
 
     def rec(mask: int, start: int, size: int, edges: int):
-        budget.check()
+        Budget.check()
         if edges > best[size]:
             best[size] = edges
             wit[size] = mask
@@ -342,7 +302,7 @@ def _bnb_profile(g: Graph, budget: Budget) -> tuple[list[int], list[tuple[int, .
 
 # -- profile cache -------------------------------------------------------------
 
-# Complete "full" and "bnb" profiles by (kind, strategy, graph digest).  An
+# "full" and "bnb" profiles by (kind, strategy, graph digest).  An
 # entry without witnesses does not answer a request for them.
 _PROFILE_CACHE: dict[tuple[str, str, str], Profile] = {}
 
@@ -351,7 +311,6 @@ def _enumerated_profile(
     g: Graph,
     kind: str,
     strategy: str,
-    budget_seconds: Optional[float],
     with_witnesses: bool,
 ) -> Profile:
     """Profile by subset enumeration ("full": the DP, "bnb": branch and
@@ -360,23 +319,18 @@ def _enumerated_profile(
     hit = _PROFILE_CACHE.get(key)
     if hit is not None and (hit.witnesses is not None or not with_witnesses):
         return hit if with_witnesses else replace(hit, witnesses=None)
-    budget = Budget(budget_seconds)
-    try:
-        if strategy == "bnb":
-            values, wits = _bnb_profile(g, budget)
-        else:
-            mode = "induced" if kind == "induced_max" else "boundary"
-            val = _dp_subset_values(g, mode, budget)
-            values, wits = _profile_from_values(
-                g.n, val, kind == "induced_max", with_witnesses, budget
-            )
-    except BudgetExceeded:
-        return Profile(kind, None, None, False, strategy, g.digest, "budget exceeded")
+    if strategy == "bnb":
+        values, wits = _bnb_profile(g)
+    else:
+        mode = "induced" if kind == "induced_max" else "boundary"
+        val = _dp_subset_values(g, mode)
+        values, wits = _profile_from_values(
+            g.n, val, kind == "induced_max", with_witnesses
+        )
     prof = Profile(
         kind,
         tuple(values),
         tuple(wits) if with_witnesses else None,
-        True,
         strategy,
         g.digest,
     )
@@ -389,7 +343,6 @@ def exact_profile(
     strategy: str = "full",
     *,
     factor_orders: Optional[Sequence[TotalOrder]] = None,
-    budget_seconds: Optional[float] = None,
     with_witnesses: bool = True,
 ) -> Profile:
     """Exact I(m) for all m under the chosen strategy.
@@ -408,9 +361,7 @@ def exact_profile(
                 f"{g.n} vertices exceed the {strategy} cap of {FULL_ENUM_CAP}; "
                 "use strategy='compressed' on a product with optimal factor orders"
             )
-        return _enumerated_profile(
-            g, "induced_max", strategy, budget_seconds, with_witnesses
-        )
+        return _enumerated_profile(g, "induced_max", strategy, with_witnesses)
     # compressed oracle
     if g.factors is None:
         raise ValueError("compressed strategy requires a product graph")
@@ -433,7 +384,6 @@ def exact_profile(
         "induced_max",
         tuple(int(x) for x in vals),
         None,
-        True,
         "compressed",
         g.digest,
     )
@@ -443,7 +393,6 @@ def theta_profile(
     g: Graph,
     strategy: str = "full",
     *,
-    budget_seconds: Optional[float] = None,
     with_witnesses: bool = True,
     induced_profile: Optional[Profile] = None,
 ) -> Profile:
@@ -458,33 +407,23 @@ def theta_profile(
         if d is None:
             raise ValueError("via_regular requires a regular graph")
         if induced_profile is None:
-            induced_profile = exact_profile(
-                g, "full", budget_seconds=budget_seconds, with_witnesses=False
-            )
-        if not induced_profile.complete:
-            return Profile(
-                "boundary_min", None, None, False, "via_regular", g.digest, "budget exceeded"
-            )
+            induced_profile = exact_profile(g, "full", with_witnesses=False)
         vals = tuple(
             d * m - 2 * induced_profile.value(m) for m in range(g.n + 1)
         )
-        return Profile("boundary_min", vals, None, True, "via_regular", g.digest)
+        return Profile("boundary_min", vals, None, "via_regular", g.digest)
     if strategy != "full":
         raise ValueError(f"unknown theta strategy {strategy!r}")
     if g.n > FULL_ENUM_CAP:
         raise SizeCapExceeded(
             f"{g.n} vertices exceed the full-enumeration cap of {FULL_ENUM_CAP}"
         )
-    return _enumerated_profile(
-        g, "boundary_min", "full", budget_seconds, with_witnesses
-    )
+    return _enumerated_profile(g, "boundary_min", "full", with_witnesses)
 
 
 def delta_sequence(
     profile: Profile, source_order: Optional[TotalOrder] = None
 ) -> DeltaSequence:
-    if not profile.complete:
-        raise ValueError("cannot take differences of an incomplete profile")
     if profile.kind != "induced_max":
         raise ValueError("delta-sequences are defined on induced-edge profiles")
     vals = profile.i_values
@@ -508,8 +447,6 @@ def verify_order_optimal(
 ) -> tuple[bool, Optional[int]]:
     """True iff every initial segment of the order achieves the oracle
     maximum; otherwise returns the first failing size."""
-    if not oracle.complete:
-        raise ValueError("oracle profile is incomplete")
     prefix = prefix_edge_counts(g, order)
     target = oracle.values_array()
     bad = np.flatnonzero(prefix != target)
@@ -522,21 +459,17 @@ def find_nested_chain(
     g: Graph,
     profile: Profile,
     *,
-    budget_seconds: Optional[float] = None,
     node_cap: int = 2_000_000,
 ) -> ChainSearchResult:
     """Depth-first search for a chain of optimal sets, one per size.
 
     Extends by the lowest-id vertex first, so the result is deterministic.
-    Exhausting the search space proves no chain exists; running out of
-    budget is reported as inconclusive, never as a negative.
+    Exhausting the search space proves no chain exists; reaching the node
+    cap is reported as inconclusive, never as a negative.
     """
-    if not profile.complete:
-        raise ValueError("chain search needs a complete profile")
     n = g.n
     adj = g.adjacency_bitmasks()
     target = profile.i_values
-    budget = Budget(budget_seconds)
     failed: set[int] = set()
     explored = 0
     deepest = 0
@@ -545,45 +478,42 @@ def find_nested_chain(
     # stack frames: (mask, edges, size, next candidate vertex)
     stack = [(0, 0, 0, 0)]
     chain: list[int] = []
-    try:
-        while stack:
-            explored += 1
-            if explored % 4096 == 0:
-                budget.check()
-            if explored > node_cap:
-                raise BudgetExceeded
-            mask, edges, size, nxt = stack[-1]
-            if size == n:
-                return ChainSearchResult(
-                    "order", TotalOrder.from_sequence(chain), None, explored
-                )
-            found = None
-            for v in range(nxt, n):
-                if mask >> v & 1:
-                    continue
-                child = mask | (1 << v)
-                if child in failed:
-                    continue
-                gain = pc_int(adj[v] & mask)
-                if edges + gain == target[size + 1]:
-                    found = (v, child, edges + gain)
-                    break
-            if found is None:
-                failed.add(mask)
-                stack.pop()
-                if chain:
-                    dead = chain.pop()
-                    # resume the parent after the vertex that failed
-                    pmask, pedges, psize, _ = stack[-1]
-                    stack[-1] = (pmask, pedges, psize, dead + 1)
+    while stack:
+        explored += 1
+        if explored % 4096 == 0:
+            Budget.check()
+        if explored > node_cap:
+            return ChainSearchResult("inconclusive", None, None, explored)
+        mask, edges, size, nxt = stack[-1]
+        if size == n:
+            return ChainSearchResult(
+                "order", TotalOrder.from_sequence(chain), None, explored
+            )
+        found = None
+        for v in range(nxt, n):
+            if mask >> v & 1:
                 continue
-            v, child, cedges = found
-            stack[-1] = (mask, edges, size, v + 1)
-            stack.append((child, cedges, size + 1, 0))
-            chain.append(v)
-            deepest = max(deepest, size + 1)
-    except BudgetExceeded:
-        return ChainSearchResult("inconclusive", None, None, explored)
+            child = mask | (1 << v)
+            if child in failed:
+                continue
+            gain = pc_int(adj[v] & mask)
+            if edges + gain == target[size + 1]:
+                found = (v, child, edges + gain)
+                break
+        if found is None:
+            failed.add(mask)
+            stack.pop()
+            if chain:
+                dead = chain.pop()
+                # resume the parent after the vertex that failed
+                pmask, pedges, psize, _ = stack[-1]
+                stack[-1] = (pmask, pedges, psize, dead + 1)
+            continue
+        v, child, cedges = found
+        stack[-1] = (mask, edges, size, v + 1)
+        stack.append((child, cedges, size + 1, 0))
+        chain.append(v)
+        deepest = max(deepest, size + 1)
     return ChainSearchResult("not_isoperimetric", None, deepest + 1, explored)
 
 

@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .budget import Budget
 from .graphs import Graph, VertexSet
 from .orders import TotalOrder
 
@@ -80,6 +81,7 @@ def stacked_profile(
     H = np.full((n_inner + 1, width), NEG, dtype=np.int64)
     H[:, 0] = 0
     for i in range(n_levels, 0, -1):
+        Budget.check()
         G = np.full((n_inner + 1, width), NEG, dtype=np.int64)
         G[0, 0] = 0
         for t in range(1, n_inner + 1):
@@ -161,6 +163,7 @@ def _pure_profile_3d(
     H = np.full((len(shapes), width), NEG, dtype=np.int64)
     H[:, 0] = 0
     for i in range(n_lvl, 0, -1):
+        Budget.check()
         G = np.full((len(shapes), width), NEG, dtype=np.int64)
         for sid in range(len(shapes)):
             sz = int(sizes[sid])
@@ -220,7 +223,7 @@ def downset_profile(
         return _pure_profile_3d(
             L_lvl, sizes[lvl], W_c, L_b, sizes[b], sizes[c], m_max, shape_cap
         )
-    raise NotImplementedError(
+    raise ValueError(
         "downset profiles are implemented for up to three factors; "
         "for more factors use full enumeration on small products"
     )

@@ -291,9 +291,8 @@ def test_criterion_9_conjecture_explorer():
     is SUPPORTED within budget; any REFUTED instance would need a witness
     that independently re-verifies."""
     t0 = time.monotonic()
-    rep = bx.explore_conjecture(
-        "path_clique", {"max_vertices": 16}, budget_seconds=600
-    )
+    with bx.Budget(600):
+        rep = bx.explore_conjecture("path_clique", {"max_vertices": 16})
     names = [i.name for i in rep.instances]
     assert "P2^2 x K2^2" in names
     assert "P4^1 x K4^1" in names

@@ -3,6 +3,7 @@
 import pytest
 
 from blocklex import (
+    Budget,
     Certificate,
     TotalOrder,
     cartesian_product,
@@ -173,7 +174,8 @@ def test_certificate_json_roundtrip():
 
 
 def test_explore_tiny_path_clique():
-    rep = explore_conjecture("path_clique", {"max_vertices": 8}, budget_seconds=120)
+    with Budget(120):
+        rep = explore_conjecture("path_clique", {"max_vertices": 8})
     assert rep.statuses["REFUTED"] == 0
     assert rep.statuses["INCONCLUSIVE"] == 0
     assert rep.statuses["SUPPORTED"] > 0
@@ -182,14 +184,29 @@ def test_explore_tiny_path_clique():
 
 
 def test_explore_zero_budget_inconclusive():
-    rep = explore_conjecture("path_clique", {"max_vertices": 10}, budget_seconds=0.0)
+    with Budget(0.0):
+        rep = explore_conjecture("path_clique", {"max_vertices": 10})
     assert rep.statuses["SUPPORTED"] == 0
     assert rep.statuses["REFUTED"] == 0
     assert rep.statuses["INCONCLUSIVE"] > 0
 
 
+def test_expired_budget_makes_certificates_inconclusive():
+    from blocklex.solver import clear_caches
+
+    gs = [cycle(5), cycle(4), cycle(3)]
+    clear_caches()  # cached profiles would answer without polling
+    with Budget(0.0):
+        certs = [certify(gs, "standard"), certify_domination(gs, (0, 1, 2))]
+    for cert in certs:
+        assert cert.status == "inconclusive" and cert.exit_code() == 3
+        assert cert.hypotheses == [] and cert.partitions_digest == ""
+        assert cert.crosschecks == [{"note": "budget exceeded"}]
+
+
 def test_explore_report_roundtrip():
-    rep = explore_conjecture("path_clique", {"max_vertices": 6}, budget_seconds=60)
+    with Budget(60):
+        rep = explore_conjecture("path_clique", {"max_vertices": 6})
     data = rep.to_json()
     assert data["counts"]["SUPPORTED"] == len(data["instances"])
 
@@ -247,7 +264,8 @@ def test_hspi_graph_construction():
     g = matching_reduced_clique(3, 1)
     assert g.n == 6
     assert g.regular_degree() == 4  # K6 minus a perfect matching
-    rep = explore_conjecture("hspi", {"s": 2, "p": 3, "i": 1, "d": 2}, budget_seconds=120)
+    with Budget(120):
+        rep = explore_conjecture("hspi", {"s": 2, "p": 3, "i": 1, "d": 2})
     assert all(i.status == "SUPPORTED" for i in rep.instances), [
         (i.name, i.status) for i in rep.instances
     ]
@@ -265,7 +283,8 @@ def test_hspi_delta_matches_stated_pattern():
 
 
 def test_explore_petersen_tori_pair():
-    rep = explore_conjecture("petersen_tori", {"c5": 1, "c4": 1}, budget_seconds=120)
+    with Budget(120):
+        rep = explore_conjecture("petersen_tori", {"c5": 1, "c4": 1})
     assert len(rep.instances) == 1
     assert rep.instances[0].status == "SUPPORTED"
 

@@ -221,11 +221,68 @@ def test_parse_error_exit_64(capsys):
     assert run(capsys, "bogus-command")[0] == 64
     assert run(capsys, "certify", "K5")[0] == 64  # not a 3-factor product
     assert run(capsys, "profile", "P30")[0] == 64  # beyond the cap, refused
+    assert run(capsys, "certify", "K25xK2xK2")[0] == 64  # a factor beyond the cap
+    # only profile and order read --strategy
+    assert run(capsys, "certify", "K2xK3xK4", "--strategy", "bnb")[0] == 64
+    assert run(capsys, "compress", "K2^3", "--laws", "3", "--strategy", "bnb")[0] == 64
+
+
+def test_compressed_strategy_beyond_three_factors_exits_64(capsys):
+    """The downset oracle stops at three factors: a usage error, not a
+    traceback."""
+    for argv in (
+        ["profile", "K2^4", "--strategy", "compressed"],
+        ["order", "K2^4", "--lex", "--verify", "--strategy", "compressed"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert "up to three factors" in err
 
 
 def test_budget_exceeded_exit_3(capsys):
     code, _, _ = run(capsys, "profile", "K2^4", "--budget", "0.0001")
     assert code == 3
+    # --budget bounds every subcommand that profiles a graph
+    for argv in (
+        ["order", "K4xK6", "--optimal"],
+        ["partition", "K4xK6"],
+        ["compress", "K4xK6", "--set", "[0,5,7]", "--fixpoint"],
+    ):
+        code, _, err = run(capsys, *argv, "--budget", "1e-9")
+        assert code == 3, argv
+        assert err == "error: budget exceeded\n"
+    # the deadline passes in the sample loop, after the factor orders
+    code, _, err = run(capsys, "compress", "K2^3", "--laws", "20000", "--budget", "0.05")
+    assert (code, err) == (3, "error: budget exceeded\n")
+
+
+def test_deadline_inside_validate_is_inconclusive(capsys, monkeypatch):
+    """A deadline that passes while the domination collection is being
+    validated makes the certificate inconclusive; without the budget, P4^3
+    fails hypothesis (d) with exit 2."""
+    import time
+
+    from blocklex import blockgeom
+
+    build = blockgeom.block_graph_and_order
+
+    def slow(*args):
+        time.sleep(0.3)
+        return build(*args)
+
+    monkeypatch.setattr(blockgeom, "block_graph_and_order", slow)
+    code, out, _ = run(capsys, "certify", "P4^3", "--budget", "0.3")
+    assert code == 3
+    result = json.loads(out)["result"]
+    assert result["status"] == "inconclusive"
+    assert result["crosschecks"] == [{"note": "budget exceeded"}]
+    assert [h["name"] for h in result["hypotheses"]] == [
+        "isoperimetric_partition_factor_1",
+        "isoperimetric_partition_factor_2",
+        "isoperimetric_partition_factor_3",
+        "non_decreasing_partition_factor_1",
+        "non_decreasing_partition_factor_2",
+    ]
 
 
 def test_expired_budget_replays(capsys):
@@ -281,6 +338,12 @@ def test_chain_search_at_its_node_cap_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "order", "petersen", "--optimal")
     assert code == 3
     assert "node cap" in err
+    # certify reports it as an inconclusive certificate
+    code, out, err = run(capsys, "certify", "petersenxK2xK2")
+    assert (code, err) == (3, "")
+    result = json.loads(out)["result"]
+    assert result["status"] == "inconclusive"
+    assert "node cap" in result["crosschecks"][0]["note"]
 
 
 def _fresh_interpreter(*args):

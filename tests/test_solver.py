@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from blocklex import (
+    Budget,
+    BudgetExceeded,
     Graph,
     SizeCapExceeded,
     TotalOrder,
@@ -81,14 +83,6 @@ def test_full_enumeration_cap():
 )
 def test_delta_examples(g, expect):
     assert delta_sequence(exact_profile(g)).values == expect
-
-
-def test_delta_requires_complete_profile():
-    from blocklex.solver import Profile
-
-    p = Profile("induced_max", None, None, False, "full", "x", "budget exceeded")
-    with pytest.raises(ValueError):
-        delta_sequence(p)
 
 
 def test_delta_step_bound_on_isoperimetric_graphs():
@@ -238,9 +232,37 @@ def test_compressed_rejects_suboptimal_factor_order():
 
 def test_budget_flags_incomplete():
     g = graph_power(clique(2), 4)
-    prof = exact_profile(g, budget_seconds=0.0)
-    assert not prof.complete
-    assert prof.note == "budget exceeded"
+    with Budget(0.0), pytest.raises(BudgetExceeded, match="budget exceeded"):
+        exact_profile(g)
+
+
+def test_downset_dps_poll_the_budget():
+    """The stacked (two-factor) and slab (three-factor) DPs poll once per
+    level."""
+    from blocklex import downset_profile
+
+    factors = [cycle(5), cycle(4), cycle(3)]
+    orders = [factor_profile_and_order(f)[1] for f in factors]
+    for k in (2, 3):
+        g = cartesian_product(factors[:k])
+        with Budget(0.0), pytest.raises(BudgetExceeded):
+            downset_profile(g, orders[:k])
+
+
+def test_nested_budget_keeps_the_earlier_deadline():
+    Budget.check()  # no budget entered: never raises
+    with Budget(0.0):
+        with Budget(600):
+            with pytest.raises(BudgetExceeded):
+                Budget.check()
+        with pytest.raises(BudgetExceeded):
+            Budget.check()
+    Budget.check()
+    with Budget(600):
+        with Budget(0.0):
+            with pytest.raises(BudgetExceeded):
+                Budget.check()
+        Budget.check()  # the outer deadline is back
 
 
 # -- subset-DP kernels against literal references ---------------------------
@@ -267,11 +289,11 @@ def _dp_cases():
 
 
 def test_dp_subset_values_against_per_mask_count():
-    from blocklex.solver import Budget, _dp_subset_values
+    from blocklex.solver import _dp_subset_values
 
     for g, edges in _dp_cases():
-        induced = _dp_subset_values(g, "induced", Budget())
-        boundary = _dp_subset_values(g, "boundary", Budget())
+        induced = _dp_subset_values(g, "induced")
+        boundary = _dp_subset_values(g, "boundary")
         for mask in range(1 << g.n):
             inside = [(mask >> u & 1) + (mask >> v & 1) for u, v in edges]
             assert induced[mask] == inside.count(2), (g.n, mask)
@@ -294,19 +316,19 @@ def _ref_profile(n, val, maximize):
 
 
 def test_profile_from_values_against_smallest_extremal_mask():
-    from blocklex.solver import Budget, _dp_subset_values, _profile_from_values
+    from blocklex.solver import _dp_subset_values, _profile_from_values
 
     rng = np.random.default_rng(12)
     for g, _ in _dp_cases():
         for mode, maximize in (("induced", True), ("boundary", False)):
-            val = _dp_subset_values(g, mode, Budget())
-            got = _profile_from_values(g.n, val, maximize, True, Budget())
+            val = _dp_subset_values(g, mode)
+            got = _profile_from_values(g.n, val, maximize, True)
             assert got == _ref_profile(g.n, val, maximize)
-            assert _profile_from_values(g.n, val, maximize, False, Budget()) == (got[0], None)
+            assert _profile_from_values(g.n, val, maximize, False) == (got[0], None)
         # few distinct values, so ties everywhere
         noise = rng.integers(0, 3, 1 << g.n).astype(np.int16)
         for maximize in (True, False):
-            assert _profile_from_values(g.n, noise, maximize, True, Budget()) == (
+            assert _profile_from_values(g.n, noise, maximize, True) == (
                 _ref_profile(g.n, noise, maximize)
             )
 
@@ -316,13 +338,13 @@ def test_reduction_when_every_set_ties(n):
     """The edgeless graph: every set of a size has the same value, so every
     row and column class attains it, and the smallest mask of size m is
     the first m vertices."""
-    from blocklex.solver import Budget, _dp_subset_values, _profile_from_values
+    from blocklex.solver import _dp_subset_values, _profile_from_values
 
     g = Graph(n, [])
     for mode, maximize in (("induced", True), ("boundary", False)):
-        val = _dp_subset_values(g, mode, Budget())
+        val = _dp_subset_values(g, mode)
         assert not val.any()
-        got = _profile_from_values(n, val, maximize, True, Budget())
+        got = _profile_from_values(n, val, maximize, True)
         assert got == _ref_profile(n, val, maximize)
         assert got == ([0] * (n + 1), [tuple(range(m)) for m in range(n + 1)])
     assert exact_profile(g).witnesses == tuple(tuple(range(m)) for m in range(n + 1))
@@ -330,47 +352,46 @@ def test_reduction_when_every_set_ties(n):
 
 
 def test_reduction_of_constant_values():
-    from blocklex.solver import Budget, _profile_from_values
+    from blocklex.solver import _profile_from_values
 
     for n in (0, 1, 2, 5, 9, 14, 17):
         for c in (-3, 0, 7):
             val = np.full(1 << n, c, dtype=np.int16)
             for maximize in (True, False):
-                got = _profile_from_values(n, val, maximize, True, Budget())
+                got = _profile_from_values(n, val, maximize, True)
                 assert got == _ref_profile(n, val, maximize)
                 assert got[0] == [c] * (n + 1)
 
 
 def test_budget_out_inside_the_reduction_is_incomplete_and_not_cached(monkeypatch):
     """A budget that runs out at each poll after the DP's n polls, that is
-    inside the reduction (witness lookups included), gives an incomplete
-    profile, and nothing is cached."""
+    inside the reduction (witness lookups included), raises
+    BudgetExceeded, and nothing is cached."""
     from blocklex import solver
 
     g = petersen()
 
-    def budget_class(limit, polls):
-        class Counting(solver.Budget):
-            def check(self):
-                polls.append(None)
-                if limit is not None and len(polls) > limit:
-                    raise solver.BudgetExceeded
+    def counting_check(limit, polls):
+        def check():
+            polls.append(None)
+            if limit is not None and len(polls) > limit:
+                raise BudgetExceeded("budget exceeded")
 
-        return Counting
+        return staticmethod(check)
 
     for profile in (exact_profile, theta_profile):
         total = []
         for witnesses in (False, True):
             polls = []
-            monkeypatch.setattr(solver, "Budget", budget_class(None, polls))
+            monkeypatch.setattr(Budget, "check", counting_check(None, polls))
             solver.clear_caches()
-            assert profile(g, with_witnesses=witnesses).complete
+            profile(g, with_witnesses=witnesses)
             total.append(len(polls))
             for limit in range(g.n, len(polls)):
-                monkeypatch.setattr(solver, "Budget", budget_class(limit, []))
+                monkeypatch.setattr(Budget, "check", counting_check(limit, []))
                 solver.clear_caches()
-                prof = profile(g, with_witnesses=witnesses)
-                assert not prof.complete and prof.note == "budget exceeded"
+                with pytest.raises(BudgetExceeded, match="budget exceeded"):
+                    profile(g, with_witnesses=witnesses)
                 assert solver._PROFILE_CACHE == {}
         # the row classes poll, and the witness lookups poll again
         assert g.n + 1 < total[0] < total[1]
@@ -439,11 +460,12 @@ def test_budget_cut_profile_is_not_cached():
 
     g = graph_power(clique(2), 4)
     clear_caches()
-    assert not exact_profile(g, budget_seconds=0.0).complete
-    assert not theta_profile(g, budget_seconds=0.0).complete
-    assert not exact_profile(g, "bnb", budget_seconds=0.0).complete
+    for profile, strategy in ((exact_profile, "full"), (theta_profile, "full"),
+                              (exact_profile, "bnb")):
+        with Budget(0.0), pytest.raises(BudgetExceeded):
+            profile(g, strategy)
     assert _PROFILE_CACHE == {}
-    assert exact_profile(g).complete
+    exact_profile(g)
     assert len(_PROFILE_CACHE) == 1
 
 

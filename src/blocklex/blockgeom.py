@@ -39,11 +39,13 @@ from .partitions import (
 )
 from .solver import (
     FULL_ENUM_CAP,
+    SizeCapExceeded,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,
     verify_order_optimal,
 )
+from .staircase import sandwich_bound
 
 __all__ = [
     "DominationCollection",
@@ -146,13 +148,22 @@ class DominationCollection:
         The permutation of a sub-block is the restriction of the full-block
         permutation; every full block projecting onto the sub-block must
         restrict identically, otherwise the subproduct orders would be
-        ill-defined and a ValueError is raised.
+        ill-defined and a ValueError is raised.  Each restriction is built
+        once per collection; it is validated once this collection is.
         """
         s_sorted = sorted(set(int(i) for i in s))
         if not s_sorted:
             raise ValueError("factor subset must be nonempty")
         if s_sorted[0] < 0 or s_sorted[-1] >= self.d:
             raise ValueError("factor subset out of range")
+        cache = self.__dict__.setdefault("_restricted_cache", {})
+        dc = cache.get(tuple(s_sorted))
+        if dc is None:
+            dc = cache[tuple(s_sorted)] = self._restrict(s_sorted)
+        dc.validated = dc.validated or self.validated
+        return dc
+
+    def _restrict(self, s_sorted: list[int]) -> "DominationCollection":
         sub_perms: dict[BlockId, tuple[int, ...]] = {}
         for bid in self.block_ids():
             sub_bid = tuple(bid[i] for i in s_sorted)
@@ -165,11 +176,9 @@ class DominationCollection:
                     f"block permutations restrict inconsistently onto factors "
                     f"{s_sorted} at sub-block {sub_bid}: {prev} vs {perm}"
                 )
-        dc = DominationCollection(
+        return DominationCollection(
             tuple(self.partitions[i] for i in s_sorted), sub_perms
         )
-        dc.validated = self.validated
-        return dc
 
     def to_json(self) -> dict:
         return {
@@ -204,9 +213,13 @@ class DominationCollection:
         check_block_optimality: bool = True,
     ) -> tuple[bool, list[str]]:
         """Structural validation; optionally verifies that every block's
-        domination order is optimal for the block-induced graph (feasible
-        when blocks stay under the enumeration cap).  Sets `validated` on
-        success so the order constructors will accept the collection."""
+        domination order is optimal for the block-induced graph
+        (`_verify_block_class`).  Sets `validated` on success so the order
+        constructors will accept the collection.
+
+        Raises SizeCapExceeded when no block fails but some block over
+        FULL_ENUM_CAP misses the sandwich bound: whether its order is
+        optimal cannot be told."""
         diags: list[str] = []
         ok = True
         if g.factors is None or len(g.factors) != self.d:
@@ -224,29 +237,25 @@ class DominationCollection:
         except ValueError as e:
             ok = False
             diags.append(str(e))
+        undecided = None
         if check_block_optimality:
             # Blocks with the same segment graphs and the same permutation
             # are isomorphic with corresponding domination orders, so each
-            # such class is built and verified once.
-            seg_keys = _segment_graph_keys(g, self)
+            # such class is verified once.
+            segs = _segment_graphs(g, self)
             verdicts: dict[tuple, tuple[bool, Optional[int]]] = {}
             for bid in self.block_ids():
-                size = self.block_size(bid)
-                if size > FULL_ENUM_CAP:
-                    ok = False
-                    diags.append(
-                        f"block {bid} has {size} vertices, beyond the cap {FULL_ENUM_CAP}; "
-                        "cannot verify its domination order"
-                    )
-                    continue
                 key = (
-                    tuple(keys[j] for keys, j in zip(seg_keys, bid)),
+                    tuple(row[j].digest for row, j in zip(segs, bid)),
                     self.perm_for(bid),
                 )
                 if key not in verdicts:
-                    sub, order = block_graph_and_order(g, self, bid)
-                    prof = exact_profile(sub, "full", with_witnesses=False)
-                    verdicts[key] = verify_order_optimal(sub, order, prof)
+                    try:
+                        verdicts[key] = _verify_block_class(g, self, bid, segs)
+                    except SizeCapExceeded as e:
+                        if undecided is None:
+                            undecided = e
+                        verdicts[key] = (True, None)
                 good, bad_m = verdicts[key]
                 if not good:
                     ok = False
@@ -254,16 +263,18 @@ class DominationCollection:
                         f"block {bid}: domination order not optimal for the "
                         f"block graph (fails at m={bad_m})"
                     )
+        if ok and undecided is not None:
+            raise undecided
         if ok:
             self.validated = True
         return ok, diags
 
 
-def _segment_graph_keys(g: Graph, dc: DominationCollection) -> list[list[tuple]]:
-    """Per factor and segment, the graph the factor induces on the segment
-    with each vertex labelled by its rank offset in the segment: the size
-    and the sorted edge list."""
-    keys = []
+def _segment_graphs(g: Graph, dc: DominationCollection) -> list[list[Graph]]:
+    """Per factor and segment, the graph the factor induces on the segment,
+    with each vertex labelled by its rank offset in the segment, so that
+    the identity is the order the partition gives it."""
+    out = []
     for f, p in zip(g.factors, dc.partitions):
         eu, ev = f.edge_arrays()
         ru, rv = p.order.ranks[eu], p.order.ranks[ev]
@@ -271,10 +282,62 @@ def _segment_graph_keys(g: Graph, dc: DominationCollection) -> list[list[tuple]]
         row = []
         for a, b in p.segments:
             inside = (lo >= a) & (hi <= b)
-            edges = sorted(zip((lo[inside] - a).tolist(), (hi[inside] - a).tolist()))
-            row.append((b - a + 1, tuple(edges)))
-        keys.append(row)
-    return keys
+            row.append(Graph(b - a + 1, zip(lo[inside] - a, hi[inside] - a)))
+        out.append(row)
+    return out
+
+
+def _lex_prefix_counts(gs: Sequence[Graph]) -> np.ndarray:
+    """Edges among the first m vertices, m = 0..n, of the lexicographic
+    order on the product of `gs` (the first most significant), each factor
+    in its identity order.
+
+    With F the first factor (W_F[q] edges among its first q vertices,
+    L_F[r] edges from vertex r - 1 to earlier ones) and P_H the counts of
+    the rest (n_H vertices, E_H edges), a prefix of m = q * n_H + s
+    vertices is q full copies of H and s vertices of the next one:
+    P(m) = q * E_H + n_H * W_F[q] + P_H[s] + L_F[q + 1] * s."""
+    prefix = np.zeros(2, dtype=np.int64)  # the one-vertex product
+    for f in reversed(gs):
+        eu, ev = f.edge_arrays()
+        L = np.bincount(np.maximum(eu, ev) + 1, minlength=f.n + 2)
+        W = np.cumsum(L)
+        n_h = len(prefix) - 1
+        q, s = np.divmod(np.arange(f.n * n_h + 1), n_h)
+        prefix = q * prefix[-1] + n_h * W[q] + prefix[s] + L[q + 1] * s
+    return prefix
+
+
+def _verify_block_class(
+    g: Graph, dc: DominationCollection, bid: BlockId, segs: list[list[Graph]]
+) -> tuple[bool, Optional[int]]:
+    """Whether the block's domination order is optimal for the block
+    graph, and if not, the first size where it fails.
+
+    Sandwich first: prefix counts that meet `sandwich_bound` over the
+    block's segment graphs prove the order optimal.  Otherwise the subset
+    DP on the block graph decides; a block over FULL_ENUM_CAP raises
+    SizeCapExceeded, since the bound alone cannot refute."""
+    # the domination order is lexicographic on the segment graphs taken
+    # in the permutation's significance order
+    chosen = [segs[i][bid[i]] for i in dc.perm_for(bid)]
+    lower = _lex_prefix_counts(chosen)
+    upper = sandwich_bound(
+        [exact_profile(s, "full", with_witnesses=False).i_values for s in chosen],
+        lower,
+    )
+    if np.array_equal(lower, upper):
+        return True, None
+    size = len(lower) - 1
+    if size > FULL_ENUM_CAP:
+        raise SizeCapExceeded(
+            f"block {bid} has {size} vertices, beyond the cap {FULL_ENUM_CAP}, "
+            "and its domination order misses the sandwich bound; cannot tell "
+            "whether it is optimal"
+        )
+    sub, order = block_graph_and_order(g, dc, bid)
+    prof = exact_profile(sub, "full", with_witnesses=False)
+    return verify_order_optimal(sub, order, prof)
 
 
 def uniform_collection(

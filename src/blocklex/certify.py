@@ -5,9 +5,11 @@ The certifier machine-checks the hypotheses that let two-dimensional
 optimality propagate to any number of factors: every factor partition is
 isoperimetric, the leading factors' partitions are non-decreasing, the
 collection is a regular domination collection, and the two-factor
-block-lexicographic order is optimal for every factor pair (verified
-against an exact profile, by subset enumeration on small pairs and the
-rank-space downset oracle on large ones).  A certificate carries one entry
+block-lexicographic order is optimal for every factor pair.  Each block and
+pair order is first compared with the sandwich bound of its factors'
+profiles, which proves it optimal when met; otherwise an exact profile
+decides (subset enumeration on small products, the rank-space downset
+oracle on large pairs).  A certificate carries one entry
 per hypothesis with evidence and is emitted only if every entry verified;
 cross-checking compares certified initial segments against the downset
 oracle on the three-factor product and revokes on any disagreement.
@@ -31,7 +33,7 @@ from .blockgeom import (
     uniform_collection,
     validate_regular_domination_collection,
 )
-from .budget import Budget, BudgetExceeded
+from .budget import BudgetExceeded
 from .graphs import Graph, cartesian_product, clique, path, petersen, cycle, subproduct
 from .orders import TotalOrder, lex_order
 from .partitions import (
@@ -53,7 +55,12 @@ from .solver import (
     prefix_edge_counts,
     verify_order_optimal,
 )
-from .staircase import downset_profile, rank_edge_tables, stacked_profile
+from .staircase import (
+    downset_profile,
+    rank_edge_tables,
+    sandwich_bound,
+    stacked_profile,
+)
 
 __all__ = [
     "Hypothesis",
@@ -202,6 +209,29 @@ def _pair_profile(
     )
 
 
+def _verify_pair_order(
+    pair: Graph, order: TotalOrder, factor_orders: Sequence[TotalOrder]
+) -> tuple[str, bool, Optional[int], tuple[int, ...]]:
+    """Whether the order is optimal on the two-factor product: the engine
+    that decided, the verdict, the first failing size and the exact
+    profile.
+
+    Sandwich first: prefix counts that meet `sandwich_bound` over the two
+    factors (the first most significant) prove the order optimal, and are
+    then the exact profile.  Otherwise `_pair_profile` decides, so every
+    refutation comes from an exact engine."""
+    prefix = prefix_edge_counts(pair, order)
+    upper = sandwich_bound(
+        [exact_profile(f, "full", with_witnesses=False).i_values for f in pair.factors],
+        prefix,
+    )
+    if np.array_equal(prefix, upper):
+        return "sandwich", True, None, tuple(int(x) for x in upper)
+    profile, used = _pair_profile(pair, factor_orders)
+    ok, bad_m = verify_order_optimal(pair, order, profile)
+    return used, ok, bad_m, profile.i_values
+
+
 def certify(
     gs: Graph | Sequence[Graph],
     partitions=None,
@@ -324,14 +354,15 @@ def certify(
             if not okv:
                 return {"optimal": False, "diagnostics": diags, "n": pair.n}
             order2 = block_lex_order(pair, pair_dc)
-            profile, used = _pair_profile(pair, [parts[i].order, parts[j].order])
-            ok, bad_m = verify_order_optimal(pair, order2, profile)
+            used, ok, bad_m, values = _verify_pair_order(
+                pair, order2, [parts[i].order, parts[j].order]
+            )
             return {
                 "n": pair.n,
                 "profile_strategy": used,
                 "optimal": ok,
                 "first_failing_m": bad_m,
-                "profile_digest": _digest(list(profile.i_values)),
+                "profile_digest": _digest(list(values)),
             }
 
         pairs = list(itertools.combinations(range(d), 2))
@@ -408,8 +439,9 @@ def certify_domination(
                     ok = detail["optimal"]
                 else:
                     order2 = lex_order(pair, [orders[i], orders[j]])
-                    profile, used = _pair_profile(pair, [orders[i], orders[j]])
-                    ok, bad_m = verify_order_optimal(pair, order2, profile)
+                    used, ok, bad_m, _ = _verify_pair_order(
+                        pair, order2, [orders[i], orders[j]]
+                    )
                     detail = {
                         "n": pair.n,
                         "profile_strategy": used,
@@ -569,7 +601,6 @@ def _nested_instance(name: str, g: Graph) -> Instance:
             name, g.n, "INCONCLUSIVE", {"reason": f"{g.n} vertices beyond cap {FULL_ENUM_CAP}"}
         )
     try:
-        Budget.check()  # a cached profile would not poll
         prof = exact_profile(g, "full", with_witnesses=False)
         res = find_nested_chain(g, prof)
     except BudgetExceeded as e:

@@ -271,9 +271,6 @@ def _cmd_order(cfg: argparse.Namespace) -> int:
             prof = exact_profile(g, cfg.strategy, with_witnesses=False)
         except SizeCapExceeded as e:
             raise UsageError(str(e))
-        except BudgetExceeded:
-            _emit(cfg, {"spec": cfg.spec}, {"complete": False}, ["budget exhausted"])
-            return EXIT_BUDGET
         verified, failing = verify_order_optimal(g, order, prof)
     result = {
         "order": order.to_json(),

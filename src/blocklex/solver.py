@@ -315,6 +315,7 @@ def _enumerated_profile(
 ) -> Profile:
     """Profile by subset enumeration ("full": the DP, "bnb": branch and
     bound), from the cache when an entry answers the request."""
+    Budget.check()  # a hit polls too
     key = (kind, strategy, g.digest)
     hit = _PROFILE_CACHE.get(key)
     if hit is not None and (hit.witnesses is not None or not with_witnesses):
@@ -527,6 +528,7 @@ def factor_profile_and_order(g: Graph) -> tuple[Profile, TotalOrder]:
     small graph, cached by content digest.  Raises NoNestedSolutions if the
     graph has none, and ChainSearchInconclusive if the chain search stops
     at its node cap first."""
+    Budget.check()  # a hit polls too
     key = g.digest
     hit = _FACTOR_CACHE.get(key)
     if hit is not None:
@@ -547,6 +549,8 @@ def factor_profile_and_order(g: Graph) -> tuple[Profile, TotalOrder]:
 
 
 def clear_caches():
-    """Empty the profile cache and the per-factor cache."""
+    """Empty the profile cache, the per-factor cache and the memo of
+    `staircase.sandwich_bound`."""
     _PROFILE_CACHE.clear()
     _FACTOR_CACHE.clear()
+    staircase._BOUND_CACHE.clear()

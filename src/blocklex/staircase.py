@@ -11,12 +11,15 @@ smaller slab.
 
 Exactness as a profile oracle (max over downsets of size m equals the true
 I(m)) holds when the per-factor orders are optimal; callers verify that.
+
+`sandwich_bound` uses the same stacked-segment program for an upper bound
+on any product's profile that needs only the factors' exact profiles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .orders import TotalOrder
 __all__ = [
     "rank_edge_tables",
     "stacked_profile",
+    "sandwich_bound",
     "downset_profile",
     "enumerate_downsets",
     "enumerate_compressed",
@@ -95,6 +99,76 @@ def stacked_profile(
         H = G
     out = H[n_inner].copy()
     out[out < NEG // 2] = NEG
+    return out
+
+
+# sandwich bounds by (mode, factor profiles); emptied by solver.clear_caches
+_BOUND_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def sandwich_bound(
+    profiles: Sequence[Sequence[int]], lower: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """An upper bound U(m), m = 0..n, on the edges that any m vertices of
+    the product of graphs with the given exact profiles I(m) induce.
+
+    Take a product F x H, where F has the exact profile I_F and the delta
+    sequence delta_F(r) = I_F(r) - I_F(r - 1), and U_H bounds the profile
+    of H.  Cut a set A of m vertices into the slabs
+    A_v = {h : (v, h) in A}, one per vertex v of F, and sort the slab
+    sizes c_(1) >= c_(2) >= ....  Then
+
+        |E(A)| <= sum_r [U_H(c_(r)) + delta_F(r) * c_(r)],
+
+    because the edges inside slab v number at most I_H(|A_v|) <= U_H(|A_v|),
+    and the edges across an F-edge uv number |A_u & A_v| <= min(|A_u|,
+    |A_v|): summed over F's edges and read level by level in t, that is at
+    most sum_t I_F(#{v : |A_v| >= t}) = sum_r delta_F(r) * c_(r).
+    `stacked_profile` maximizes the right side over non-increasing c for
+    every m.  Recursing over the factors bounds any product, and every
+    choice of outer factor gives a bound, so their minimum is one too.
+    The bound assumes neither nested solutions nor compression.
+
+    The factors are first peeled in the given order, the significance
+    sequence of the order under test.  When the prefix counts `lower` of
+    that order miss this bound, the minimum over every choice of outer
+    factor at every level is returned instead.  Prefix counts equal to U
+    prove the order optimal, and U is then the exact profile; counts below
+    U prove nothing, since the bound can be loose.  Results are memoized
+    until `solver.clear_caches()`.
+    """
+    # a one-vertex factor leaves the product unchanged
+    profs = tuple(tuple(int(x) for x in p) for p in profiles if len(p) > 2)
+    if not profs:
+        return np.zeros(2, dtype=np.int64)
+    upper = _bound(profs, True)
+    if lower is not None and not np.array_equal(lower, upper):
+        upper = _bound(tuple(sorted(profs)), False)
+    return upper
+
+
+def _bound(profs: tuple[tuple[int, ...], ...], ordered: bool) -> np.ndarray:
+    """U over the factors `profs`: the first one outer when `ordered`, the
+    minimum over the distinct outer choices (`profs` sorted) otherwise."""
+    Budget.check()
+    key = (ordered, profs)
+    hit = _BOUND_CACHE.get(key)
+    if hit is not None:
+        return hit
+    if len(profs) == 1:
+        out = np.asarray(profs[0], dtype=np.int64)
+    else:
+        out = None
+        outer = [0] if ordered else [
+            k for k in range(len(profs)) if k == 0 or profs[k] != profs[k - 1]
+        ]
+        for k in outer:
+            inner = _bound(profs[:k] + profs[k + 1 :], ordered)
+            level = np.diff(profs[k], prepend=0)
+            u = stacked_profile(level, inner, len(profs[k]) - 1, len(inner) - 1)
+            out = u if out is None else np.minimum(out, u)
+    out.setflags(write=False)
+    _BOUND_CACHE[key] = out
     return out
 
 

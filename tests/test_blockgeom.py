@@ -560,3 +560,80 @@ def test_validate_diagnostics_match_the_per_block_loop():
     ref = _ref_block_diagnostics(g, dc)
     assert len(ref) == 4
     assert diags[1:] == ref
+
+
+def _reversed_nonuniform_case():
+    g, dc = _nonuniform_case()
+    for bid in dc.block_ids()[::2]:
+        dc.block_perms[bid] = tuple(reversed(dc.perm_for(bid)))
+    return g, dc
+
+
+def _petersen_square_case():
+    g = graph_power(petersen(), 2)
+    return g, standard_collection(g.factors)
+
+
+def _path_ladder_case():
+    from blocklex import path
+
+    parts = (
+        Partition.from_boundaries(TotalOrder.identity(6), [3, 6]),
+        Partition.from_boundaries(TotalOrder.identity(2), [2]),
+    )
+    g = cartesian_product([path(6), clique(2)])
+    return g, DominationCollection(parts, {(0, 0): (0, 1), (1, 0): (1, 0)})
+
+
+def _prism_case():
+    from blocklex import Graph
+
+    g = cartesian_product([Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]), clique(2)])
+    parts = (
+        Partition.from_boundaries(TotalOrder.identity(6), [3, 6]),
+        Partition.from_boundaries(TotalOrder.identity(2), [2]),
+    )
+    return g, uniform_collection(parts, (1, 0))
+
+
+def _single_block_case():
+    g = cartesian_product([clique(3), clique(2)])
+    return g, standard_collection(g.factors)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _nonuniform_case,
+        _reversed_nonuniform_case,
+        _atomic_case,
+        _petersen_halves_case,
+        _petersen_square_case,
+        _path_ladder_case,
+        _prism_case,
+        _single_block_case,
+    ],
+    ids=[
+        "json_nonuniform",
+        "json_nonuniform_reversed",
+        "atomic_k2k2k3",
+        "petersen_halves_cube",
+        "petersen_square_standard",
+        "p6k2_mixed",
+        "path_triangle_k2",
+        "k3k2_one_block",
+    ],
+)
+def test_block_prefix_counts_in_closed_form(make):
+    """The closed-form prefix counts of every block's domination order,
+    from its segment graphs in the permutation's significance order, equal
+    the counts on the built block graph."""
+    from blocklex import prefix_edge_counts
+    from blocklex.blockgeom import _lex_prefix_counts, _segment_graphs
+
+    g, dc = make()
+    segs = _segment_graphs(g, dc)
+    for bid in dc.block_ids():
+        closed = _lex_prefix_counts([segs[i][bid[i]] for i in dc.perm_for(bid)])
+        sub, order = block_graph_and_order(g, dc, bid)
+        assert closed.tolist() == prefix_edge_counts(sub, order).tolist()

@@ -109,10 +109,20 @@ def test_certify_six_cycle_leading():
         for h in cert.hypotheses
         if "pairwise" in h.name
     }
-    # the 30-vertex pair goes through the downset oracle, the others are
-    # small enough for subset enumeration
-    assert strategies["pairwise_bl2_optimal_1_2"] == "compressed_oracle"
-    assert strategies["pairwise_bl2_optimal_2_3"] == "full_enumeration"
+    # every pair order meets the sandwich bound, the 30-vertex one included,
+    # so no pair needs the downset oracle or subset enumeration
+    assert set(strategies.values()) == {"sandwich"}
+    # a failing pair is still refuted by an exact engine: lexicographic
+    # order with the larger clique outer, on 30 and on 12 vertices
+    for gs, used, bad_m in (
+        ([clique(6), clique(5), clique(2)], "compressed_oracle", 6),
+        ([clique(4), clique(3), clique(2)], "full_enumeration", 4),
+    ):
+        cert = certify(gs, "atomic")
+        assert cert.status == "hypothesis_failed"
+        detail = cert.hypotheses[-1].detail
+        assert cert.failing == cert.hypotheses[-1].name == "pairwise_bl2_optimal_1_2"
+        assert (detail["profile_strategy"], detail["first_failing_m"]) == (used, bad_m)
 
 
 def test_certify_petersen_square_times_k2_with_crosscheck():
@@ -195,13 +205,17 @@ def test_expired_budget_makes_certificates_inconclusive():
     from blocklex.solver import clear_caches
 
     gs = [cycle(5), cycle(4), cycle(3)]
-    clear_caches()  # cached profiles would answer without polling
-    with Budget(0.0):
-        certs = [certify(gs, "standard"), certify_domination(gs, (0, 1, 2))]
-    for cert in certs:
-        assert cert.status == "inconclusive" and cert.exit_code() == 3
-        assert cert.hypotheses == [] and cert.partitions_digest == ""
-        assert cert.crosschecks == [{"note": "budget exceeded"}]
+    clear_caches()
+    for warm in (False, True):
+        if warm:  # fill every cache the two calls read: a hit polls too
+            certify(gs, "standard")
+            certify_domination(gs, (0, 1, 2))
+        with Budget(0.0):
+            certs = [certify(gs, "standard"), certify_domination(gs, (0, 1, 2))]
+        for cert in certs:
+            assert cert.status == "inconclusive" and cert.exit_code() == 3
+            assert cert.hypotheses == [] and cert.partitions_digest == ""
+            assert cert.crosschecks == [{"note": "budget exceeded"}]
 
 
 def test_explore_report_roundtrip():

@@ -264,13 +264,13 @@ def test_deadline_inside_validate_is_inconclusive(capsys, monkeypatch):
 
     from blocklex import blockgeom
 
-    build = blockgeom.block_graph_and_order
+    check = blockgeom._verify_block_class
 
     def slow(*args):
         time.sleep(0.3)
-        return build(*args)
+        return check(*args)
 
-    monkeypatch.setattr(blockgeom, "block_graph_and_order", slow)
+    monkeypatch.setattr(blockgeom, "_verify_block_class", slow)
     code, out, _ = run(capsys, "certify", "P4^3", "--budget", "0.3")
     assert code == 3
     result = json.loads(out)["result"]
@@ -283,6 +283,26 @@ def test_deadline_inside_validate_is_inconclusive(capsys, monkeypatch):
         "non_decreasing_partition_factor_1",
         "non_decreasing_partition_factor_2",
     ]
+
+
+def test_order_budget_gives_one_report(capsys, monkeypatch):
+    """`order --verify` reports an expired budget the same way whether the
+    deadline passes while the factor orders are found or inside the
+    verify profile."""
+    import time
+
+    from blocklex import cli
+
+    argv = ["order", "K2^4", "--lex", "--verify"]
+    assert run(capsys, *argv, "--budget", "1e-9") == (3, "", "error: budget exceeded\n")
+    profile = cli.exact_profile
+
+    def slow(*args, **kw):
+        time.sleep(0.3)
+        return profile(*args, **kw)
+
+    monkeypatch.setattr(cli, "exact_profile", slow)
+    assert run(capsys, *argv, "--budget", "0.2") == (3, "", "error: budget exceeded\n")
 
 
 def test_expired_budget_replays(capsys):

@@ -270,19 +270,25 @@ class DominationCollection:
         return ok, diags
 
 
-def _segment_graphs(g: Graph, dc: DominationCollection) -> list[list[Graph]]:
+def _segment_graphs(g: Graph, dc: DominationCollection) -> list[tuple[Graph, ...]]:
     """Per factor and segment, the graph the factor induces on the segment,
     with each vertex labelled by its rank offset in the segment, so that
-    the identity is the order the partition gives it."""
+    the identity is the order the partition gives it.  A factor's row is
+    built once per partition: it is cached on the partition by the
+    factor's digest, and a collection's restrictions share its partitions."""
     out = []
     for f, p in zip(g.factors, dc.partitions):
-        eu, ev = f.edge_arrays()
-        ru, rv = p.order.ranks[eu], p.order.ranks[ev]
-        lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
-        row = []
-        for a, b in p.segments:
-            inside = (lo >= a) & (hi <= b)
-            row.append(Graph(b - a + 1, zip(lo[inside] - a, hi[inside] - a)))
+        cache = p.__dict__.setdefault("_segment_graphs", {})
+        row = cache.get(f.digest)
+        if row is None:
+            eu, ev = f.edge_arrays()
+            ru, rv = p.order.ranks[eu], p.order.ranks[ev]
+            lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+            graphs = []
+            for a, b in p.segments:
+                inside = (lo >= a) & (hi <= b)
+                graphs.append(Graph(b - a + 1, zip(lo[inside] - a, hi[inside] - a)))
+            row = cache[f.digest] = tuple(graphs)
         out.append(row)
     return out
 
@@ -309,7 +315,7 @@ def _lex_prefix_counts(gs: Sequence[Graph]) -> np.ndarray:
 
 
 def _verify_block_class(
-    g: Graph, dc: DominationCollection, bid: BlockId, segs: list[list[Graph]]
+    g: Graph, dc: DominationCollection, bid: BlockId, segs: list[tuple[Graph, ...]]
 ) -> tuple[bool, Optional[int]]:
     """Whether the block's domination order is optimal for the block
     graph, and if not, the first size where it fails.

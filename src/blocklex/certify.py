@@ -811,13 +811,14 @@ def explore_conjecture(
                     )
             elif len(factors) == 3:
                 cert = certify(g, "standard")
-                status = {
-                    "certified": "SUPPORTED",
-                    "hypothesis_failed": "REFUTED",
-                    "inconclusive": "INCONCLUSIVE",
-                }[cert.status]
                 if cert.revoked:
                     status = "REFUTED"
+                elif cert.status == "certified":
+                    status = "SUPPORTED"
+                else:
+                    # a failed hypothesis refutes nothing: the local-global
+                    # hypotheses are sufficient for optimality, not necessary
+                    status = "INCONCLUSIVE"
                 instances.append(
                     Instance(name, g.n, status, {"certificate_status": cert.status})
                 )

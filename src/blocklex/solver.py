@@ -154,44 +154,175 @@ class ChainSearchResult:
 if FULL_ENUM_CAP * (FULL_ENUM_CAP - 1) > np.iinfo(np.int16).max:
     raise ImportError("FULL_ENUM_CAP is too large for int16 subset values")
 
+# Profiles of STREAM_MIN_N or more vertices never hold the 2^n table: they
+# stream it in rows of 2^ROW_BITS values (`_SubsetRows`).  Below that the
+# whole table is as fast or faster: at 20 vertices streaming measured up
+# to 10 % slower without witnesses and 25-60 % slower with them, and at 21
+# about even (2 cores, Python 3.11, numpy 2.4).
+ROW_BITS = 16
+STREAM_MIN_N = 22
+
+
+def _double(out: np.ndarray, nbrs: int, step: int) -> None:
+    """out[c] = out[0] + step * popcount(nbrs & c) for every word c below
+    len(out), a power of two: each bit u copies the filled prefix
+    out[:2^u] to out[2^u : 2^(u+1)], adding step when u is in nbrs."""
+    b = 1
+    while b < len(out):
+        if nbrs & b:
+            np.add(out[:b], step, out=out[b : 2 * b])
+        else:
+            out[b : 2 * b] = out[:b]
+        b *= 2
+
+
+def _subset_dp(adj: Sequence[int], k: int, induced: bool) -> np.ndarray:
+    """val[c] for every word c over the first k vertices of the graph with
+    adjacency bitmasks adj: induced edges, or boundary edges into the
+    whole graph.  The words whose highest bit is v fill val[2^v : 2^(v+1)]:
+    the change v brings to each word r < 2^v (`_double`), plus val[r]."""
+    step = 1 if induced else -2
+    val = np.zeros(1 << k, dtype=np.int16)
+    for v in range(k):
+        Budget.check()
+        low = 1 << v
+        top = val[low : 2 * low]
+        top[0] = 0 if induced else adj[v].bit_count()
+        _double(top, adj[v], step)
+        top += val[:low]
+    return val
+
 
 def _dp_subset_values(g: Graph, mode: str) -> np.ndarray:
     """val[mask] for every membership word, by highest-bit slice doubling.
 
     mode "induced": number of edges inside the set.
     mode "boundary": number of edges leaving the set.
-
-    The words whose highest bit is v fill val[2^v : 2^(v+1)].  That slice
-    first receives the change v brings to each word r < 2^v, itself built
-    by doubling over the bits u < v (popcount(r & adj[v]) edges inside, or
-    deg(v) - 2 * popcount(r & adj[v]) leaving), and then adds val[r].
     """
-    n = g.n
-    adj = g.adjacency_bitmasks()
-    induced = mode == "induced"
-    step = 1 if induced else -2
-    val = np.zeros(1 << n, dtype=np.int16)
-    for v in range(n):
-        Budget.check()
-        low = 1 << v
-        top = val[low : 2 * low]
-        top[0] = 0 if induced else adj[v].bit_count()
-        for u in range(v):
-            b = 1 << u
-            if adj[v] >> u & 1:
-                np.add(top[:b], step, out=top[b : 2 * b])
-            else:
-                top[b : 2 * b] = top[:b]
-        top += val[:low]
-    return val
+    return _subset_dp(g.adjacency_bitmasks(), g.n, mode == "induced")
+
+
+class _SubsetRows:
+    """The subset values of a graph of n > ROW_BITS vertices as 2^h rows,
+    h = n - ROW_BITS: row r holds the words r << ROW_BITS | c, c < 2^ROW_BITS.
+
+    Row 0 is the subset DP over the low vertices.  A high vertex v adds
+    its gain row base_v + step * popcount(adj[v] & c) to every row that
+    contains it, plus step times its neighbours among the row's high
+    vertices.  Iteration builds row r from row r & (r - 1), which is the
+    last row it built of one smaller popcount, so a stack of h + 1 rows
+    stands in for the table.
+    """
+
+    def __init__(self, g: Graph, mode: str):
+        self.adj = g.adjacency_bitmasks()
+        self.induced = mode == "induced"
+        self.step = 1 if self.induced else -2
+        self.h = g.n - ROW_BITS
+
+    @functools.cached_property
+    def base_and_gains(self) -> tuple[np.ndarray, np.ndarray]:
+        base = _subset_dp(self.adj, ROW_BITS, self.induced)
+        gains = np.empty((self.h, 1 << ROW_BITS), dtype=np.int16)
+        for row, nbrs in zip(gains, self.adj[ROW_BITS:]):
+            row[0] = 0 if self.induced else nbrs.bit_count()
+            _double(row, nbrs, self.step)
+        return base, gains
+
+    def rows(self, cols: Optional[np.ndarray] = None):
+        """(r, popcount(r), row r) for r = 0 .. 2^h - 1, at the columns
+        cols only if given.  A row is valid until the next row of its
+        popcount: the stack reuses its buffer.  Sending positions into the
+        generator keeps only those of its columns in the later rows."""
+        base, gains = self.base_and_gains
+        if cols is not None:
+            base, gains = base[cols], gains.take(cols, axis=1)
+        high = [nbrs >> ROW_BITS for nbrs in self.adj[ROW_BITS:]]
+        stack = [base] + [np.empty_like(base) for _ in range(self.h)]
+        keep = yield 0, 0, base
+        for r in range(1, 1 << self.h):
+            Budget.check()
+            if keep is not None:
+                stack = [s[keep] for s in stack]
+                gains = gains.take(keep, axis=1)
+            parent = r & (r - 1)
+            v = (r ^ parent).bit_length() - 1
+            p = r.bit_count()
+            row = stack[p]
+            np.add(stack[p - 1], gains[v], out=row)
+            inner = (high[v] & parent).bit_count()
+            if inner:
+                row += self.step * inner
+            keep = yield r, p, row
+
+    def witnesses(
+        self, values: list[int], a: np.ndarray
+    ) -> list[tuple[int, ...]]:
+        """The smallest set attaining values[m], for every m, from a second
+        pass over the rows in increasing order, given a[i], the column-wise
+        extremum of the rows of popcount i.
+
+        A row of popcount i attains size i + popcount(c) at column c only
+        if a[i, c] does, so the pass generates the rows at those columns
+        alone, ordered by popcount and then ascending.  The first row that
+        hits a size is its smallest, and its smallest hit column completes
+        the mask.  The pass stops once every size has one, and drops the
+        columns that only found sizes could use whenever they are at least
+        half of those it generates.
+        """
+        n, h, l = len(values) - 1, self.h, ROW_BITS
+        vals = np.asarray(values, dtype=np.int16)
+        pc = _popcounts(l)
+        attained = np.zeros(1 << l, dtype=bool)
+        for i, ai in enumerate(a):
+            attained |= ai == vals[i : i + l + 1].take(pc)
+        by_popcount = np.concatenate(_popcount_classes(l))
+        cols = by_popcount[attained[by_popcount]]
+        pcs = pc[cols]
+        bounds = np.searchsorted(pcs, np.arange(l + 2))
+        # target[i, k]: the value a row of popcount i needs at cols[k] to
+        # attain its size; -1, which no subset has, once that size is found
+        target = np.stack([vals[i : i + l + 1].take(pcs) for i in range(h + 1)])
+        masks = [0] * (n + 1)
+        left = n + 1
+        rows = self.rows(cols)
+        keep = None
+        while left:
+            r, i, row = rows.send(keep)
+            keep = None
+            hit = np.flatnonzero(row == target[i])
+            if not hit.size:
+                continue
+            found, first = np.unique(pcs[hit], return_index=True)
+            for j, k in zip(found.tolist(), hit[first].tolist()):
+                m = i + j
+                masks[m] = r << l | int(cols[k])
+                for i2 in range(max(0, m - l), min(h, m) + 1):
+                    target[i2, bounds[m - i2] : bounds[m - i2 + 1]] = -1
+            left -= len(found)
+            live = (target != -1).any(axis=0)
+            if 2 * np.count_nonzero(live) <= len(cols):
+                keep = np.flatnonzero(live)
+                cols, pcs, target = cols[keep], pcs[keep], target[:, keep]
+                bounds = np.searchsorted(pcs, np.arange(l + 2))
+        rows.close()
+        return [tuple(x for x in range(n) if mask >> x & 1) for mask in masks]
+
+
+@functools.lru_cache(maxsize=None)
+def _popcounts(k: int) -> np.ndarray:
+    """popcount(r) for every word r < 2^k."""
+    pc = np.zeros(1 << k, dtype=np.int8)
+    for i in range(k):
+        pc[1 << i : 2 << i] = pc[: 1 << i] + 1
+    pc.flags.writeable = False
+    return pc
 
 
 @functools.lru_cache(maxsize=None)
 def _popcount_classes(k: int) -> tuple[np.ndarray, ...]:
     """For j = 0..k, the words r < 2^k with popcount j, ascending."""
-    pc = np.zeros(1 << k, dtype=np.int8)
-    for i in range(k):
-        pc[1 << i : 2 << i] = pc[: 1 << i] + 1
+    pc = _popcounts(k)
     order = np.argsort(pc, kind="stable")
     classes = tuple(np.split(order, np.cumsum(np.bincount(pc))[:-1]))
     for c in classes:
@@ -200,35 +331,49 @@ def _popcount_classes(k: int) -> tuple[np.ndarray, ...]:
 
 
 def _profile_from_values(
-    n: int, val: np.ndarray, maximize: bool, with_witnesses: bool
+    n: int, val: np.ndarray | _SubsetRows, maximize: bool, with_witnesses: bool
 ) -> tuple[list[int], Optional[list[tuple[int, ...]]]]:
     """Per-size extremum of val and, on request, its smallest attaining mask.
+
+    val is the 2^n table, or the `_SubsetRows` that stream it.
 
     Rows-first split-popcount reduction: val viewed as (2^h, 2^l), rows of
     high bits by columns of low bits.  a[i] is the column-wise extremum of
     the rows of popcount i (whole contiguous rows, no column gather);
     b[i, j] reduces a[i] over the columns of popcount j, and size m takes
-    the best b[i, m - i].
+    the best b[i, m - i].  Streamed rows (l = ROW_BITS) are folded into a
+    as they are generated, and b[i] is then the reduction of a[i] as a
+    table of 2^l values.
 
     A witness is looked up only in the classes (i, m - i) that attain the
     value: among the columns where a[i] attains it, the smallest row of
     class i that hits one, then the smallest such column in that row.  The
     smallest of these masks is the smallest attaining mask; the classes
     partition the grid, so all witnesses together cost at most one pass.
+    Streamed rows take theirs from a second pass (`_SubsetRows.witnesses`).
     """
     Budget.check()
-    h = n // 2
-    l = n - h
-    grid = val.reshape(1 << h, 1 << l)
     ufunc = np.maximum if maximize else np.minimum
-    row_classes = _popcount_classes(h)
-    col_classes = _popcount_classes(l)
-    a = np.empty((h + 1, 1 << l), dtype=val.dtype)
-    for i, rows in enumerate(row_classes):
-        Budget.check()
-        ufunc.reduce(grid[rows], axis=0, out=a[i])
-    starts = np.cumsum([0] + [len(c) for c in col_classes[:-1]])
-    b = ufunc.reduceat(a[:, np.concatenate(col_classes)], starts, axis=1).tolist()
+    streamed = isinstance(val, _SubsetRows)
+    if streamed:
+        h, l = val.h, ROW_BITS
+        limits = np.iinfo(np.int16)
+        a = np.full((h + 1, 1 << l), limits.min if maximize else limits.max, np.int16)
+        for _, i, row in val.rows():
+            ufunc(a[i], row, out=a[i])
+        b = [_profile_from_values(l, ai, maximize, False)[0] for ai in a]
+    else:
+        h = n // 2
+        l = n - h
+        grid = val.reshape(1 << h, 1 << l)
+        row_classes = _popcount_classes(h)
+        a = np.empty((h + 1, 1 << l), dtype=val.dtype)
+        for i, rows in enumerate(row_classes):
+            Budget.check()
+            ufunc.reduce(grid[rows], axis=0, out=a[i])
+        col_classes = _popcount_classes(l)
+        starts = np.cumsum([0] + [len(c) for c in col_classes[:-1]])
+        b = ufunc.reduceat(a[:, np.concatenate(col_classes)], starts, axis=1).tolist()
     pick = max if maximize else min
     values = [
         pick(b[i][m - i] for i in range(max(0, m - l), min(h, m) + 1))
@@ -236,6 +381,8 @@ def _profile_from_values(
     ]
     if not with_witnesses:
         return values, None
+    if streamed:
+        return values, val.witnesses(values, a)
     wits: list[tuple[int, ...]] = []
     for m, v in enumerate(values):
         best = None
@@ -319,12 +466,17 @@ def _enumerated_profile(
     key = (kind, strategy, g.digest)
     hit = _PROFILE_CACHE.get(key)
     if hit is not None and (hit.witnesses is not None or not with_witnesses):
-        return hit if with_witnesses else replace(hit, witnesses=None)
+        if with_witnesses or hit.witnesses is None:
+            return hit
+        return replace(hit, witnesses=None)
     if strategy == "bnb":
         values, wits = _bnb_profile(g)
     else:
         mode = "induced" if kind == "induced_max" else "boundary"
-        val = _dp_subset_values(g, mode)
+        if g.n < STREAM_MIN_N:
+            val = _dp_subset_values(g, mode)
+        else:
+            val = _SubsetRows(g, mode)
         values, wits = _profile_from_values(
             g.n, val, kind == "induced_max", with_witnesses
         )

@@ -255,6 +255,29 @@ def test_bl_consistency_with_subproducts():
             assert is_consistent(g, big, small, s), s
 
 
+def test_segment_graphs_built_once_per_partition(monkeypatch):
+    """A collection's restrictions share its partitions, so validating the
+    product and its pair restrictions, twice over, builds each segment
+    graph once."""
+    from blocklex import blockgeom
+
+    built = []
+
+    class CountingGraph(blockgeom.Graph):
+        def __init__(self, n, edges):
+            built.append(n)
+            super().__init__(n, edges)
+
+    monkeypatch.setattr(blockgeom, "Graph", CountingGraph)
+    g = cartesian_product([cycle(5), cycle(4), clique(3)])
+    dc = standard_collection(g.factors)
+    for _ in range(2):
+        assert dc.validate(g)[0]
+        for s in itertools.combinations(range(3), 2):
+            assert dc.restricted(s).validate(subproduct(g, s))[0]
+    assert len(built) == sum(p.num_segments for p in dc.partitions)
+
+
 def test_restricted_collection_rejects_inconsistent():
     g = graph_power(clique(2), 3)
     parts = [atomic_partition(TotalOrder.identity(2)) for _ in range(3)]

@@ -19,7 +19,7 @@ from blocklex import (
     standard_collection,
     verify_refutation,
 )
-from blocklex.certify import matching_reduced_clique
+from blocklex.certify import Hypothesis, matching_reduced_clique
 
 
 def test_certify_needs_three_factors():
@@ -309,3 +309,27 @@ def test_explore_petersen_tori_three_factors():
     assert ins.n == 40
     assert ins.status == "SUPPORTED"
     assert ins.detail == {"certificate_status": "certified"}
+
+
+def test_explore_failed_hypothesis_is_inconclusive(monkeypatch):
+    """The local-global hypotheses are sufficient, not necessary: a
+    three-factor instance whose certificate fails one is INCONCLUSIVE, and
+    only a revoked certificate is REFUTED."""
+    import importlib
+
+    certify_module = importlib.import_module("blocklex.certify")
+
+    def fake(status, revoked=False):
+        failed = Hypothesis("domination_collection", "all blocks", False)
+        return lambda g, *a, **k: Certificate(
+            status, {}, "", "", [failed], None, revoked=revoked
+        )
+
+    params = {"c5": 1, "c4": 1, "k2": 1}
+    monkeypatch.setattr(certify_module, "certify", fake("hypothesis_failed"))
+    [ins] = explore_conjecture("petersen_tori", params).instances
+    assert ins.status == "INCONCLUSIVE"
+    assert ins.detail == {"certificate_status": "hypothesis_failed"}
+    monkeypatch.setattr(certify_module, "certify", fake("certified", revoked=True))
+    [ins] = explore_conjecture("petersen_tori", params).instances
+    assert ins.status == "REFUTED"

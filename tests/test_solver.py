@@ -397,6 +397,116 @@ def test_budget_out_inside_the_reduction_is_incomplete_and_not_cached(monkeypatc
         assert g.n + 1 < total[0] < total[1]
 
 
+# -- the streamed subset DP ----------------------------------------------------
+
+
+def _table_profile(g, maximize, with_witnesses=True):
+    """The full-table result: the reduction of the whole 2^n table."""
+    from blocklex.solver import _dp_subset_values, _profile_from_values
+
+    val = _dp_subset_values(g, "induced" if maximize else "boundary")
+    return _profile_from_values(g.n, val, maximize, with_witnesses)
+
+
+def _streamed_profile(g, maximize, with_witnesses=True):
+    from blocklex import solver
+
+    assert g.n >= solver.STREAM_MIN_N
+    solver.clear_caches()
+    prof = (exact_profile if maximize else theta_profile)(g, with_witnesses=with_witnesses)
+    wits = None if prof.witnesses is None else list(prof.witnesses)
+    return list(prof.i_values), wits
+
+
+@pytest.mark.parametrize("n", [22, 23, 24])
+def test_streamed_profile_equals_the_full_table(n):
+    """Values and smallest witnesses, in both modes, on sparse and dense
+    seeded random graphs."""
+    rng = np.random.default_rng(100 + n)
+    for p in (0.12, 0.6):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        for maximize in (True, False):
+            want = _table_profile(g, maximize)
+            assert _streamed_profile(g, maximize) == want, (n, p, maximize)
+            assert _streamed_profile(g, maximize, False) == (want[0], None)
+
+
+def test_streamed_profile_when_every_set_ties():
+    """The edgeless 22-vertex graph: every row attains every size, and the
+    witness of size m is the first m vertices."""
+    g = Graph(22, [])
+    for maximize in (True, False):
+        assert _streamed_profile(g, maximize) == (
+            [0] * 23, [tuple(range(m)) for m in range(23)]
+        )
+
+
+def test_streamed_witnesses_in_late_rows():
+    """Edges only among the high vertices (16 and up): the sets that
+    attain a size of two or more hold high vertices, so their smallest
+    masks sit in late rows, and for the boundary the best sets avoid
+    them."""
+    n = 23
+    high = range(16, n)
+    g = Graph(n, [(u, v) for u in high for v in high if u < v and (u + v) % 3])
+    for maximize in (True, False):
+        got = _streamed_profile(g, maximize)
+        assert got == _table_profile(g, maximize)
+        if maximize:
+            assert all(min(w) >= 16 for w in got[1][2:8])
+
+
+def test_budget_out_inside_the_row_loop_is_incomplete_and_not_cached(monkeypatch):
+    """A budget that runs out at a poll after the base row's, in the
+    fold or in the witness pass, raises BudgetExceeded, and nothing is
+    cached."""
+    from blocklex import solver
+
+    g = cycle(22)
+
+    def counting_check(limit, polls):
+        def check():
+            polls.append(None)
+            if limit is not None and len(polls) > limit:
+                raise BudgetExceeded("budget exceeded")
+
+        return staticmethod(check)
+
+    polls = []
+    monkeypatch.setattr(Budget, "check", counting_check(None, polls))
+    solver.clear_caches()
+    exact_profile(g)
+    # the cache, the reduction and the base row's 16 vertices poll first;
+    # then the fold polls once per row, and the witness pass again
+    base = 2 + 16
+    assert len(polls) > base + 2 * ((1 << (g.n - 16)) - 1)
+    for limit in range(base, len(polls), 7):
+        monkeypatch.setattr(Budget, "check", counting_check(limit, []))
+        solver.clear_caches()
+        with pytest.raises(BudgetExceeded, match="budget exceeded"):
+            exact_profile(g)
+        assert solver._PROFILE_CACHE == {}
+
+
+def test_streamed_profile_memory():
+    """The 24-vertex profile streams rows of 2^16 values: its traced peak
+    stays a few MB (the 2^24 table alone is 32 MB)."""
+    import tracemalloc
+
+    from blocklex import solver
+
+    solver.clear_caches()
+    tracemalloc.start()
+    try:
+        prof = exact_profile(cycle(24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.i_values == (0,) + tuple(range(23)) + (24,)
+    assert peak < 8 * 2**20
+
+
 def _cli_json(capsys, *argv):
     from blocklex.cli import main
 
@@ -431,8 +541,8 @@ def test_cli_witness_profiles_at_the_cap(capsys):
 
 
 def test_profile_c24_peak_rss_under_200mb():
-    """The n = 24 DP holds 2^24 int16 values (32 MB); the int32 values and
-    int64 index arrays it replaced peaked near 450 MB."""
+    """The n = 24 DP streams rows of 2^16 int16 values; the int32 table
+    and int64 index arrays of its first version peaked near 450 MB."""
     import os
     import subprocess
     import sys
@@ -488,6 +598,16 @@ def test_cache_answers_witness_requests_only_with_witnesses():
     assert theta_profile(g, with_witnesses=False) == theta_bare
     assert exact_profile(g, "bnb", with_witnesses=False).witnesses is None
     assert exact_profile(g, "bnb").witnesses is not None
+
+
+def test_witness_less_hits_return_the_stored_profile():
+    from blocklex.solver import clear_caches
+
+    g = petersen()
+    clear_caches()
+    bare = exact_profile(g, with_witnesses=False)
+    assert exact_profile(g, with_witnesses=False) is bare
+    assert theta_profile(g, with_witnesses=False) is theta_profile(g, with_witnesses=False)
 
 
 def test_clear_caches_empties_both_caches():

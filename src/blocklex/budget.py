@@ -3,7 +3,8 @@
 A `Budget` entered in a `with` statement sets the deadline, and every
 engine polls it with `Budget.check()`, which raises `BudgetExceeded` once
 it has passed.  Only the callers that make a report catch it, and turn it
-into an inconclusive answer; engines never turn it into data.
+into an inconclusive answer; engines never turn it into data.  An engine
+asked for more than its size cap raises `SizeCapExceeded` the same way.
 """
 
 from __future__ import annotations
@@ -11,11 +12,15 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-__all__ = ["Budget", "BudgetExceeded"]
+__all__ = ["Budget", "BudgetExceeded", "SizeCapExceeded"]
 
 
 class BudgetExceeded(Exception):
     """The deadline passed before the answer was known."""
+
+
+class SizeCapExceeded(ValueError):
+    """Raised when an exact strategy is asked to handle too many vertices."""
 
 
 class Budget:

@@ -392,24 +392,16 @@ def _cmd_certify(cfg: argparse.Namespace) -> int:
     if g.factors is None or len(g.factors) < 3:
         raise UsageError("certify needs a product spec with at least 3 factors")
     style = cfg.partitions
-    try:
-        if cfg.domination:
-            perm = tuple(int(x) - 1 for x in cfg.domination.split(","))
-            cert = certify_domination(g.factors, perm)
+    if cfg.domination:
+        perm = tuple(int(x) - 1 for x in cfg.domination.split(","))
+        cert = certify_domination(g.factors, perm)
+    else:
+        if style in ("standard", "atomic"):
+            parts, dc = style, None
         else:
-            if style in ("standard", "atomic"):
-                parts, dc = style, None
-            else:
-                dc = DominationCollection.from_json(_load_json_arg("@" + style))
-                parts = list(dc.partitions)
-            samples = None
-            if cfg.no_crosscheck:
-                samples = ()
-            elif cfg.crosscheck:
-                samples = [int(x) for x in cfg.crosscheck.split(",")]
-            cert = certify(g, parts, dc, crosscheck_ms=samples)
-    except SizeCapExceeded as e:
-        raise UsageError(str(e))
+            dc = DominationCollection.from_json(_load_json_arg("@" + style))
+            parts = list(dc.partitions)
+        cert = certify(g, parts, dc, crosscheck=not cfg.no_crosscheck)
     result = cert.to_json()
     lines = [
         f"certify {cfg.spec}: {cert.status}"
@@ -506,7 +498,6 @@ def _build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--partitions", default="standard", help="standard | atomic | dc JSON file")
     p.add_argument("--domination", default=None, help="certify a domination order instead")
-    p.add_argument("--crosscheck", default=None, help="comma-separated sample sizes")
     p.add_argument("--no-crosscheck", action="store_true")
     common(p, _cmd_certify, "json")
 

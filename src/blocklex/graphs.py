@@ -15,7 +15,6 @@ vertex ids and factor indices in the Python API are 0-based.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from typing import Iterable, Iterator, Sequence
@@ -303,8 +302,15 @@ class Graph:
 
     @property
     def digest(self) -> str:
+        """SHA-256 of `to_json()` as compact JSON with sorted keys, the
+        payload written out directly."""
         if self._digest is None:
-            payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+            eu, ev = self._edges
+            pairs = np.column_stack((eu, ev)).ravel().tolist()
+            payload = '{"edges":[' + ("[%d,%d]," * len(eu))[:-1] % tuple(pairs) + "]"
+            if self.factors is not None:
+                payload += ',"factors":[' + ",".join(map(str, self.factor_shape)) + "]"
+            payload += f',"n":{self.n}}}'
             self._digest = hashlib.sha256(payload.encode()).hexdigest()
         return self._digest
 

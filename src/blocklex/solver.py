@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import staircase
-from .budget import Budget, BudgetExceeded
+from .budget import Budget, BudgetExceeded, SizeCapExceeded
 from .graphs import Graph
 from .orders import TotalOrder
 
@@ -43,10 +43,6 @@ __all__ = [
 
 FULL_ENUM_CAP = 24
 COMPRESSED_CAP = 200
-
-class SizeCapExceeded(ValueError):
-    """Raised when an exact strategy is asked to handle too many vertices."""
-
 
 class NoNestedSolutions(ValueError):
     """The chain search proved that the graph has no nested solutions."""
@@ -276,7 +272,7 @@ class _SubsetRows:
         attained = np.zeros(1 << l, dtype=bool)
         for i, ai in enumerate(a):
             attained |= ai == vals[i : i + l + 1].take(pc)
-        by_popcount = np.concatenate(_popcount_classes(l))
+        by_popcount = _popcount_classes(l)[0]
         cols = by_popcount[attained[by_popcount]]
         pcs = pc[cols]
         bounds = np.searchsorted(pcs, np.arange(l + 2))
@@ -320,14 +316,15 @@ def _popcounts(k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _popcount_classes(k: int) -> tuple[np.ndarray, ...]:
-    """For j = 0..k, the words r < 2^k with popcount j, ascending."""
+def _popcount_classes(k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The words r < 2^k sorted by popcount, ascending within a popcount;
+    where each popcount j = 0..k starts in that order; and, for each j,
+    the words of popcount j."""
     pc = _popcounts(k)
     order = np.argsort(pc, kind="stable")
-    classes = tuple(np.split(order, np.cumsum(np.bincount(pc))[:-1]))
-    for c in classes:
-        c.flags.writeable = False
-    return classes
+    starts = np.concatenate(([0], np.cumsum(np.bincount(pc))[:-1]))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts, tuple(np.split(order, starts[1:]))
 
 
 def _profile_from_values(
@@ -366,14 +363,13 @@ def _profile_from_values(
         h = n // 2
         l = n - h
         grid = val.reshape(1 << h, 1 << l)
-        row_classes = _popcount_classes(h)
+        row_classes = _popcount_classes(h)[2]
         a = np.empty((h + 1, 1 << l), dtype=val.dtype)
         for i, rows in enumerate(row_classes):
             Budget.check()
             ufunc.reduce(grid[rows], axis=0, out=a[i])
-        col_classes = _popcount_classes(l)
-        starts = np.cumsum([0] + [len(c) for c in col_classes[:-1]])
-        b = ufunc.reduceat(a[:, np.concatenate(col_classes)], starts, axis=1).tolist()
+        by_popcount, starts, col_classes = _popcount_classes(l)
+        b = ufunc.reduceat(np.take(a, by_popcount, axis=1), starts, axis=1).tolist()
     pick = max if maximize else min
     values = [
         pick(b[i][m - i] for i in range(max(0, m - l), min(h, m) + 1))

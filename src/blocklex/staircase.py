@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .budget import Budget
+from .budget import Budget, SizeCapExceeded
 from .graphs import Graph, VertexSet
 from .orders import TotalOrder
 
@@ -41,6 +41,8 @@ __all__ = [
 NEG = -(1 << 40)
 # largest slab lattice the three-factor downset DP builds
 SLAB_SHAPE_CAP = 20000
+# cells of the scratch block `stacked_profile` fills per step
+SKEW_CHUNK = 1 << 16
 
 
 def rank_edge_tables(g: Graph, order: TotalOrder) -> tuple[np.ndarray, np.ndarray]:
@@ -77,27 +79,38 @@ def stacked_profile(
     total size m = 0..m_max.
     """
     total = n_levels * n_inner
-    if m_max is None:
-        m_max = total
-    m_max = min(m_max, total)
+    m_max = total if m_max is None else min(m_max, total)
     width = m_max + 1
-    # H[t, m]: best using levels i..end with every segment size <= t
-    H = np.full((n_inner + 1, width), NEG, dtype=np.int64)
+    # rows past m_max would only repeat row m_max
+    rows = min(n_inner, m_max) + 1
+    # H[t, m]: best using levels i..end with every segment size <= t.  It
+    # sits behind `rows` columns of NEG, so that the skewed view reads
+    # skew[t, m] = H[t, m - t], and NEG where m < t.
+    buf = np.full((rows, rows + width), NEG, dtype=np.int64)
+    H = buf[:, rows:]
     H[:, 0] = 0
+    skew = np.ndarray((rows, width), np.int64, buf, rows * 8, (buf.strides[0] - 8, 8))
+    sizes = np.arange(rows, dtype=np.int64)
+    inner = np.array(inner_profile[:rows], dtype=np.int64)
+    inner[0] = 0  # an empty segment gains nothing
+    # Cells no stack reaches start at NEG, and over all levels gain at most
+    # what one stack gains, far below 2^39: they stay below NEG // 2, which
+    # the mask at the end relies on.  New rows a..b-1 read only old rows
+    # a..b-1, so they replace them chunk by chunk, and G holds at most
+    # SKEW_CHUNK cells.
+    step = max(1, SKEW_CHUNK // width)
+    G = np.empty((min(rows, step), width), dtype=np.int64)
     for i in range(n_levels, 0, -1):
         Budget.check()
-        G = np.full((n_inner + 1, width), NEG, dtype=np.int64)
-        G[0, 0] = 0
-        for t in range(1, n_inner + 1):
-            if t <= m_max:
-                gain = int(inner_profile[t]) + int(level_L[i]) * t
-                G[t, t:] = np.where(
-                    H[t, : width - t] > NEG // 2, H[t, : width - t] + gain, NEG
-                )
-            G[t, 0] = 0
-        np.maximum.accumulate(G, axis=0, out=G)
-        H = G
-    out = H[n_inner].copy()
+        gain = inner + int(level_L[i]) * sizes
+        for a in range(0, rows, step):
+            b = min(a + step, rows)
+            chunk = G[: b - a]
+            np.add(skew[a:b], gain[a:b, None], out=chunk)
+            if a:
+                np.maximum(chunk[0], H[a - 1], out=chunk[0])
+            np.maximum.accumulate(chunk, axis=0, out=H[a:b])
+    out = H[rows - 1].copy()
     out[out < NEG // 2] = NEG
     return out
 
@@ -218,13 +231,11 @@ def _pure_profile_3d(
     n_b: int,
     n_c: int,
     m_max: int,
-    shape_cap: int = SLAB_SHAPE_CAP,
 ) -> np.ndarray:
     n_shapes = math.comb(n_b + n_c, n_c)
-    if n_shapes > shape_cap:
-        raise ValueError(
-            f"slab shape count {n_shapes} exceeds cap {shape_cap}; "
-            "use the stacked profile with a verified two-factor profile"
+    if n_shapes > SLAB_SHAPE_CAP:
+        raise SizeCapExceeded(
+            f"slab shape count {n_shapes} exceeds the cap {SLAB_SHAPE_CAP}"
         )
     shapes = _shapes_in_box(n_b, n_c)
     index = {s: i for i, s in enumerate(shapes)}
@@ -261,14 +272,13 @@ def downset_profile(
     g: Graph,
     factor_orders: Sequence[TotalOrder],
     m_max: int | None = None,
-    shape_cap: int = SLAB_SHAPE_CAP,
 ) -> np.ndarray:
     """Max induced edges over rank-space downsets, per size m = 0..m_max.
 
     Supports products of one, two, or three factors.  For three factors the
     level axis is the largest factor and slabs range over the two smallest;
-    if the slab lattice would be too large, callers should fall back to
-    `stacked_profile` with an independently verified two-factor profile.
+    a slab lattice of more than SLAB_SHAPE_CAP shapes raises
+    `SizeCapExceeded`.
     """
     if g.factors is None:
         raise ValueError("downset profiles require a product graph")
@@ -295,7 +305,7 @@ def downset_profile(
         _, L_b = tables[b]
         W_c, _ = tables[c]
         return _pure_profile_3d(
-            L_lvl, sizes[lvl], W_c, L_b, sizes[b], sizes[c], m_max, shape_cap
+            L_lvl, sizes[lvl], W_c, L_b, sizes[b], sizes[c], m_max
         )
     raise ValueError(
         "downset profiles are implemented for up to three factors; "

@@ -124,26 +124,23 @@ def test_criterion_4_petersen_squared():
 
 def test_criterion_5_local_global_certification(capsys):
     """certify exits 0 for Petersen^3, C5 x C4 x C3, Petersen x K2 x K2,
-    with sampled cross-checks agreeing on the 3-factor products."""
+    with cross-checks proving the order at every size of the 3-factor
+    products."""
     t0 = time.monotonic()
-    for spec in ("petersen^3", "C5xC4xC3", "petersenxK2xK2"):
-        code, out = _run_cli(
-            capsys, "certify", spec, "--format", "json",
-            "--crosscheck", "1,5,10,20",
-        )
+    for spec, n in (("petersen^3", 1000), ("C5xC4xC3", 60), ("petersenxK2xK2", 40)):
+        code, out = _run_cli(capsys, "certify", spec, "--format", "json")
         assert code == 0, spec
         data = json.loads(out)["result"]
         assert data["status"] == "certified"
         check = data["crosschecks"][-1]
         assert check["agreement"] is True
-        sampled = {s["m"] for s in check["samples"]}
-        assert {1, 5, 10, 20}.issubset(sampled)
-    # half-size samples per product, library level
+        assert (check["sizes"], check["unchecked"]) == (n + 1, [])
+    # every size, library level
     for factors in ([bx.petersen()] * 3, [bx.cycle(5), bx.cycle(4), bx.cycle(3)]):
         n = bx.cartesian_product(factors).n
-        cert = bx.certify(factors, "standard", crosscheck_ms=[n // 2])
+        cert = bx.certify(factors, "standard")
         [check] = cert.crosschecks
-        assert [s["m"] for s in check["samples"]] == [n // 2]
+        assert (check["sizes"], check["unchecked"]) == (n + 1, [])
         assert check["agreement"]
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0
@@ -276,9 +273,7 @@ def test_criterion_8_negative_controls(capsys):
     dc.validate(g, check_block_optimality=False)
     wrong = bx.lex_order(g, [TotalOrder.identity(f.n) for f in g.factors])
     cert = bx.certify(gs, "standard")
-    cert = bx.crosscheck(
-        cert, gs, dc, sample_ms=list(range(g.n + 1)), order_override=wrong
-    )
+    cert = bx.crosscheck(cert, gs, dc, order_override=wrong)
     assert cert.revoked and cert.exit_code() == 2
     assert cert.counterexample["order_value"] < cert.counterexample["oracle_value"]
     elapsed = time.monotonic() - t0

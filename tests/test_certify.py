@@ -141,19 +141,67 @@ def test_certify_irregular_middle_factor_fails():
 
 
 def test_crosscheck_cube_all_m():
-    cert = certify([clique(2)] * 3, "atomic", crosscheck_ms=list(range(9)))
+    cert = certify([clique(2)] * 3, "atomic")
     [check] = cert.crosschecks
-    assert [s["m"] for s in check["samples"]] == list(range(9))
+    assert (check["sizes"], check["unchecked"]) == (9, [])
     assert check["agreement"]
     assert not cert.revoked
 
 
 def test_crosscheck_c5_cube_samples():
+    """The sandwich bound is met at all 126 sizes of C5^3: no slab DP."""
     cert = certify([cycle(5)] * 3, "standard")
     assert cert.status == "certified"
     [check] = cert.crosschecks
-    assert [s["m"] for s in check["samples"]] == [1, 5, 10, 20, 62]
+    assert check["oracle"] == "sandwich"
+    assert (check["sizes"], check["unchecked"]) == (126, [])
     assert check["agreement"]
+
+
+def _loosen(monkeypatch, m):
+    """Make the bound that crosscheck reads one edge too high at size m on
+    three-factor products, as a loose bound would be."""
+    import importlib
+
+    certify_module = importlib.import_module("blocklex.certify")
+    real = certify_module.sandwich_bound
+
+    def loose(profiles, lower=None):
+        upper = real(profiles, lower)
+        if len(profiles) == 3:
+            upper = upper.copy()
+            upper[m] += 1
+        return upper
+
+    monkeypatch.setattr(certify_module, "sandwich_bound", loose)
+    return certify_module
+
+
+def test_crosscheck_slab_decides_where_the_bound_is_loose(monkeypatch):
+    _loosen(monkeypatch, 62)
+    cert = certify([cycle(5)] * 3, "standard")
+    [check] = cert.crosschecks
+    assert check["oracle"] == "sandwich+slab"
+    assert (check["unchecked"], check["agreement"]) == ([], True)
+    assert cert.status == "certified" and not cert.revoked
+
+
+def test_crosscheck_loose_bound_without_slab_is_unchecked(monkeypatch):
+    """A size that misses a loose bound, with the slab DP past its cap,
+    is listed as unchecked and revokes nothing."""
+    from blocklex.solver import SizeCapExceeded
+
+    def capped(*args, **kwargs):
+        raise SizeCapExceeded("slab shape count exceeds the cap")
+
+    certify_module = _loosen(monkeypatch, 62)
+    monkeypatch.setattr(certify_module, "downset_profile", capped)
+    cert = certify([cycle(5)] * 3, "standard")
+    [check] = cert.crosschecks
+    assert check["oracle"] == "sandwich"
+    assert (check["sizes"], check["unchecked"], check["agreement"]) == (126, [62], True)
+    assert cert.status == "certified" and not cert.revoked
+    assert cert.exit_code() == 0
 
 
 def test_crosscheck_revokes_wrong_order():
@@ -163,14 +211,30 @@ def test_crosscheck_revokes_wrong_order():
     dc = standard_collection(gs)
     dc.validate(g)
     wrong = lex_order(g, [TotalOrder.identity(f.n) for f in g.factors])
-    cert = crosscheck(
-        cert, gs, dc, sample_ms=list(range(g.n + 1)), order_override=wrong
-    )
+    cert = crosscheck(cert, gs, dc, order_override=wrong)
     assert cert.revoked
     assert cert.conclusion is None
     assert cert.exit_code() == 2
+    assert cert.crosschecks[-1]["oracle"] == "sandwich+slab"
     ce = cert.counterexample
     assert ce["order_value"] < ce["oracle_value"]
+
+
+def test_crosscheck_slab_refutes_block_lex_on_c6_cube():
+    """On C6^3 the bound is loose and certify stops at hypothesis (d).
+    Cross-checked directly, the standard block-lex order misses the bound,
+    and the slab DP finds a downset that beats it at m = 17."""
+    gs = [cycle(6)] * 3
+    g = cartesian_product(gs)
+    dc = standard_collection(gs)
+    dc.validate(g, check_block_optimality=False)
+    cert = crosscheck(Certificate("certified", {}, "", "", [], None), g, dc)
+    [check] = cert.crosschecks
+    assert (check["oracle"], check["sizes"], check["unchecked"]) == ("sandwich+slab", 217, [])
+    assert cert.revoked and cert.exit_code() == 2
+    ce = cert.counterexample
+    assert (ce["m"], ce["order_value"], ce["oracle_value"]) == (17, 29, 30)
+    assert len(ce["initial_segment"]) == 17
 
 
 def test_certificate_json_roundtrip():

@@ -152,9 +152,22 @@ def test_certify_report_is_the_library_certificate(capsys):
     code, out, _ = run(capsys, "certify", "C5xC4xC3", "--format", "json", "--no-crosscheck")
     assert code == 0
     assert json.loads(out)["result"]["crosschecks"] == []
-    _, out, _ = run(capsys, "certify", "C5xC4xC3", "--format", "json", "--crosscheck", "1,5")
+    _, out, _ = run(capsys, "certify", "C5xC4xC3", "--format", "json")
     [check] = json.loads(out)["result"]["crosschecks"]
-    assert {s["m"] for s in check["samples"]} == {1, 5}
+    assert (check["sizes"], check["unchecked"], check["agreement"]) == (61, [], True)
+    # every size is checked, so there are no sizes to choose
+    assert run(capsys, "certify", "C5xC4xC3", "--crosscheck", "1,5")[0] == 64
+
+
+def test_certify_factor_beyond_the_cap_is_inconclusive(capsys):
+    """No exact engine takes a 25-vertex factor: could not tell (exit 3),
+    not a usage error."""
+    for argv in (["C25xK2xK2"], ["K2xK2xC25", "--domination", "1,2,3"]):
+        code, out, _ = run(capsys, "certify", *argv, "--format", "json")
+        assert code == 3, argv
+        result = json.loads(out)["result"]
+        assert result["status"] == "inconclusive" and result["conclusion"] is None
+        assert "cap" in result["crosschecks"][0]["note"]
 
 
 def test_certify_domination_flag(capsys):
@@ -221,7 +234,6 @@ def test_parse_error_exit_64(capsys):
     assert run(capsys, "bogus-command")[0] == 64
     assert run(capsys, "certify", "K5")[0] == 64  # not a 3-factor product
     assert run(capsys, "profile", "P30")[0] == 64  # beyond the cap, refused
-    assert run(capsys, "certify", "K25xK2xK2")[0] == 64  # a factor beyond the cap
     # only profile and order read --strategy
     assert run(capsys, "certify", "K2xK3xK4", "--strategy", "bnb")[0] == 64
     assert run(capsys, "compress", "K2^3", "--laws", "3", "--strategy", "bnb")[0] == 64

@@ -237,3 +237,22 @@ def test_complete_bipartite():
     assert g.n == 6 and g.num_edges == 9
     degs = g.degrees()
     assert all(d == 3 for d in degs)
+
+
+def test_digest_is_the_sha256_of_the_compact_sorted_json():
+    import hashlib
+    import json
+
+    graphs = [
+        clique(1),
+        Graph(4, []),
+        disjoint_union([clique(3), path(2)]),
+        complete_bipartite(3, 3),
+        cartesian_product([petersen(), clique(2)]),
+        cartesian_product([clique(1), cycle(4)]),
+        graph_power(cycle(5), 3),
+        parse_graph_spec("K3,3xK2"),
+    ]
+    for g in graphs:
+        payload = json.dumps(g.to_json(), sort_keys=True, separators=(",", ":"))
+        assert g.digest == hashlib.sha256(payload.encode()).hexdigest(), g

@@ -76,6 +76,52 @@ def test_bound_equals_the_subset_dp(factors):
     assert list(_least(factors)) == list(_values(cartesian_product(factors)))
 
 
+def _stacked_reference(level_L, inner_profile, n_levels, n_inner, m_max=None):
+    """The stacked-segment program one row and one level at a time."""
+    NEG = staircase.NEG
+    total = n_levels * n_inner
+    m_max = total if m_max is None else min(m_max, total)
+    width = m_max + 1
+    H = np.full((n_inner + 1, width), NEG, dtype=np.int64)
+    H[:, 0] = 0
+    for i in range(n_levels, 0, -1):
+        G = np.full((n_inner + 1, width), NEG, dtype=np.int64)
+        G[0, 0] = 0
+        for t in range(1, n_inner + 1):
+            if t <= m_max:
+                gain = int(inner_profile[t]) + int(level_L[i]) * t
+                src = H[t, : width - t]
+                G[t, t:] = np.where(src > NEG // 2, src + gain, NEG)
+            G[t, 0] = 0
+        np.maximum.accumulate(G, axis=0, out=G)
+        H = G
+    out = H[n_inner].copy()
+    out[out < NEG // 2] = NEG
+    return out
+
+
+@pytest.mark.parametrize("chunk", [staircase.SKEW_CHUNK, 1, 7])
+def test_stacked_profile_matches_the_row_by_row_program(monkeypatch, chunk):
+    """Seeded random inputs, with a scratch block of one row, of a few
+    cells and of the default size: m_max below the total, one level, one
+    inner vertex and zero gains included."""
+    monkeypatch.setattr(staircase, "SKEW_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    cases = [(1, 4, None), (3, 1, None), (4, 3, 5), (2, 5, 0), (0, 3, None)]
+    cases += [
+        (int(rng.integers(0, 7)), int(rng.integers(0, 9)), None) for _ in range(40)
+    ]
+    for n_levels, n_inner, m_max in cases:
+        if m_max is None and rng.random() < 0.5:
+            m_max = int(rng.integers(0, n_levels * n_inner + 2))
+        top = 0 if rng.random() < 0.2 else 4  # zero gains
+        level = rng.integers(0, top + 1, n_levels + 1)
+        inner = np.concatenate(([0], np.cumsum(rng.integers(0, top + 1, n_inner))))
+        got = staircase.stacked_profile(level, inner, n_levels, n_inner, m_max)
+        want = _stacked_reference(level, inner, n_levels, n_inner, m_max)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_bound_is_memoized_until_the_caches_are_cleared():
     values = [_values(clique(3))] * 3
     first = sandwich_bound(values)

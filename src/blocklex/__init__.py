@@ -40,7 +40,6 @@ from .orders import (
     reverse_order,
 )
 from .solver import (
-    COMPRESSED_CAP,
     FULL_ENUM_CAP,
     ChainSearchInconclusive,
     ChainSearchResult,

@@ -35,6 +35,7 @@ from .orders import (
 from .partitions import (
     Partition,
     is_regular_partition,
+    segment_graphs,
     standard_monotonic_partition,
 )
 from .solver import (
@@ -135,12 +136,6 @@ class DominationCollection:
 
     def block_segments(self, bid: BlockId) -> tuple[tuple[int, int], ...]:
         return tuple(self.partitions[i].segments[j] for i, j in enumerate(bid))
-
-    def block_size(self, bid: BlockId) -> int:
-        out = 1
-        for a, b in self.block_segments(bid):
-            out *= b - a + 1
-        return out
 
     def restricted(self, s: Sequence[int]) -> "DominationCollection":
         """Collection induced on the subproduct over the factor subset s.
@@ -271,26 +266,9 @@ class DominationCollection:
 
 
 def _segment_graphs(g: Graph, dc: DominationCollection) -> list[tuple[Graph, ...]]:
-    """Per factor and segment, the graph the factor induces on the segment,
-    with each vertex labelled by its rank offset in the segment, so that
-    the identity is the order the partition gives it.  A factor's row is
-    built once per partition: it is cached on the partition by the
-    factor's digest, and a collection's restrictions share its partitions."""
-    out = []
-    for f, p in zip(g.factors, dc.partitions):
-        cache = p.__dict__.setdefault("_segment_graphs", {})
-        row = cache.get(f.digest)
-        if row is None:
-            eu, ev = f.edge_arrays()
-            ru, rv = p.order.ranks[eu], p.order.ranks[ev]
-            lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
-            graphs = []
-            for a, b in p.segments:
-                inside = (lo >= a) & (hi <= b)
-                graphs.append(Graph(b - a + 1, zip(lo[inside] - a, hi[inside] - a)))
-            row = cache[f.digest] = tuple(graphs)
-        out.append(row)
-    return out
+    """Per factor, its `segment_graphs` under the collection's partition; a
+    collection's restrictions share its partitions, and so the rows."""
+    return [segment_graphs(f, p) for f, p in zip(g.factors, dc.partitions)]
 
 
 def _lex_prefix_counts(gs: Sequence[Graph]) -> np.ndarray:

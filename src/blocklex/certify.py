@@ -8,8 +8,9 @@ collection is a regular domination collection, and the two-factor
 block-lexicographic order is optimal for every factor pair.  Each block and
 pair order is first compared with the sandwich bound of its factors'
 profiles, which proves it optimal when met; otherwise an exact profile
-decides (subset enumeration on small products, the rank-space downset
-oracle on large pairs).  A certificate carries one entry
+decides (subset enumeration on small products; past FULL_ENUM_CAP, a block
+is undecided and a pair goes to the rank-space downset oracle through
+`solver.check_order`).  A certificate carries one entry
 per hypothesis with evidence and is emitted only if every entry verified;
 cross-checking compares the certified order on the three-factor product
 with the sandwich bound at every size, runs the downset oracle only where
@@ -45,16 +46,14 @@ from .partitions import (
     validate_isoperimetric_partition,
 )
 from .solver import (
-    COMPRESSED_CAP,
     FULL_ENUM_CAP,
-    Profile,
     SizeCapExceeded,
+    check_order,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,
     find_nested_chain,
     prefix_edge_counts,
-    verify_order_optimal,
 )
 from .staircase import downset_profile, sandwich_bound
 
@@ -190,44 +189,6 @@ def resolve_partitions(gs: Sequence[Graph], partitions) -> list[Partition]:
     return list(partitions)
 
 
-def _pair_profile(
-    pair: Graph,
-    factor_orders: Sequence[TotalOrder],
-) -> tuple[Profile, str]:
-    if pair.n <= FULL_ENUM_CAP:
-        return (
-            exact_profile(pair, "full", with_witnesses=False),
-            "full_enumeration",
-        )
-    return (
-        exact_profile(pair, "compressed", factor_orders=list(factor_orders)),
-        "compressed_oracle",
-    )
-
-
-def _verify_pair_order(
-    pair: Graph, order: TotalOrder, factor_orders: Sequence[TotalOrder]
-) -> tuple[str, bool, Optional[int], tuple[int, ...]]:
-    """Whether the order is optimal on the two-factor product: the engine
-    that decided, the verdict, the first failing size and the exact
-    profile.
-
-    Sandwich first: prefix counts that meet `sandwich_bound` over the two
-    factors (the first most significant) prove the order optimal, and are
-    then the exact profile.  Otherwise `_pair_profile` decides, so every
-    refutation comes from an exact engine."""
-    prefix = prefix_edge_counts(pair, order)
-    upper = sandwich_bound(
-        [exact_profile(f, "full", with_witnesses=False).i_values for f in pair.factors],
-        prefix,
-    )
-    if np.array_equal(prefix, upper):
-        return "sandwich", True, None, tuple(int(x) for x in upper)
-    profile, used = _pair_profile(pair, factor_orders)
-    ok, bad_m = verify_order_optimal(pair, order, profile)
-    return used, ok, bad_m, profile.i_values
-
-
 def certify(
     gs: Graph | Sequence[Graph],
     partitions=None,
@@ -346,9 +307,7 @@ def certify(
             if not okv:
                 return {"optimal": False, "diagnostics": diags, "n": pair.n}
             order2 = block_lex_order(pair, pair_dc)
-            used, ok, bad_m, values = _verify_pair_order(
-                pair, order2, [parts[i].order, parts[j].order]
-            )
+            used, ok, bad_m, values = check_order(pair, order2)
             return {
                 "n": pair.n,
                 "profile_strategy": used,
@@ -432,9 +391,7 @@ def certify_domination(
                 ok = detail["optimal"]
             else:
                 order2 = lex_order(pair, [orders[i], orders[j]])
-                used, ok, bad_m, _ = _verify_pair_order(
-                    pair, order2, [orders[i], orders[j]]
-                )
+                used, ok, bad_m, _ = check_order(pair, order2)
                 detail = {
                     "n": pair.n,
                     "profile_strategy": used,
@@ -712,42 +669,32 @@ def explore_conjecture(
             # the conjecture's claims (lex optimal inside the bound, no
             # nested solutions beyond it) are about the powers of g
             prod = cartesian_product([g] * d)
-            if prod.n <= COMPRESSED_CAP:
-                lex_name = f"{name} ^ {d} lexicographic"
-                try:
-                    _, o = factor_profile_and_order(g)
-                    prof = exact_profile(
-                        prod, "compressed" if prod.n > FULL_ENUM_CAP else "full",
-                        factor_orders=[o] * d, with_witnesses=False,
-                    )
-                except BudgetExceeded as e:
-                    instances.append(
-                        Instance(lex_name, prod.n, "INCONCLUSIVE", {"reason": str(e)})
-                    )
-                else:
-                    lx = lex_order(prod, [o] * d)
-                    ok, bad = verify_order_optimal(prod, lx, prof)
-                    if inside_bound:
-                        status = "SUPPORTED" if ok else "REFUTED"
-                    else:
-                        # lex losing is consistent with the no-nested claim; lex
-                        # winning exhibits nested solutions and refutes it
-                        status = "REFUTED" if ok else "SUPPORTED"
-                    instances.append(
-                        Instance(
-                            lex_name,
-                            prod.n,
-                            status,
-                            {
-                                "lex_optimal": ok,
-                                "first_failing_m": bad,
-                                "conjecture_bound_holds": inside_bound,
-                            },
-                        )
-                    )
-            else:
+            lex_name = f"{name} ^ {d} lexicographic"
+            try:
+                _, o = factor_profile_and_order(g)
+                _, ok, bad, _ = check_order(prod, lex_order(prod, [o] * d))
+            except (SizeCapExceeded, BudgetExceeded) as e:
                 instances.append(
-                    Instance(f"{name} ^ {d}", prod.n, "INCONCLUSIVE", {"reason": "too large"})
+                    Instance(lex_name, prod.n, "INCONCLUSIVE", {"reason": str(e)})
+                )
+            else:
+                if inside_bound:
+                    status = "SUPPORTED" if ok else "REFUTED"
+                else:
+                    # lex losing is consistent with the no-nested claim; lex
+                    # winning exhibits nested solutions and refutes it
+                    status = "REFUTED" if ok else "SUPPORTED"
+                instances.append(
+                    Instance(
+                        lex_name,
+                        prod.n,
+                        status,
+                        {
+                            "lex_optimal": ok,
+                            "first_failing_m": bad,
+                            "conjecture_bound_holds": inside_bound,
+                        },
+                    )
                 )
         note = "clique-minus-matchings family"
     elif family == "petersen_tori":
@@ -773,18 +720,12 @@ def explore_conjecture(
             instances.append(_nested_instance(name, factors[0]))
         else:
             g = cartesian_product(factors)
-            if len(factors) == 2 and g.n <= COMPRESSED_CAP:
+            if len(factors) == 2:
                 from .blockgeom import standard_block_lex_order
 
                 try:
-                    order, dc = standard_block_lex_order(g)
-                    prof = exact_profile(
-                        g,
-                        "compressed" if g.n > FULL_ENUM_CAP else "full",
-                        factor_orders=list(dc.factor_orders),
-                        with_witnesses=False,
-                    )
-                    ok, bad = verify_order_optimal(g, order, prof)
+                    order, _ = standard_block_lex_order(g)
+                    _, ok, bad, _ = check_order(g, order)
                     instances.append(
                         Instance(
                             name,

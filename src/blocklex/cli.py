@@ -51,7 +51,6 @@ from .partitions import (
 from .solver import (
     FULL_ENUM_CAP,
     NoNestedSolutions,
-    SizeCapExceeded,
     clear_caches,
     delta_sequence,
     exact_profile,
@@ -267,10 +266,7 @@ def _cmd_order(cfg: argparse.Namespace) -> int:
     verified = None
     failing = None
     if cfg.verify:
-        try:
-            prof = exact_profile(g, cfg.strategy, with_witnesses=False)
-        except SizeCapExceeded as e:
-            raise UsageError(str(e))
+        prof = exact_profile(g, cfg.strategy, with_witnesses=False)
         verified, failing = verify_order_optimal(g, order, prof)
     result = {
         "order": order.to_json(),

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, induced_subgraph
+from .graphs import Graph, VertexSet
 from .orders import TotalOrder
 from .solver import (
     DeltaSequence,
@@ -31,6 +31,7 @@ __all__ = [
     "Partition",
     "standard_monotonic_partition",
     "atomic_partition",
+    "segment_graphs",
     "segment_subgraph",
     "segment_delta",
     "validate_isoperimetric_partition",
@@ -138,6 +139,25 @@ def atomic_partition(order: TotalOrder) -> Partition:
     )
 
 
+def segment_graphs(g: Graph, p: Partition) -> tuple[Graph, ...]:
+    """Per segment, the graph g induces on it, with each vertex labelled by
+    its rank offset in the segment, so that the identity is the order the
+    partition gives it.  Built once per partition and graph: the row is
+    cached on the partition by g's digest."""
+    cache = p.__dict__.setdefault("_segment_graphs", {})
+    row = cache.get(g.digest)
+    if row is None:
+        eu, ev = g.edge_arrays()
+        ru, rv = p.order.ranks[eu], p.order.ranks[ev]
+        lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+        graphs = []
+        for a, b in p.segments:
+            inside = (lo >= a) & (hi <= b)
+            graphs.append(Graph(b - a + 1, zip(lo[inside] - a, hi[inside] - a)))
+        row = cache[g.digest] = tuple(graphs)
+    return row
+
+
 def segment_subgraph(
     g: Graph, p: Partition, i: int
 ) -> tuple[Graph, TotalOrder, list[int]]:
@@ -149,8 +169,7 @@ def segment_subgraph(
     """
     a, b = p.segments[i]
     old = [p.order.vertex_at(r) for r in range(a, b + 1)]
-    sub, _ = induced_subgraph(g, old)
-    return sub, TotalOrder.identity(len(old)), old
+    return segment_graphs(g, p)[i], TotalOrder.identity(len(old)), old
 
 
 def segment_delta(g: Graph, p: Partition, i: int) -> DeltaSequence:

@@ -5,8 +5,12 @@ The full-enumeration strategy is the brute-force oracle that everything
 else in the package is validated against.  It runs a subset dynamic
 program over all 2^n membership words (edge counts extend one vertex at a
 time), so it is exact and practical up to FULL_ENUM_CAP vertices.  Products
-whose factor orders are verified optimal can instead be profiled through
-the rank-space downset oracle, which scales to hundreds of vertices.
+of at most three factors with nested solutions can instead be profiled
+through the rank-space downset oracle, whose limits are the factors' (each
+profiled by the subset DP, so at most FULL_ENUM_CAP vertices) and, on three
+factors, the slab lattice's (`staircase.SLAB_SHAPE_CAP`).  `check_order`
+decides whether an order on a product is optimal with the cheapest of
+these that can.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .orders import TotalOrder
 
 __all__ = [
     "FULL_ENUM_CAP",
-    "COMPRESSED_CAP",
     "SizeCapExceeded",
     "NoNestedSolutions",
     "ChainSearchInconclusive",
@@ -36,13 +39,13 @@ __all__ = [
     "delta_sequence",
     "find_nested_chain",
     "verify_order_optimal",
+    "check_order",
     "prefix_edge_counts",
     "factor_profile_and_order",
     "clear_caches",
 ]
 
 FULL_ENUM_CAP = 24
-COMPRESSED_CAP = 200
 
 class NoNestedSolutions(ValueError):
     """The chain search proved that the graph has no nested solutions."""
@@ -500,7 +503,11 @@ def exact_profile(
     FULL_ENUM_CAP vertices.  "compressed" restricts the search to sets
     stable under all single-factor compressions; it requires a product
     graph whose factor orders are optimal (verified here against
-    per-factor full profiles) and is exact under that hypothesis.
+    per-factor full profiles, so each factor has at most FULL_ENUM_CAP
+    vertices) and is exact under that hypothesis.  The downset oracle
+    behind it takes at most three factors, and on three a slab lattice of
+    at most `staircase.SLAB_SHAPE_CAP` shapes; past either it raises
+    SizeCapExceeded.
     """
     if strategy not in ("full", "bnb", "compressed"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -514,10 +521,6 @@ def exact_profile(
     # compressed oracle
     if g.factors is None:
         raise ValueError("compressed strategy requires a product graph")
-    if g.n > COMPRESSED_CAP:
-        raise SizeCapExceeded(
-            f"{g.n} vertices exceed the compressed-profile cap of {COMPRESSED_CAP}"
-        )
     if factor_orders is None:
         factor_orders = [factor_profile_and_order(f)[1] for f in g.factors]
     for f, o in zip(g.factors, factor_orders):
@@ -602,6 +605,36 @@ def verify_order_optimal(
     if bad.size == 0:
         return True, None
     return False, int(bad[0])
+
+
+def check_order(
+    g: Graph, order: TotalOrder
+) -> tuple[str, bool, Optional[int], tuple[int, ...]]:
+    """Whether the order is optimal on the product g: the engine that
+    decided, the verdict, the first failing size and the exact profile.
+
+    Sandwich first: prefix counts that meet `staircase.sandwich_bound`
+    over g's factors (the first most significant) prove the order optimal,
+    and are then the exact profile ("sandwich").  Otherwise an exact
+    engine decides, so every refutation is exact: the subset DP up to
+    FULL_ENUM_CAP vertices ("full_enumeration"), past it the downset
+    oracle ("compressed_oracle") on the factors' optimal orders, which
+    all give the same maximum.  A product that neither can take raises
+    SizeCapExceeded."""
+    prefix = prefix_edge_counts(g, order)
+    upper = staircase.sandwich_bound(
+        [exact_profile(f, "full", with_witnesses=False).i_values for f in g.factors],
+        prefix,
+    )
+    if np.array_equal(prefix, upper):
+        return "sandwich", True, None, tuple(int(x) for x in upper)
+    if g.n <= FULL_ENUM_CAP:
+        profile = exact_profile(g, "full", with_witnesses=False)
+        used = "full_enumeration"
+    else:
+        profile, used = exact_profile(g, "compressed"), "compressed_oracle"
+    ok, bad_m = verify_order_optimal(g, order, profile)
+    return used, ok, bad_m, profile.i_values
 
 
 def find_nested_chain(

@@ -275,10 +275,10 @@ def downset_profile(
 ) -> np.ndarray:
     """Max induced edges over rank-space downsets, per size m = 0..m_max.
 
-    Supports products of one, two, or three factors.  For three factors the
-    level axis is the largest factor and slabs range over the two smallest;
-    a slab lattice of more than SLAB_SHAPE_CAP shapes raises
-    `SizeCapExceeded`.
+    Supports products of one, two, or three factors; more factors raise
+    `SizeCapExceeded`.  For three factors the level axis is the largest
+    factor and slabs range over the two smallest; a slab lattice of more
+    than SLAB_SHAPE_CAP shapes raises `SizeCapExceeded` too.
     """
     if g.factors is None:
         raise ValueError("downset profiles require a product graph")
@@ -307,7 +307,7 @@ def downset_profile(
         return _pure_profile_3d(
             L_lvl, sizes[lvl], W_c, L_b, sizes[b], sizes[c], m_max
         )
-    raise ValueError(
+    raise SizeCapExceeded(
         "downset profiles are implemented for up to three factors; "
         "for more factors use full enumeration on small products"
     )

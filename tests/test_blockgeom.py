@@ -258,23 +258,28 @@ def test_bl_consistency_with_subproducts():
 def test_segment_graphs_built_once_per_partition(monkeypatch):
     """A collection's restrictions share its partitions, so validating the
     product and its pair restrictions, twice over, builds each segment
-    graph once."""
-    from blocklex import blockgeom
+    graph once; the partition checks then reuse those graphs."""
+    from blocklex import partitions
 
     built = []
 
-    class CountingGraph(blockgeom.Graph):
+    class CountingGraph(partitions.Graph):
         def __init__(self, n, edges):
             built.append(n)
             super().__init__(n, edges)
 
-    monkeypatch.setattr(blockgeom, "Graph", CountingGraph)
+    monkeypatch.setattr(partitions, "Graph", CountingGraph)
     g = cartesian_product([cycle(5), cycle(4), clique(3)])
     dc = standard_collection(g.factors)
     for _ in range(2):
         assert dc.validate(g)[0]
         for s in itertools.combinations(range(3), 2):
             assert dc.restricted(s).validate(subproduct(g, s))[0]
+    assert len(built) == sum(p.num_segments for p in dc.partitions)
+    for f, p in zip(g.factors, dc.partitions):
+        assert partitions.validate_isoperimetric_partition(f, p)[0]
+        assert partitions.is_non_decreasing(f, p)
+        assert partitions.is_regular_partition(f, p)
     assert len(built) == sum(p.num_segments for p in dc.partitions)
 
 

@@ -349,6 +349,14 @@ def test_hspi_graph_construction():
     ]
 
 
+def test_hspi_cube_past_200_vertices():
+    """(K6 minus a matching)^3 has 216 vertices: the sandwich bound or the
+    downset oracle decides its lexicographic order."""
+    rep = explore_conjecture("hspi", {"p": 3, "i": 1, "d": 3})
+    assert [(i.n, i.status) for i in rep.instances] == [(6, "SUPPORTED"), (216, "SUPPORTED")]
+    assert rep.instances[1].detail["first_failing_m"] is None
+
+
 def test_hspi_delta_matches_stated_pattern():
     """K_{2p} minus i matchings: delta = (0..p-1, p-i..2(p-i)+...)."""
     from blocklex import delta_sequence, exact_profile

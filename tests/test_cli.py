@@ -251,6 +251,13 @@ def test_compressed_strategy_beyond_three_factors_exits_64(capsys):
         assert "up to three factors" in err
 
 
+def test_compressed_strategy_past_200_vertices_exits_0(capsys):
+    code, out, _ = run(capsys, "profile", "K6^3", "--strategy", "compressed",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["complete"] is True
+
+
 def test_budget_exceeded_exit_3(capsys):
     code, _, _ = run(capsys, "profile", "K2^4", "--budget", "0.0001")
     assert code == 3

@@ -26,9 +26,8 @@ from blocklex import (
     verify_order_optimal,
 )
 from blocklex import staircase
-from blocklex.certify import _verify_pair_order
 from blocklex.orders import reverse_order
-from blocklex.solver import SizeCapExceeded, clear_caches
+from blocklex.solver import SizeCapExceeded, check_order, clear_caches
 from blocklex.staircase import sandwich_bound
 
 
@@ -148,12 +147,23 @@ def test_non_optimal_pair_orders_are_refuted_by_the_subset_dp():
     for order in candidates:
         good, bad_m = verify_order_optimal(pair, order, exact)
         assert not good
-        assert _verify_pair_order(pair, order, orders) == (
+        assert check_order(pair, order) == (
             "full_enumeration", False, bad_m, exact.i_values
         )
     # lexicographic order with C5 most significant meets the bound
     lex = domination_order(pair, orders, (0, 1))
-    assert _verify_pair_order(pair, lex, orders) == ("sandwich", True, None, exact.i_values)
+    assert check_order(pair, lex) == ("sandwich", True, None, exact.i_values)
+
+
+def test_order_no_exact_engine_takes_is_never_passed():
+    """K2^5 has 32 vertices, over the subset-DP cap, and five factors, over
+    the downset oracle's three: a random order misses the bound and the
+    check raises instead of answering."""
+    g = graph_power(clique(2), 5)
+    rng = np.random.default_rng(5)
+    order = TotalOrder.from_sequence(rng.permutation(g.n).tolist())
+    with pytest.raises(SizeCapExceeded, match="up to three factors"):
+        check_order(g, order)
 
 
 def test_over_cap_block_with_a_bad_factor_order_never_passes():

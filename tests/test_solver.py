@@ -223,6 +223,17 @@ def test_compressed_strategy_agrees_with_full():
         assert comp.i_values == full.i_values, factors
 
 
+def test_compressed_strategy_past_200_vertices():
+    """K6^3 has 216 vertices; lexicographic order is optimal on clique
+    powers (Lindsey 1964), so its prefix counts are the exact profile."""
+    from blocklex import lex_order
+
+    g = graph_power(clique(6), 3)
+    comp = exact_profile(g, "compressed")
+    orders = [factor_profile_and_order(f)[1] for f in g.factors]
+    assert list(comp.i_values) == prefix_edge_counts(g, lex_order(g, orders)).tolist()
+
+
 def test_compressed_rejects_suboptimal_factor_order():
     g = cartesian_product([petersen(), clique(2)])
     bad = [TotalOrder.identity(10), TotalOrder.identity(2)]

@@ -53,9 +53,9 @@ from .solver import (
     exact_profile,
     factor_profile_and_order,
     find_nested_chain,
-    prefix_edge_counts,
+    order_sandwich,
 )
-from .staircase import downset_profile, sandwich_bound
+from .staircase import downset_profile
 
 __all__ = [
     "Hypothesis",
@@ -439,14 +439,14 @@ def crosscheck(
     order_override: Optional[TotalOrder] = None,
 ) -> Certificate:
     """Compare the certified order's prefix counts on the three-factor
-    product with `sandwich_bound` at every size m = 0..n.  Sizes where they
-    are equal are proved.  Sizes that miss the bound go to the slab DP
-    (`downset_profile`) when it fits under its cap: the first size where
-    the slab DP beats the order revokes the certificate and records the
-    counterexample, and sizes where they are equal are proved.  Sizes no
-    exact oracle decides are listed as unchecked; they revoke nothing,
-    since the bound can be loose.  `gs` is the three factors or their
-    product graph; `dc` must be validated.
+    product with the sandwich bound (`solver.order_sandwich`) at every size
+    m = 0..n.  Sizes where they are equal are proved.  Sizes that miss the
+    bound go to the slab DP (`downset_profile`) when it fits under its cap:
+    the first size where the slab DP beats the order revokes the
+    certificate and records the counterexample, and sizes where they are
+    equal are proved.  Sizes no exact oracle decides are listed as
+    unchecked; they revoke nothing, since the bound can be loose.  `gs` is
+    the three factors or their product graph; `dc` must be validated.
 
     `order_override` substitutes a different order for the certified one;
     it exists so tests can demonstrate the revocation path.
@@ -455,11 +455,7 @@ def crosscheck(
     if g.factors is None or len(g.factors) != 3:
         raise ValueError("cross-checks run on three-factor products")
     order = order_override if order_override is not None else block_lex_order(g, dc)
-    prefix = prefix_edge_counts(g, order)
-    upper = sandwich_bound(
-        [exact_profile(f, "full", with_witnesses=False).i_values for f in g.factors],
-        prefix,
-    )
+    prefix, upper = order_sandwich(g, order)
     unchecked = np.flatnonzero(prefix != upper)
     oracle = "sandwich"
     bad = None

@@ -10,7 +10,8 @@ through the rank-space downset oracle, whose limits are the factors' (each
 profiled by the subset DP, so at most FULL_ENUM_CAP vertices) and, on three
 factors, the slab lattice's (`staircase.SLAB_SHAPE_CAP`).  `check_order`
 decides whether an order on a product is optimal with the cheapest of
-these that can.
+these that can, after the sandwich bound, whose table stops at
+`staircase.STACK_CELL_CAP` cells.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "find_nested_chain",
     "verify_order_optimal",
     "check_order",
+    "order_sandwich",
     "prefix_edge_counts",
     "factor_profile_and_order",
     "clear_caches",
@@ -607,25 +609,34 @@ def verify_order_optimal(
     return False, int(bad[0])
 
 
+def order_sandwich(g: Graph, order: TotalOrder) -> tuple[np.ndarray, np.ndarray]:
+    """The order's prefix counts on the product g and
+    `staircase.sandwich_bound` over g's factors' exact profiles, the first
+    factor most significant.  Where the two are equal the order is optimal;
+    elsewhere the bound alone tells nothing."""
+    prefix = prefix_edge_counts(g, order)
+    upper = staircase.sandwich_bound(
+        [exact_profile(f, "full", with_witnesses=False).i_values for f in g.factors],
+        prefix,
+    )
+    return prefix, upper
+
+
 def check_order(
     g: Graph, order: TotalOrder
 ) -> tuple[str, bool, Optional[int], tuple[int, ...]]:
     """Whether the order is optimal on the product g: the engine that
     decided, the verdict, the first failing size and the exact profile.
 
-    Sandwich first: prefix counts that meet `staircase.sandwich_bound`
-    over g's factors (the first most significant) prove the order optimal,
-    and are then the exact profile ("sandwich").  Otherwise an exact
-    engine decides, so every refutation is exact: the subset DP up to
-    FULL_ENUM_CAP vertices ("full_enumeration"), past it the downset
-    oracle ("compressed_oracle") on the factors' optimal orders, which
-    all give the same maximum.  A product that neither can take raises
-    SizeCapExceeded."""
-    prefix = prefix_edge_counts(g, order)
-    upper = staircase.sandwich_bound(
-        [exact_profile(f, "full", with_witnesses=False).i_values for f in g.factors],
-        prefix,
-    )
+    Sandwich first: prefix counts that meet the bound of `order_sandwich`
+    prove the order optimal, and are then the exact profile ("sandwich").
+    Otherwise an exact engine decides, so every refutation is exact: the
+    subset DP up to FULL_ENUM_CAP vertices ("full_enumeration"), past it
+    the downset oracle ("compressed_oracle") on the factors' optimal
+    orders, which all give the same maximum.  A product whose bound table
+    passes `staircase.STACK_CELL_CAP`, or that no exact engine can take,
+    raises SizeCapExceeded."""
+    prefix, upper = order_sandwich(g, order)
     if np.array_equal(prefix, upper):
         return "sandwich", True, None, tuple(int(x) for x in upper)
     if g.n <= FULL_ENUM_CAP:

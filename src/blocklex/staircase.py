@@ -41,6 +41,9 @@ __all__ = [
 NEG = -(1 << 40)
 # largest slab lattice the three-factor downset DP builds
 SLAB_SHAPE_CAP = 20000
+# largest table (in int64 cells) `stacked_profile` builds: 128 MiB, above
+# the 8.3M cells of a sandwich bound over three factors of 24 vertices
+STACK_CELL_CAP = 1 << 24
 # cells of the scratch block `stacked_profile` fills per step
 SKEW_CHUNK = 1 << 16
 
@@ -76,13 +79,19 @@ def stacked_profile(
     size c_i of a fixed inner order, with c non-increasing.  Edges =
     sum_i inner_profile[c_i] + level_L[i] * c_i (cross edges between
     adjacent levels meet in the smaller segment).  Returns the max per
-    total size m = 0..m_max.
+    total size m = 0..m_max.  A table of more than STACK_CELL_CAP cells
+    raises `SizeCapExceeded` before it is allocated.
     """
     total = n_levels * n_inner
     m_max = total if m_max is None else min(m_max, total)
     width = m_max + 1
     # rows past m_max would only repeat row m_max
     rows = min(n_inner, m_max) + 1
+    if rows * (rows + width) > STACK_CELL_CAP:
+        raise SizeCapExceeded(
+            f"a stacked profile of {n_levels} levels of {n_inner} needs "
+            f"{rows * (rows + width)} cells, beyond the cap {STACK_CELL_CAP}"
+        )
     # H[t, m]: best using levels i..end with every segment size <= t.  It
     # sits behind `rows` columns of NEG, so that the skewed view reads
     # skew[t, m] = H[t, m - t], and NEG where m < t.
@@ -148,7 +157,8 @@ def sandwich_bound(
     factor at every level is returned instead.  Prefix counts equal to U
     prove the order optimal, and U is then the exact profile; counts below
     U prove nothing, since the bound can be loose.  Results are memoized
-    until `solver.clear_caches()`.
+    until `solver.clear_caches()`.  A product too large for
+    `stacked_profile`'s STACK_CELL_CAP raises `SizeCapExceeded`.
     """
     # a one-vertex factor leaves the product unchanged
     profs = tuple(tuple(int(x) for x in p) for p in profiles if len(p) > 2)

@@ -163,8 +163,10 @@ def _loosen(monkeypatch, m):
     three-factor products, as a loose bound would be."""
     import importlib
 
+    from blocklex import staircase
+
     certify_module = importlib.import_module("blocklex.certify")
-    real = certify_module.sandwich_bound
+    real = staircase.sandwich_bound
 
     def loose(profiles, lower=None):
         upper = real(profiles, lower)
@@ -173,7 +175,7 @@ def _loosen(monkeypatch, m):
             upper[m] += 1
         return upper
 
-    monkeypatch.setattr(certify_module, "sandwich_bound", loose)
+    monkeypatch.setattr(staircase, "sandwich_bound", loose)
     return certify_module
 
 
@@ -355,6 +357,22 @@ def test_hspi_cube_past_200_vertices():
     rep = explore_conjecture("hspi", {"p": 3, "i": 1, "d": 3})
     assert [(i.n, i.status) for i in rep.instances] == [(6, "SUPPORTED"), (216, "SUPPORTED")]
     assert rep.instances[1].detail["first_failing_m"] is None
+
+
+def test_hspi_power_past_the_bound_cell_cap_is_inconclusive(monkeypatch):
+    """A power whose sandwich table passes STACK_CELL_CAP is reported
+    INCONCLUSIVE, never refuted or supported (the cap is lowered so that
+    the 216-vertex cube meets it)."""
+    from blocklex import staircase
+    from blocklex.solver import clear_caches
+
+    clear_caches()  # a memoized bound would never meet the cap
+    monkeypatch.setattr(staircase, "STACK_CELL_CAP", 1000)
+    rep = explore_conjecture("hspi", {"p": 3, "i": 1, "d": 3})
+    lex = rep.instances[1]
+    assert (lex.n, lex.status) == (216, "INCONCLUSIVE")
+    assert "beyond the cap 1000" in lex.detail["reason"]
+    assert rep.statuses["INCONCLUSIVE"] == 1
 
 
 def test_hspi_delta_matches_stated_pattern():

@@ -166,6 +166,32 @@ def test_order_no_exact_engine_takes_is_never_passed():
         check_order(g, order)
 
 
+def test_bound_past_the_cell_cap_is_refused_before_it_is_built():
+    """(K12 minus a matching)^5 has 248,832 vertices: the stacked table of
+    its bound would hold about 39M cells (0.3 GB), over STACK_CELL_CAP, so
+    the bound raises before allocating it."""
+    import tracemalloc
+
+    from blocklex.certify import matching_reduced_clique
+
+    values = _values(matching_reduced_clique(6, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="beyond the cap"):
+            sandwich_bound([values] * 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < staircase.STACK_CELL_CAP  # bytes: an eighth of the table
+
+
+def test_bound_over_three_factors_of_24_fits_under_the_cell_cap():
+    """The largest product the downset oracle takes never meets the cap."""
+    n = 24
+    inner = n * n
+    assert (inner + 1) * (inner + 1 + n**3 + 1) <= staircase.STACK_CELL_CAP
+
+
 def test_over_cap_block_with_a_bad_factor_order_never_passes():
     """P3^3 with one segment per factor over the P3 order 0, 2, 1: the one
     27-vertex block is over the subset-DP cap and its order misses the

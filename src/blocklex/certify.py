@@ -7,10 +7,10 @@ isoperimetric, the leading factors' partitions are non-decreasing, the
 collection is a regular domination collection, and the two-factor
 block-lexicographic order is optimal for every factor pair.  Each block and
 pair order is first compared with the sandwich bound of its factors'
-profiles, which proves it optimal when met; otherwise an exact profile
-decides (subset enumeration on small products; past FULL_ENUM_CAP, a block
-is undecided and a pair goes to the rank-space downset oracle through
-`solver.check_order`).  A certificate carries one entry
+profiles, which proves it optimal when met.  A pair's bound is its exact
+profile, since both factors have nested solutions, so it also refutes
+(`solver.check_order`); a block that misses it goes to subset enumeration,
+and past FULL_ENUM_CAP is undecided.  A certificate carries one entry
 per hypothesis with evidence and is emitted only if every entry verified;
 cross-checking compares the certified order on the three-factor product
 with the sandwich bound at every size, runs the downset oracle only where
@@ -31,6 +31,7 @@ from . import __version__
 from .blockgeom import (
     DominationCollection,
     block_lex_order,
+    standard_block_lex_order,
     standard_collection,
     uniform_collection,
     validate_regular_domination_collection,
@@ -441,12 +442,13 @@ def crosscheck(
     """Compare the certified order's prefix counts on the three-factor
     product with the sandwich bound (`solver.order_sandwich`) at every size
     m = 0..n.  Sizes where they are equal are proved.  Sizes that miss the
-    bound go to the slab DP (`downset_profile`) when it fits under its cap:
-    the first size where the slab DP beats the order revokes the
-    certificate and records the counterexample, and sizes where they are
-    equal are proved.  Sizes no exact oracle decides are listed as
-    unchecked; they revoke nothing, since the bound can be loose.  `gs` is
-    the three factors or their product graph; `dc` must be validated.
+    bound go to the slab DP (`downset_profile`, up to the largest of them)
+    when its table fits under `staircase.STACK_CELL_CAP`: the first size
+    where the slab DP beats the order revokes the certificate and records
+    the counterexample, and sizes where they are equal are proved.  Sizes
+    no exact oracle decides are listed as unchecked; they revoke nothing,
+    since the bound can be loose.  `gs` is the three factors or their
+    product graph; `dc` must be validated.
 
     `order_override` substitutes a different order for the certified one;
     it exists so tests can demonstrate the revocation path.
@@ -461,7 +463,7 @@ def crosscheck(
     bad = None
     if unchecked.size:
         try:
-            exact = downset_profile(g, dc.factor_orders)
+            exact = downset_profile(g, dc.factor_orders, int(unchecked[-1]))
         except SizeCapExceeded:
             pass
         else:
@@ -717,8 +719,6 @@ def explore_conjecture(
         else:
             g = cartesian_product(factors)
             if len(factors) == 2:
-                from .blockgeom import standard_block_lex_order
-
                 try:
                     order, _ = standard_block_lex_order(g)
                     _, ok, bad, _ = check_order(g, order)

@@ -519,8 +519,6 @@ def main(argv=None) -> int:
         cfg = parser.parse_args(argv)
         if cfg.budget <= 0:
             raise UsageError("budget must be positive")
-        if cfg.fmt not in ("json", "csv", "text"):
-            raise UsageError(f"unknown format {cfg.fmt!r}")
         # a command's output must not depend on commands run before it
         clear_caches()
         with Budget(cfg.budget):

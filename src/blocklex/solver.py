@@ -8,10 +8,9 @@ time), so it is exact and practical up to FULL_ENUM_CAP vertices.  Products
 of at most three factors with nested solutions can instead be profiled
 through the rank-space downset oracle, whose limits are the factors' (each
 profiled by the subset DP, so at most FULL_ENUM_CAP vertices) and, on three
-factors, the slab lattice's (`staircase.SLAB_SHAPE_CAP`).  `check_order`
-decides whether an order on a product is optimal with the cheapest of
-these that can, after the sandwich bound, whose table stops at
-`staircase.STACK_CELL_CAP` cells.
+factors, the slab DP's table (`staircase.STACK_CELL_CAP` cells).
+`check_order` decides whether an order on a product is optimal, on two
+factors by the sandwich bound alone.
 """
 
 from __future__ import annotations
@@ -496,20 +495,18 @@ def exact_profile(
     g: Graph,
     strategy: str = "full",
     *,
-    factor_orders: Optional[Sequence[TotalOrder]] = None,
     with_witnesses: bool = True,
 ) -> Profile:
     """Exact I(m) for all m under the chosen strategy.
 
     "full" and "bnb" enumerate subsets and work on any graph up to
     FULL_ENUM_CAP vertices.  "compressed" restricts the search to sets
-    stable under all single-factor compressions; it requires a product
-    graph whose factor orders are optimal (verified here against
-    per-factor full profiles, so each factor has at most FULL_ENUM_CAP
-    vertices) and is exact under that hypothesis.  The downset oracle
-    behind it takes at most three factors, and on three a slab lattice of
-    at most `staircase.SLAB_SHAPE_CAP` shapes; past either it raises
-    SizeCapExceeded.
+    stable under all single-factor compressions along the factors' orders
+    from `factor_profile_and_order`, so it is exact on any product whose
+    factors have nested solutions (else NoNestedSolutions).  The downset
+    oracle behind it takes at most three factors, and on three a slab
+    table of at most `staircase.STACK_CELL_CAP` cells; past either it
+    raises SizeCapExceeded.
     """
     if strategy not in ("full", "bnb", "compressed"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -523,17 +520,8 @@ def exact_profile(
     # compressed oracle
     if g.factors is None:
         raise ValueError("compressed strategy requires a product graph")
-    if factor_orders is None:
-        factor_orders = [factor_profile_and_order(f)[1] for f in g.factors]
-    for f, o in zip(g.factors, factor_orders):
-        fp, _ = factor_profile_and_order(f)
-        ok, bad_m = verify_order_optimal(f, o, fp)
-        if not ok:
-            raise ValueError(
-                f"factor order is not optimal (fails at m={bad_m}); "
-                "the compressed oracle would not be exact"
-            )
-    vals = staircase.downset_profile(g, factor_orders)
+    orders = [factor_profile_and_order(f)[1] for f in g.factors]
+    vals = staircase.downset_profile(g, orders)
     return Profile(
         "induced_max",
         tuple(int(x) for x in vals),
@@ -612,8 +600,9 @@ def verify_order_optimal(
 def order_sandwich(g: Graph, order: TotalOrder) -> tuple[np.ndarray, np.ndarray]:
     """The order's prefix counts on the product g and
     `staircase.sandwich_bound` over g's factors' exact profiles, the first
-    factor most significant.  Where the two are equal the order is optimal;
-    elsewhere the bound alone tells nothing."""
+    factor most significant.  Where the two are equal the order is optimal.
+    Elsewhere the bound alone tells nothing, unless g has two factors with
+    nested solutions, where it is the exact profile (`check_order`)."""
     prefix = prefix_edge_counts(g, order)
     upper = staircase.sandwich_bound(
         [exact_profile(f, "full", with_witnesses=False).i_values for f in g.factors],
@@ -628,24 +617,32 @@ def check_order(
     """Whether the order is optimal on the product g: the engine that
     decided, the verdict, the first failing size and the exact profile.
 
-    Sandwich first: prefix counts that meet the bound of `order_sandwich`
-    prove the order optimal, and are then the exact profile ("sandwich").
-    Otherwise an exact engine decides, so every refutation is exact: the
-    subset DP up to FULL_ENUM_CAP vertices ("full_enumeration"), past it
-    the downset oracle ("compressed_oracle") on the factors' optimal
-    orders, which all give the same maximum.  A product whose bound table
-    passes `staircase.STACK_CELL_CAP`, or that no exact engine can take,
-    raises SizeCapExceeded."""
-    prefix, upper = order_sandwich(g, order)
-    if np.array_equal(prefix, upper):
-        return "sandwich", True, None, tuple(int(x) for x in upper)
-    if g.n <= FULL_ENUM_CAP:
-        profile = exact_profile(g, "full", with_witnesses=False)
-        used = "full_enumeration"
-    else:
-        profile, used = exact_profile(g, "compressed"), "compressed_oracle"
-    ok, bad_m = verify_order_optimal(g, order, profile)
-    return used, ok, bad_m, profile.i_values
+    Prefix counts that meet the bound U of `order_sandwich` prove the
+    order optimal, and U is then the exact profile ("sandwich").  On two
+    factors with nested solutions U is the exact profile anyway, since
+    compression takes every set to a rank-space staircase and U maximizes
+    over those, so it refutes too ("sandwich"); `factor_profile_and_order`
+    checks the hypothesis and raises NoNestedSolutions.  On three or more
+    factors an order that misses U goes to the subset DP up to
+    FULL_ENUM_CAP vertices ("full_enumeration"), past it to the downset
+    oracle ("compressed_oracle").  A product whose bound table passes
+    `staircase.STACK_CELL_CAP`, or that no exact engine can take, raises
+    SizeCapExceeded."""
+    prefix, exact = order_sandwich(g, order)
+    used = "sandwich"
+    if not np.array_equal(prefix, exact):
+        if len(g.factors) == 2:
+            for f in g.factors:
+                factor_profile_and_order(f)  # U is exact only under this
+        elif g.n <= FULL_ENUM_CAP:
+            used = "full_enumeration"
+            exact = exact_profile(g, "full", with_witnesses=False).values_array()
+        else:
+            used = "compressed_oracle"
+            exact = exact_profile(g, "compressed").values_array()
+    bad = np.flatnonzero(prefix != exact)
+    bad_m = int(bad[0]) if bad.size else None
+    return used, bad_m is None, bad_m, tuple(int(x) for x in exact)
 
 
 def find_nested_chain(

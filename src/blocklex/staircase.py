@@ -13,7 +13,8 @@ Exactness as a profile oracle (max over downsets of size m equals the true
 I(m)) holds when the per-factor orders are optimal; callers verify that.
 
 `sandwich_bound` uses the same stacked-segment program for an upper bound
-on any product's profile that needs only the factors' exact profiles.
+on any product's profile that needs only the factors' exact profiles; on
+two factors with nested solutions it is the two-factor downset profile.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ __all__ = [
 ]
 
 NEG = -(1 << 40)
-# largest slab lattice the three-factor downset DP builds
-SLAB_SHAPE_CAP = 20000
-# largest table (in int64 cells) `stacked_profile` builds: 128 MiB, above
-# the 8.3M cells of a sandwich bound over three factors of 24 vertices
+# largest table (in int64 cells) `stacked_profile` or the slab DP builds:
+# 128 MiB, above the 8.3M cells of a sandwich bound over three factors of
+# 24 vertices and the 13.2M of the slab DP on C8^3
 STACK_CELL_CAP = 1 << 24
 # cells of the scratch block `stacked_profile` fills per step
 SKEW_CHUNK = 1 << 16
@@ -242,10 +242,13 @@ def _pure_profile_3d(
     n_c: int,
     m_max: int,
 ) -> np.ndarray:
+    # two tables of n_shapes x (m_max + 1) cells
     n_shapes = math.comb(n_b + n_c, n_c)
-    if n_shapes > SLAB_SHAPE_CAP:
+    cells = 2 * n_shapes * (m_max + 1)
+    if cells > STACK_CELL_CAP:
         raise SizeCapExceeded(
-            f"slab shape count {n_shapes} exceeds the cap {SLAB_SHAPE_CAP}"
+            f"a slab DP over {n_shapes} shapes and {m_max + 1} sizes needs "
+            f"{cells} cells, beyond the cap {STACK_CELL_CAP}"
         )
     shapes = _shapes_in_box(n_b, n_c)
     index = {s: i for i, s in enumerate(shapes)}
@@ -287,8 +290,9 @@ def downset_profile(
 
     Supports products of one, two, or three factors; more factors raise
     `SizeCapExceeded`.  For three factors the level axis is the largest
-    factor and slabs range over the two smallest; a slab lattice of more
-    than SLAB_SHAPE_CAP shapes raises `SizeCapExceeded` too.
+    factor and slabs range over the two smallest; tables of more than
+    STACK_CELL_CAP cells raise `SizeCapExceeded` too, so a smaller m_max
+    admits a larger lattice.
     """
     if g.factors is None:
         raise ValueError("downset profiles require a product graph")

@@ -109,20 +109,20 @@ def test_certify_six_cycle_leading():
         for h in cert.hypotheses
         if "pairwise" in h.name
     }
-    # every pair order meets the sandwich bound, the 30-vertex one included,
-    # so no pair needs the downset oracle or subset enumeration
+    # every pair order meets the sandwich bound, the 30-vertex one included
     assert set(strategies.values()) == {"sandwich"}
-    # a failing pair is still refuted by an exact engine: lexicographic
-    # order with the larger clique outer, on 30 and on 12 vertices
-    for gs, used, bad_m in (
-        ([clique(6), clique(5), clique(2)], "compressed_oracle", 6),
-        ([clique(4), clique(3), clique(2)], "full_enumeration", 4),
+    # a failing pair is refuted by the bound too, which is the exact profile
+    # of a pair whose factors have nested solutions: lexicographic order
+    # with the larger clique outer, on 30 and on 12 vertices
+    for gs, bad_m in (
+        ([clique(6), clique(5), clique(2)], 6),
+        ([clique(4), clique(3), clique(2)], 4),
     ):
         cert = certify(gs, "atomic")
         assert cert.status == "hypothesis_failed"
         detail = cert.hypotheses[-1].detail
         assert cert.failing == cert.hypotheses[-1].name == "pairwise_bl2_optimal_1_2"
-        assert (detail["profile_strategy"], detail["first_failing_m"]) == (used, bad_m)
+        assert (detail["profile_strategy"], detail["first_failing_m"]) == ("sandwich", bad_m)
 
 
 def test_certify_petersen_square_times_k2_with_crosscheck():
@@ -204,6 +204,20 @@ def test_crosscheck_loose_bound_without_slab_is_unchecked(monkeypatch):
     assert (check["sizes"], check["unchecked"], check["agreement"]) == (126, [62], True)
     assert cert.status == "certified" and not cert.revoked
     assert cert.exit_code() == 0
+
+
+def test_crosscheck_slab_dp_takes_only_the_sizes_it_decides(monkeypatch):
+    """The slab DP runs up to the largest size that misses the bound: on
+    C5^3 its tables hold 2 x 252 shapes x 126 sizes = 63,504 cells, and a
+    cap of 40,000 still admits the 63 columns that size 62 needs."""
+    from blocklex import staircase
+
+    _loosen(monkeypatch, 62)
+    monkeypatch.setattr(staircase, "STACK_CELL_CAP", 40_000)
+    cert = certify([cycle(5)] * 3, "standard")
+    [check] = cert.crosschecks
+    assert check["oracle"] == "sandwich+slab"
+    assert (check["unchecked"], check["agreement"]) == ([], True)
 
 
 def test_crosscheck_revokes_wrong_order():
@@ -291,19 +305,10 @@ def test_explore_report_roundtrip():
     assert data["counts"]["SUPPORTED"] == len(data["instances"])
 
 
-# A 7-vertex graph with no chain of optimal sets (found by randomized
-# search over small graphs; every graph on <= 6 vertices admits one, which
-# an exhaustive scan confirmed).
-NON_NESTED_7 = [
-    (0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5),
-    (2, 3), (2, 5), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
-]
+def test_refutation_witness_reverifies(non_nested_7):
+    from blocklex import exact_profile, find_nested_chain
 
-
-def test_refutation_witness_reverifies():
-    from blocklex import Graph, exact_profile, find_nested_chain
-
-    g = Graph(7, NON_NESTED_7)
+    g = non_nested_7
     prof = exact_profile(g)
     res = find_nested_chain(g, prof)
     assert res.status == "not_isoperimetric"
@@ -317,10 +322,10 @@ def test_refutation_witness_reverifies():
     assert verify_refutation(witness)
 
 
-def test_refutation_rejects_tampered_witness():
-    from blocklex import Graph, exact_profile, find_nested_chain
+def test_refutation_rejects_tampered_witness(non_nested_7):
+    from blocklex import exact_profile, find_nested_chain
 
-    g = Graph(7, NON_NESTED_7)
+    g = non_nested_7
     prof = exact_profile(g)
     witness = {
         "graph": g.to_json(),

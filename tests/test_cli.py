@@ -351,14 +351,11 @@ def test_out_file(capsys, tmp_path):
     assert data["result"]["values"][-1] == 10
 
 
-def test_no_nested_solutions_exits_2(capsys, tmp_path):
+def test_no_nested_solutions_exits_2(capsys, tmp_path, non_nested_7):
     """A graph the chain search refutes fails a hypothesis (exit 2), not
     a usage error (exit 64)."""
-    from blocklex import Graph
-    from test_certify import NON_NESTED_7
-
     spec = tmp_path / "non_nested.json"
-    spec.write_text(json.dumps(Graph(7, NON_NESTED_7).to_json()))
+    spec.write_text(json.dumps(non_nested_7.to_json()))
     for argv in (["order", f"@{spec}", "--optimal"], ["partition", f"@{spec}"]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

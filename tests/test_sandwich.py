@@ -1,7 +1,10 @@
 """The sandwich bound U, an upper bound on a product's profile built from
-its factors' exact profiles, and the order checks that try it before the
-subset DP: U may prove an order optimal, never refute one."""
+its factors' exact profiles, and the order checks that try it first.  On
+any product, prefix counts that meet U prove an order optimal.  On a pair
+whose factors have nested solutions U is the exact profile, so it refutes
+an order too; on three or more factors a miss proves nothing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,13 +25,19 @@ from blocklex import (
     factor_profile_and_order,
     graph_power,
     path,
+    petersen,
     uniform_collection,
     verify_order_optimal,
 )
-from blocklex import staircase
+from blocklex import solver, staircase
 from blocklex.orders import reverse_order
-from blocklex.solver import SizeCapExceeded, check_order, clear_caches
-from blocklex.staircase import sandwich_bound
+from blocklex.solver import (
+    NoNestedSolutions,
+    SizeCapExceeded,
+    check_order,
+    clear_caches,
+)
+from blocklex.staircase import downset_profile, sandwich_bound, staircase_scan_2d
 
 
 def _values(g):
@@ -41,15 +50,16 @@ def _least(factors):
     return sandwich_bound([_values(f) for f in factors], np.full(1, -1))
 
 
+def _random_graph(rng, n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+
+
 def _random_factors(rng, max_n=20):
     while True:
         sizes = rng.integers(2, 7, size=int(rng.integers(2, 4))).tolist()
         if math.prod(sizes) <= max_n:
             break
-    return [
-        Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
-        for n in sizes
-    ]
+    return [_random_graph(rng, n) for n in sizes]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -132,13 +142,27 @@ def test_bound_is_memoized_until_the_caches_are_cleared():
     assert list(sandwich_bound(values)) == list(first)
 
 
-def test_non_optimal_pair_orders_are_refuted_by_the_subset_dp():
+def test_non_optimal_pair_orders_are_refuted_by_the_bound(monkeypatch):
     """On C5 x C4, lexicographic order with C4 most significant, its
     reversal and seeded random orders all fail: the check never passes
-    them, and reports the first failing size the exact profile gives."""
+    them, and reports the first failing size the exact profile gives.  The
+    bound decides alone: neither the subset DP nor the downset oracle ever
+    profiles the pair."""
     pair = cartesian_product([cycle(5), cycle(4)])
     orders = [factor_profile_and_order(f)[1] for f in pair.factors]
     exact = exact_profile(pair, "full", with_witnesses=False)
+    profiled = []
+    enumerated = solver._enumerated_profile
+
+    def recording(g, *args):
+        profiled.append(g.digest)
+        return enumerated(g, *args)
+
+    def no_downsets(*args, **kwargs):
+        raise AssertionError("the downset oracle ran")
+
+    monkeypatch.setattr(solver, "_enumerated_profile", recording)
+    monkeypatch.setattr(staircase, "downset_profile", no_downsets)
     lex_c4_first = domination_order(pair, orders, (1, 0))
     rng = np.random.default_rng(11)
     candidates = [lex_c4_first, reverse_order(lex_c4_first)] + [
@@ -147,12 +171,91 @@ def test_non_optimal_pair_orders_are_refuted_by_the_subset_dp():
     for order in candidates:
         good, bad_m = verify_order_optimal(pair, order, exact)
         assert not good
-        assert check_order(pair, order) == (
-            "full_enumeration", False, bad_m, exact.i_values
-        )
+        assert check_order(pair, order) == ("sandwich", False, bad_m, exact.i_values)
     # lexicographic order with C5 most significant meets the bound
     lex = domination_order(pair, orders, (0, 1))
     assert check_order(pair, lex) == ("sandwich", True, None, exact.i_values)
+    assert profiled and pair.digest not in profiled
+
+
+ATOMS = {
+    "K2": clique(2), "K3": clique(3), "K4": clique(4),
+    "C3": cycle(3), "C4": cycle(4), "C5": cycle(5), "C6": cycle(6),
+    "P3": path(3), "P4": path(4), "P5": path(5), "petersen": petersen(),
+}
+
+
+def _nested_random_graph(rng, n):
+    """A seeded random graph on n vertices that has nested solutions."""
+    while True:
+        g = _random_graph(rng, n)
+        try:
+            factor_profile_and_order(g)
+        except NoNestedSolutions:
+            continue
+        return g
+
+
+def _assert_pair_bound_is_exact(f, h):
+    exact = list(_values(cartesian_product([f, h])))
+    assert list(sandwich_bound([_values(f), _values(h)])) == exact
+    assert list(sandwich_bound([_values(h), _values(f)])) == exact
+    assert list(_least([f, h])) == exact
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(ATOMS, 2)
+        if ATOMS[a].n * ATOMS[b].n <= 24
+    ],
+    ids="x".join,
+)
+def test_pair_bound_is_the_subset_dp(names):
+    """U along either factor first, and their minimum, equal the subset DP
+    on every pair of at most 24 vertices of the named graphs."""
+    _assert_pair_bound_is_exact(*(ATOMS[x] for x in names))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_bound_is_the_subset_dp_on_random_nested_factors(seed):
+    """Seeded random pairs of graphs with nested solutions, one of 3-8
+    vertices and the other as large as 24 vertices allow."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        n = int(rng.integers(3, 9))
+        f = _nested_random_graph(rng, n)
+        h = _nested_random_graph(rng, int(rng.integers(3, 24 // n + 1)))
+        _assert_pair_bound_is_exact(f, h)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[petersen(), petersen()], [cycle(6), cycle(8)], [clique(6), clique(5)]],
+    ids=["petersen^2", "C6xC8", "K6xK5"],
+)
+def test_pair_bound_is_the_downset_profile(factors):
+    """Past the subset DP's cap, U equals the downset oracle and the
+    exhaustive staircase scan on the factors' optimal orders."""
+    g = cartesian_product(factors)
+    orders = [factor_profile_and_order(f)[1] for f in factors]
+    upper = list(sandwich_bound([_values(f) for f in factors]))
+    assert list(downset_profile(g, orders)) == upper
+    assert list(staircase_scan_2d(g, orders)[0]) == upper
+
+
+def test_pair_order_that_misses_the_bound_needs_nested_factors(non_nested_7):
+    """A pair with a factor that has no nested solutions gets no verdict
+    from the bound, whichever factor comes first."""
+    rng = np.random.default_rng(3)
+    for factors in ([non_nested_7, clique(2)], [clique(3), non_nested_7]):
+        pair = cartesian_product(factors)
+        order = TotalOrder.from_sequence(rng.permutation(pair.n).tolist())
+        prefix, upper = solver.order_sandwich(pair, order)
+        assert (prefix < upper).any()
+        with pytest.raises(NoNestedSolutions):
+            check_order(pair, order)
 
 
 def test_order_no_exact_engine_takes_is_never_passed():
@@ -183,6 +286,37 @@ def test_bound_past_the_cell_cap_is_refused_before_it_is_built():
     finally:
         tracemalloc.stop()
     assert peak < staircase.STACK_CELL_CAP  # bytes: an eighth of the table
+
+
+def test_slab_dp_past_the_cell_cap_is_refused_before_it_is_built():
+    """K24 x K23 x K4 has 2,208 vertices: the slab DP's two tables would
+    hold 2 x 17,550 shapes x 2,209 sizes, about 77.5M cells (0.6 GB), over
+    STACK_CELL_CAP, so it raises before allocating them."""
+    import tracemalloc
+
+    g = cartesian_product([clique(24), clique(23), clique(4)])
+    orders = [TotalOrder.identity(f.n) for f in g.factors]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="77535900 cells, beyond the cap"):
+            downset_profile(g, orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < staircase.STACK_CELL_CAP // 8  # bytes: a 64th of the tables
+
+
+def test_slab_dp_cap_counts_only_the_sizes_asked_for(monkeypatch):
+    """On C5^3 the slab DP's tables hold 2 x 252 shapes x 126 sizes: under
+    a cap of 10,000 cells the whole profile is refused, and its first 16
+    sizes (8,064 cells) are the same as without the cap."""
+    g = graph_power(cycle(5), 3)
+    orders = [factor_profile_and_order(f)[1] for f in g.factors]
+    whole = downset_profile(g, orders)
+    monkeypatch.setattr(staircase, "STACK_CELL_CAP", 10_000)
+    with pytest.raises(SizeCapExceeded, match="63504 cells"):
+        downset_profile(g, orders)
+    assert list(downset_profile(g, orders, 15)) == list(whole[:16])
 
 
 def test_bound_over_three_factors_of_24_fits_under_the_cell_cap():

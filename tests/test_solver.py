@@ -234,13 +234,6 @@ def test_compressed_strategy_past_200_vertices():
     assert list(comp.i_values) == prefix_edge_counts(g, lex_order(g, orders)).tolist()
 
 
-def test_compressed_rejects_suboptimal_factor_order():
-    g = cartesian_product([petersen(), clique(2)])
-    bad = [TotalOrder.identity(10), TotalOrder.identity(2)]
-    with pytest.raises(ValueError, match="not optimal"):
-        exact_profile(g, "compressed", factor_orders=bad)
-
-
 def test_budget_flags_incomplete():
     g = graph_power(clique(2), 4)
     with Budget(0.0), pytest.raises(BudgetExceeded, match="budget exceeded"):

@@ -28,7 +28,7 @@ from .graphs import (
     petersen,
     subproduct,
 )
-from .budget import Budget, BudgetExceeded
+from .budget import Budget, BudgetExceeded, SizeCapExceeded
 from .orders import (
     TotalOrder,
     colex_perm,
@@ -46,7 +46,6 @@ from .solver import (
     DeltaSequence,
     NoNestedSolutions,
     Profile,
-    SizeCapExceeded,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,

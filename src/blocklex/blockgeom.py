@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, induced_subgraph, mixed_radix
+from .budget import SizeCapExceeded
+from .graphs import Graph, VertexSet, cartesian_product, induced_subgraph, mixed_radix
 from .orders import (
     TotalOrder,
     _rank_matrix,
@@ -39,12 +40,10 @@ from .partitions import (
     standard_monotonic_partition,
 )
 from .solver import (
-    FULL_ENUM_CAP,
-    SizeCapExceeded,
+    check_order,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,
-    verify_order_optimal,
 )
 from .staircase import sandwich_bound
 
@@ -212,9 +211,16 @@ class DominationCollection:
         (`_verify_block_class`).  Sets `validated` on success so the order
         constructors will accept the collection.
 
-        Raises SizeCapExceeded when no block fails but some block over
-        FULL_ENUM_CAP misses the sandwich bound: whether its order is
-        optimal cannot be told."""
+        Restrictions are checked on the factor pairs alone: a restricted
+        permutation is fixed by the relative order of each pair in it, so
+        consistent pairs make every subset consistent.
+
+        Raises SizeCapExceeded when no block fails but `solver.check_order`
+        cannot decide some block (four or more nontrivial segment graphs
+        past the subset DP's cap, or a table past
+        `staircase.STACK_CELL_CAP` cells), and NoNestedSolutions when a
+        block that misses the sandwich bound has a segment graph without
+        nested solutions."""
         diags: list[str] = []
         ok = True
         if g.factors is None or len(g.factors) != self.d:
@@ -226,8 +232,8 @@ class DominationCollection:
         if not ok:
             return False, diags
         try:
-            for k in range(1, self.d):
-                for s in itertools.combinations(range(self.d), k):
+            if self.d > 2:
+                for s in itertools.combinations(range(self.d), 2):
                     self.restricted(s)
         except ValueError as e:
             ok = False
@@ -246,7 +252,7 @@ class DominationCollection:
                 )
                 if key not in verdicts:
                     try:
-                        verdicts[key] = _verify_block_class(g, self, bid, segs)
+                        verdicts[key] = _verify_block_class(self, bid, segs)
                     except SizeCapExceeded as e:
                         if undecided is None:
                             undecided = e
@@ -293,17 +299,18 @@ def _lex_prefix_counts(gs: Sequence[Graph]) -> np.ndarray:
 
 
 def _verify_block_class(
-    g: Graph, dc: DominationCollection, bid: BlockId, segs: list[tuple[Graph, ...]]
+    dc: DominationCollection, bid: BlockId, segs: list[tuple[Graph, ...]]
 ) -> tuple[bool, Optional[int]]:
     """Whether the block's domination order is optimal for the block
     graph, and if not, the first size where it fails.
 
-    Sandwich first: prefix counts that meet `sandwich_bound` over the
-    block's segment graphs prove the order optimal.  Otherwise the subset
-    DP on the block graph decides; a block over FULL_ENUM_CAP raises
-    SizeCapExceeded, since the bound alone cannot refute."""
-    # the domination order is lexicographic on the segment graphs taken
-    # in the permutation's significance order
+    The block graph is the product of its segment graphs, and its
+    domination order is lexicographic on them in the permutation's
+    significance order.  Prefix counts in closed form that meet
+    `sandwich_bound` prove the order optimal without building the block.
+    Otherwise `solver.check_order` decides on the product of the
+    nontrivial segment graphs in that order, whose identity order is the
+    domination order."""
     chosen = [segs[i][bid[i]] for i in dc.perm_for(bid)]
     lower = _lex_prefix_counts(chosen)
     upper = sandwich_bound(
@@ -312,16 +319,9 @@ def _verify_block_class(
     )
     if np.array_equal(lower, upper):
         return True, None
-    size = len(lower) - 1
-    if size > FULL_ENUM_CAP:
-        raise SizeCapExceeded(
-            f"block {bid} has {size} vertices, beyond the cap {FULL_ENUM_CAP}, "
-            "and its domination order misses the sandwich bound; cannot tell "
-            "whether it is optimal"
-        )
-    sub, order = block_graph_and_order(g, dc, bid)
-    prof = exact_profile(sub, "full", with_witnesses=False)
-    return verify_order_optimal(sub, order, prof)
+    block = cartesian_product([s for s in chosen if s.n > 1])
+    _, good, bad_m, _ = check_order(block, TotalOrder.identity(block.n))
+    return good, bad_m
 
 
 def uniform_collection(

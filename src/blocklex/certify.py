@@ -5,16 +5,15 @@ The certifier machine-checks the hypotheses that let two-dimensional
 optimality propagate to any number of factors: every factor partition is
 isoperimetric, the leading factors' partitions are non-decreasing, the
 collection is a regular domination collection, and the two-factor
-block-lexicographic order is optimal for every factor pair.  Each block and
-pair order is first compared with the sandwich bound of its factors'
-profiles, which proves it optimal when met.  A pair's bound is its exact
-profile, since both factors have nested solutions, so it also refutes
-(`solver.check_order`); a block that misses it goes to subset enumeration,
-and past FULL_ENUM_CAP is undecided.  A certificate carries one entry
-per hypothesis with evidence and is emitted only if every entry verified;
-cross-checking compares the certified order on the three-factor product
-with the sandwich bound at every size, runs the downset oracle only where
-the bound is missed, and revokes only when that oracle beats the order.
+block-lexicographic order is optimal for every factor pair.  Every order
+check, of a block, a pair or the crosscheck, is one call of
+`solver.check_order`: the sandwich bound of the factors' profiles proves
+an order optimal when met, and where it is missed the pair's bound itself
+(exact under nested solutions), the slab DP on three factors or the subset
+DP decides.  A certificate carries one entry per hypothesis with evidence
+and is emitted only if every entry verified; cross-checking runs the same
+check on the certified order of the three-factor product, and revokes
+only when the slab DP beats the order at some size.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .blockgeom import (
     uniform_collection,
     validate_regular_domination_collection,
 )
-from .budget import BudgetExceeded
+from .budget import BudgetExceeded, SizeCapExceeded
 from .graphs import Graph, cartesian_product, clique, path, petersen, cycle
 from .orders import TotalOrder, lex_order
 from .partitions import (
@@ -48,15 +47,14 @@ from .partitions import (
 )
 from .solver import (
     FULL_ENUM_CAP,
-    SizeCapExceeded,
     check_order,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,
     find_nested_chain,
     order_sandwich,
+    prefix_edge_counts,
 )
-from .staircase import downset_profile
 
 __all__ = [
     "Hypothesis",
@@ -439,16 +437,15 @@ def crosscheck(
     *,
     order_override: Optional[TotalOrder] = None,
 ) -> Certificate:
-    """Compare the certified order's prefix counts on the three-factor
-    product with the sandwich bound (`solver.order_sandwich`) at every size
-    m = 0..n.  Sizes where they are equal are proved.  Sizes that miss the
-    bound go to the slab DP (`downset_profile`, up to the largest of them)
-    when its table fits under `staircase.STACK_CELL_CAP`: the first size
-    where the slab DP beats the order revokes the certificate and records
-    the counterexample, and sizes where they are equal are proved.  Sizes
-    no exact oracle decides are listed as unchecked; they revoke nothing,
-    since the bound can be loose.  `gs` is the three factors or their
-    product graph; `dc` must be validated.
+    """Check the certified order on the three-factor product at every size
+    m = 0..n with `solver.check_order`.  Sizes where its prefix counts
+    meet the sandwich bound are proved; if any miss it, the slab DP
+    decides them (oracle "sandwich+slab"), and the first size where it
+    beats the order revokes the certificate and records the
+    counterexample.  When the slab DP's table passes its cap, the sizes
+    that miss the bound are listed as unchecked and revoke nothing, since
+    the bound can be loose (oracle "sandwich").  `gs` is the three
+    factors or their product graph; `dc` must be validated.
 
     `order_override` substitutes a different order for the certified one;
     it exists so tests can demonstrate the revocation path.
@@ -457,33 +454,28 @@ def crosscheck(
     if g.factors is None or len(g.factors) != 3:
         raise ValueError("cross-checks run on three-factor products")
     order = order_override if order_override is not None else block_lex_order(g, dc)
-    prefix, upper = order_sandwich(g, order)
-    unchecked = np.flatnonzero(prefix != upper)
-    oracle = "sandwich"
-    bad = None
-    if unchecked.size:
-        try:
-            exact = downset_profile(g, dc.factor_orders, int(unchecked[-1]))
-        except SizeCapExceeded:
-            pass
-        else:
+    oracle, unchecked, bad = "sandwich", [], None
+    try:
+        used, ok, m, exact = check_order(g, order)
+    except SizeCapExceeded:
+        prefix, upper = order_sandwich(g, order)
+        unchecked = np.flatnonzero(prefix != upper).tolist()
+    else:
+        if used == "slab":
             oracle = "sandwich+slab"
-            beaten = unchecked[exact[unchecked] > prefix[unchecked]]
-            if beaten.size:
-                m = int(beaten[0])
-                bad = {
-                    "m": m,
-                    "order_value": int(prefix[m]),
-                    "oracle_value": int(exact[m]),
-                    "initial_segment": order.initial_segment(m).ids().tolist(),
-                }
-            unchecked = unchecked[exact[unchecked] < prefix[unchecked]]
+        if not ok:
+            bad = {
+                "m": m,
+                "order_value": int(prefix_edge_counts(g, order)[m]),
+                "oracle_value": exact[m],
+                "initial_segment": order.initial_segment(m).ids().tolist(),
+            }
     cert.crosschecks.append(
         {
             "product_digest": g.digest,
             "oracle": oracle,
             "sizes": g.n + 1,
-            "unchecked": unchecked.tolist(),
+            "unchecked": unchecked,
             "agreement": bad is None,
         }
     )

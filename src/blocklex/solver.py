@@ -9,8 +9,10 @@ of at most three factors with nested solutions can instead be profiled
 through the rank-space downset oracle, whose limits are the factors' (each
 profiled by the subset DP, so at most FULL_ENUM_CAP vertices) and, on three
 factors, the slab DP's table (`staircase.STACK_CELL_CAP` cells).
-`check_order` decides whether an order on a product is optimal, on two
-factors by the sandwich bound alone.
+`check_order` is the one rule that decides whether an order on a product
+is optimal: the sandwich bound first, then an exact engine chosen by the
+number of factors.  Pairs, block classes, the crosscheck and the
+explorers all decide through it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .orders import TotalOrder
 
 __all__ = [
     "FULL_ENUM_CAP",
-    "SizeCapExceeded",
     "NoNestedSolutions",
     "ChainSearchInconclusive",
     "Profile",
@@ -531,31 +532,8 @@ def exact_profile(
     )
 
 
-def theta_profile(
-    g: Graph,
-    strategy: str = "full",
-    *,
-    with_witnesses: bool = True,
-    induced_profile: Optional[Profile] = None,
-) -> Profile:
-    """Minimum boundary-edge counts per size.
-
-    strategy "full" enumerates subsets; strategy "via_regular" derives the
-    values from an induced profile using the degree identity
-    boundary + 2*induced = degree * |A|, valid for regular graphs only.
-    """
-    if strategy == "via_regular":
-        d = g.regular_degree()
-        if d is None:
-            raise ValueError("via_regular requires a regular graph")
-        if induced_profile is None:
-            induced_profile = exact_profile(g, "full", with_witnesses=False)
-        vals = tuple(
-            d * m - 2 * induced_profile.value(m) for m in range(g.n + 1)
-        )
-        return Profile("boundary_min", vals, None, "via_regular", g.digest)
-    if strategy != "full":
-        raise ValueError(f"unknown theta strategy {strategy!r}")
+def theta_profile(g: Graph, *, with_witnesses: bool = True) -> Profile:
+    """Minimum boundary-edge counts per size, by the subset DP."""
     if g.n > FULL_ENUM_CAP:
         raise SizeCapExceeded(
             f"{g.n} vertices exceed the full-enumeration cap of {FULL_ENUM_CAP}"
@@ -576,12 +554,7 @@ def delta_sequence(
 
 def prefix_edge_counts(g: Graph, order: TotalOrder) -> np.ndarray:
     """|I(initial segment of size m)| for m = 0..n, in O(E)."""
-    counts = np.zeros(g.n + 1, dtype=np.int64)
-    eu, ev = g.edge_arrays()
-    if eu.size:
-        hi = np.maximum(order.ranks[eu], order.ranks[ev])
-        np.add.at(counts, hi, 1)
-    return np.cumsum(counts)
+    return staircase.rank_edge_tables(g, order)[0]
 
 
 def verify_order_optimal(
@@ -618,28 +591,46 @@ def check_order(
     decided, the verdict, the first failing size and the exact profile.
 
     Prefix counts that meet the bound U of `order_sandwich` prove the
-    order optimal, and U is then the exact profile ("sandwich").  On two
-    factors with nested solutions U is the exact profile anyway, since
-    compression takes every set to a rank-space staircase and U maximizes
-    over those, so it refutes too ("sandwich"); `factor_profile_and_order`
-    checks the hypothesis and raises NoNestedSolutions.  On three or more
-    factors an order that misses U goes to the subset DP up to
-    FULL_ENUM_CAP vertices ("full_enumeration"), past it to the downset
-    oracle ("compressed_oracle").  A product whose bound table passes
-    `staircase.STACK_CELL_CAP`, or that no exact engine can take, raises
-    SizeCapExceeded."""
+    order optimal, and U is then the exact profile ("sandwich").  Where
+    they miss it, the number of factors picks the exact engine:
+
+    - two: U is the exact profile when both factors have nested solutions,
+      since compression takes every set to a rank-space staircase and U
+      maximizes over those, so U refutes too ("sandwich");
+    - three: the slab DP on the factors' optimal orders, up to the largest
+      size that misses U ("slab"); past that size U is met, so exact;
+    - one, or four and more: the subset DP, up to FULL_ENUM_CAP vertices
+      ("full_enumeration").
+
+    The two- and three-factor engines rely on the factors' nested
+    solutions, which `factor_profile_and_order` confirms, raising
+    NoNestedSolutions without them.  A product of four or more factors
+    past FULL_ENUM_CAP vertices, or one whose bound or slab table passes
+    `staircase.STACK_CELL_CAP` cells, raises SizeCapExceeded."""
     prefix, exact = order_sandwich(g, order)
     used = "sandwich"
-    if not np.array_equal(prefix, exact):
-        if len(g.factors) == 2:
+    miss = np.flatnonzero(prefix != exact)
+    if miss.size:
+        d = len(g.factors)
+        if d == 2:
             for f in g.factors:
                 factor_profile_and_order(f)  # U is exact only under this
+        elif d == 3:
+            used = "slab"
+            orders = [factor_profile_and_order(f)[1] for f in g.factors]
+            m_max = int(miss[-1])
+            exact = np.concatenate(
+                (staircase.downset_profile(g, orders, m_max), exact[m_max + 1 :])
+            )
         elif g.n <= FULL_ENUM_CAP:
             used = "full_enumeration"
             exact = exact_profile(g, "full", with_witnesses=False).values_array()
         else:
-            used = "compressed_oracle"
-            exact = exact_profile(g, "compressed").values_array()
+            raise SizeCapExceeded(
+                f"the order misses the sandwich bound on {g.n} vertices and "
+                f"{d} factors: the subset DP takes up to {FULL_ENUM_CAP} "
+                "vertices and the slab DP products of up to three factors"
+            )
     bad = np.flatnonzero(prefix != exact)
     bad_m = int(bad[0]) if bad.size else None
     return used, bad_m is None, bad_m, tuple(int(x) for x in exact)

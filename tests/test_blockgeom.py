@@ -526,12 +526,15 @@ def _ref_block_diagnostics(g, dc):
 
 
 @pytest.mark.parametrize("failing", [(0, 0), (1, 0)])
-def test_validate_reports_a_failing_block_that_shares_segment_graphs(failing):
+def test_validate_reports_a_failing_block_that_shares_segment_graphs(failing, monkeypatch):
     """P6 x K2 with P6 cut into two P3 segments: both blocks are P3 x K2.
     P3 most significant fills the ladder rung by rung (optimal); K2 most
     significant runs along the path first and falls behind at m = 4.  The
-    block under the bad permutation is reported, and only it."""
-    from blocklex import path
+    block under the bad permutation is reported, and only it.  The pair's
+    sandwich bound refutes it alone: only the segment graphs P3 and K2 are
+    profiled, never the block graph, and no downset oracle runs."""
+    from blocklex import path, solver, staircase
+    from blocklex.partitions import segment_graphs
 
     g = cartesian_product([path(6), clique(2)])
     parts = (
@@ -540,7 +543,22 @@ def test_validate_reports_a_failing_block_that_shares_segment_graphs(failing):
     )
     passing = (1, 0) if failing == (0, 0) else (0, 0)
     dc = DominationCollection(parts, {passing: (0, 1), failing: (1, 0)})
+    profiled = []
+    enumerated = solver._enumerated_profile
+
+    def recording(h, *args):
+        profiled.append(h.digest)
+        return enumerated(h, *args)
+
+    def no_downsets(*args, **kwargs):
+        raise AssertionError("the downset oracle ran")
+
+    monkeypatch.setattr(solver, "_enumerated_profile", recording)
+    monkeypatch.setattr(staircase, "downset_profile", no_downsets)
     ok, diags = dc.validate(g)
+    monkeypatch.undo()
+    segments = {s.digest for f, p in zip(g.factors, parts) for s in segment_graphs(f, p)}
+    assert profiled and set(profiled) <= segments
     assert not ok
     assert diags == [
         f"block {failing}: domination order not optimal for the block graph "
@@ -549,6 +567,55 @@ def test_validate_reports_a_failing_block_that_shares_segment_graphs(failing):
     assert diags == _ref_block_diagnostics(g, dc)
     same = DominationCollection(parts, {passing: (0, 1), failing: (0, 1)})
     assert same.validate(g) == (True, [])
+
+
+def _keyed_perms(rng, counts, flips):
+    """Block permutations sorted by a per-factor, per-segment key, so that
+    each pair's relative order depends on the pair's segments alone; then
+    `flips` blocks get a random permutation instead."""
+    d = len(counts)
+    key = [rng.random(k) for k in counts]
+    perms = {
+        bid: tuple(sorted(range(d), key=lambda i: key[i][bid[i]]))
+        for bid in itertools.product(*(range(k) for k in counts))
+    }
+    blocks = list(perms)
+    for x in rng.choice(len(blocks), size=flips, replace=False):
+        perms[blocks[x]] = tuple(rng.permutation(d).tolist())
+    return perms
+
+
+def test_consistent_pairs_make_every_restriction_consistent():
+    """On seeded random 4-factor collections, every restriction succeeds
+    whenever every pair's does, and `validate` reports the first
+    inconsistent subset of a loop over every proper subset by size."""
+    rng = np.random.default_rng(12)
+    counts = (2, 3, 2, 2)
+    parts = [
+        Partition.from_boundaries(TotalOrder.identity(k), list(range(1, k + 1)))
+        for k in counts
+    ]
+    g = cartesian_product([clique(k) for k in counts])
+    subsets = [
+        s for k in range(1, 4) for s in itertools.combinations(range(4), k)
+    ]
+    outcomes = set()
+    for _ in range(60):
+        perms = _keyed_perms(rng, counts, int(rng.integers(0, 3)))
+        errors = []
+        for s in subsets:
+            try:
+                DominationCollection(parts, perms).restricted(s)
+            except ValueError as e:
+                errors.append((len(s), str(e)))
+        pairs_ok = not any(k == 2 for k, _ in errors)
+        assert pairs_ok == (not errors)
+        outcomes.add(pairs_ok)
+        ok, diags = DominationCollection(parts, perms).validate(
+            g, check_block_optimality=False
+        )
+        assert (ok, diags) == (not errors, [e for _, e in errors[:1]])
+    assert outcomes == {True, False}
 
 
 def test_validate_tells_apart_segments_of_one_size():

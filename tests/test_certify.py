@@ -161,11 +161,8 @@ def test_crosscheck_c5_cube_samples():
 def _loosen(monkeypatch, m):
     """Make the bound that crosscheck reads one edge too high at size m on
     three-factor products, as a loose bound would be."""
-    import importlib
-
     from blocklex import staircase
 
-    certify_module = importlib.import_module("blocklex.certify")
     real = staircase.sandwich_bound
 
     def loose(profiles, lower=None):
@@ -176,28 +173,47 @@ def _loosen(monkeypatch, m):
         return upper
 
     monkeypatch.setattr(staircase, "sandwich_bound", loose)
-    return certify_module
 
 
 def test_crosscheck_slab_decides_where_the_bound_is_loose(monkeypatch):
+    """With the bound one edge too high at m = 62 on C5^3, the order
+    misses it there alone: `check_order` runs the slab DP up to m = 62,
+    never the subset DP on the product, and proves the order optimal."""
+    from blocklex import graph_power, solver, staircase
+
     _loosen(monkeypatch, 62)
+    slab_sizes, profiled = [], []
+    downset, enumerated = staircase.downset_profile, solver._enumerated_profile
+
+    def recording_slab(h, orders, m_max=None):
+        slab_sizes.append(m_max)
+        return downset(h, orders, m_max)
+
+    def recording_dp(h, *args):
+        profiled.append(h.digest)
+        return enumerated(h, *args)
+
+    monkeypatch.setattr(staircase, "downset_profile", recording_slab)
+    monkeypatch.setattr(solver, "_enumerated_profile", recording_dp)
     cert = certify([cycle(5)] * 3, "standard")
     [check] = cert.crosschecks
     assert check["oracle"] == "sandwich+slab"
     assert (check["unchecked"], check["agreement"]) == ([], True)
     assert cert.status == "certified" and not cert.revoked
+    assert slab_sizes == [62]
+    assert graph_power(cycle(5), 3).digest not in profiled
 
 
 def test_crosscheck_loose_bound_without_slab_is_unchecked(monkeypatch):
     """A size that misses a loose bound, with the slab DP past its cap,
     is listed as unchecked and revokes nothing."""
-    from blocklex.solver import SizeCapExceeded
+    from blocklex import SizeCapExceeded, staircase
 
     def capped(*args, **kwargs):
         raise SizeCapExceeded("slab shape count exceeds the cap")
 
-    certify_module = _loosen(monkeypatch, 62)
-    monkeypatch.setattr(certify_module, "downset_profile", capped)
+    _loosen(monkeypatch, 62)
+    monkeypatch.setattr(staircase, "downset_profile", capped)
     cert = certify([cycle(5)] * 3, "standard")
     [check] = cert.crosschecks
     assert check["oracle"] == "sandwich"

@@ -329,16 +329,47 @@ def test_bound_over_three_factors_of_24_fits_under_the_cell_cap():
 def test_over_cap_block_with_a_bad_factor_order_never_passes():
     """P3^3 with one segment per factor over the P3 order 0, 2, 1: the one
     27-vertex block is over the subset-DP cap and its order misses the
-    bound, so validation cannot tell, under any permutation."""
+    bound, so the slab DP decides it: refuted at m = 2 (the first two
+    vertices of the segment order are not adjacent), under any
+    permutation."""
     g = graph_power(path(3), 3)
     part = Partition.from_boundaries(TotalOrder.from_sequence([0, 2, 1]), [3])
     for dc in (
         uniform_collection([part] * 3),
         DominationCollection((part,) * 3, {(0, 0, 0): (2, 0, 1)}),
     ):
-        with pytest.raises(SizeCapExceeded, match="cannot tell"):
-            dc.validate(g)
+        assert dc.validate(g) == (False, [
+            "block (0, 0, 0): domination order not optimal for the block "
+            "graph (fails at m=2)"
+        ])
         assert not dc.validated
+
+
+def test_over_cap_block_of_four_segments_cannot_be_told():
+    """P3^4 under the same order is one 81-vertex block of four segment
+    graphs: neither the subset DP nor the slab DP takes it, so validation
+    raises instead of answering."""
+    g = graph_power(path(3), 4)
+    part = Partition.from_boundaries(TotalOrder.from_sequence([0, 2, 1]), [3])
+    dc = uniform_collection([part] * 4)
+    with pytest.raises(SizeCapExceeded, match="up to three factors"):
+        dc.validate(g)
+    assert not dc.validated
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_block_with_a_non_nested_segment_graph_gets_no_verdict(non_nested_7, first):
+    """The 7-vertex graph without nested solutions times K2, either factor
+    first, with one segment per factor: the one block misses the bound,
+    and the pair check raises NoNestedSolutions instead of a verdict."""
+    factors = [non_nested_7, clique(2)][:: 1 if first == 0 else -1]
+    g = cartesian_product(factors)
+    dc = uniform_collection(
+        [Partition.from_boundaries(TotalOrder.identity(f.n), [f.n]) for f in factors]
+    )
+    with pytest.raises(NoNestedSolutions):
+        dc.validate(g)
+    assert not dc.validated
 
 
 @pytest.mark.parametrize("n", [3, 5])

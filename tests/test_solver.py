@@ -94,20 +94,16 @@ def test_delta_step_bound_on_isoperimetric_graphs():
 
 
 def test_theta_cube(cube3):
+    """The cube is 3-regular, so theta(m) = 3m - 2 I(m)."""
     full = theta_profile(cube3)
     assert full.i_values[4] == 4
     assert full.i_values[0] == 0
-    via = theta_profile(cube3, "via_regular")
-    assert via.i_values == full.i_values
+    induced = exact_profile(cube3).i_values
+    assert full.i_values == tuple(3 * m - 2 * i for m, i in enumerate(induced))
 
 
 def test_theta_c5_pair():
     assert theta_profile(cycle(5)).i_values[2] == 2
-
-
-def test_theta_via_regular_rejects_irregular():
-    with pytest.raises(ValueError):
-        theta_profile(path(4), "via_regular")
 
 
 def test_regular_complement_identity():
@@ -574,10 +570,9 @@ def test_budget_cut_profile_is_not_cached():
 
     g = graph_power(clique(2), 4)
     clear_caches()
-    for profile, strategy in ((exact_profile, "full"), (theta_profile, "full"),
-                              (exact_profile, "bnb")):
+    for profile in (exact_profile, theta_profile, lambda g: exact_profile(g, "bnb")):
         with Budget(0.0), pytest.raises(BudgetExceeded):
-            profile(g, strategy)
+            profile(g)
     assert _PROFILE_CACHE == {}
     exact_profile(g)
     assert len(_PROFILE_CACHE) == 1

@@ -162,6 +162,7 @@ class Graph:
         "_coords",
         "_radix",
         "_digest",
+        "_bitmasks",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], factors=None):
@@ -200,6 +201,7 @@ class Graph:
         self._coords = None
         self._radix = None
         self._digest = None
+        self._bitmasks = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -223,11 +225,18 @@ class Graph:
         d = int(degs[0])
         return d if bool(np.all(degs == d)) else None
 
-    def adjacency_bitmasks(self) -> list[int]:
-        """Per-vertex neighbor bitmasks; only for n <= 63."""
-        if self.n > 63:
-            raise ValueError("bitmask adjacency limited to n <= 63")
-        return [sum(1 << int(w) for w in nb) for nb in self.neighbors]
+    def adjacency_bitmasks(self) -> tuple[int, ...]:
+        """Per-vertex neighbor bitmasks, built once; only for n <= 63."""
+        if self._bitmasks is None:
+            if self.n > 63:
+                raise ValueError("bitmask adjacency limited to n <= 63")
+            adj = [0] * self.n
+            eu, ev = self._edges
+            for u, v in zip(eu.tolist(), ev.tolist()):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            self._bitmasks = tuple(adj)
+        return self._bitmasks
 
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors[u]
@@ -546,9 +555,13 @@ def _parse_atom(tok: str) -> Graph:
     tok = tok.strip()
     low = tok.lower()
     if low.startswith("union(") and tok.endswith(")"):
-        inner = tok[len("union(") : -1]
-        args = [_parse_term(t) for t in _split_top(inner, ",")]
-        return disjoint_union(args)
+        args: list[str] = []
+        for t in _split_top(tok[len("union(") : -1], ","):
+            if t.strip().isdigit() and args and re.search(r"K\d+\s*$", args[-1], re.I):
+                args[-1] += "," + t  # the b of K<a>,<b>
+            else:
+                args.append(t)
+        return disjoint_union([parse_graph_spec(t) for t in args])
     m = _NAME_RE.match(tok)
     if not m:
         raise ValueError(f"cannot parse graph name {tok!r}")
@@ -563,39 +576,21 @@ def _parse_atom(tok: str) -> Graph:
     return petersen()
 
 
-def _parse_term(tok: str) -> Graph:
-    tok = tok.strip()
-    if "^" in tok:
-        base, _, exp = tok.rpartition("^")
-        k = int(exp)
-        g = _parse_atom(base)
-        if k == 1:
-            return g
-        return graph_power(g, k)
-    return _parse_atom(tok)
-
-
 def parse_graph_spec(text: str) -> Graph:
     """Parse specs like "K5", "P4", "C5", "petersen", "K3,3",
-    "petersen^2xK2", "union(K5,K4)".  Products use the 'x' separator,
-    powers use '^'."""
+    "petersen^2xK2", "union(K5,K3,3,P3^2)".  Products use the 'x'
+    separator, powers use '^'; each union argument is a spec."""
     text = text.strip()
     if not text:
         raise ValueError("empty graph spec")
     terms = _split_top(text, "x")
     if any(not t.strip() for t in terms):
         raise ValueError(f"empty product term in {text!r}")
-    if len(terms) == 1:
-        term = terms[0].strip()
-        if "^" in term:
-            return _parse_term(term)  # a power is a product
-        return _parse_atom(term)
     parts: list[Graph] = []
     for t in terms:
-        t = t.strip()
-        if "^" in t:
-            base, _, exp = t.rpartition("^")
-            parts.extend([_parse_atom(base)] * int(exp))
-        else:
-            parts.append(_parse_atom(t))
-    return cartesian_product(parts)
+        pieces = _split_top(t, "^")  # a power is a product
+        k = int(pieces.pop()) if len(pieces) > 1 else 1
+        if k < 1:
+            raise ValueError("power needs k >= 1")
+        parts += [_parse_atom("^".join(pieces))] * k
+    return parts[0] if len(parts) == 1 else cartesian_product(parts)

@@ -4,7 +4,10 @@ search, and order-optimality verification.
 The full-enumeration strategy is the brute-force oracle that everything
 else in the package is validated against.  It runs a subset dynamic
 program over all 2^n membership words (edge counts extend one vertex at a
-time), so it is exact and practical up to FULL_ENUM_CAP vertices.  Products
+time), so it is exact and practical up to FULL_ENUM_CAP vertices.  A graph
+that splits into id intervals no edge joins, such as a disjoint union, is
+profiled from its parts by max-plus (min-plus for the boundary)
+convolution, with the same smallest witnesses.  Products
 of at most three factors with nested solutions can instead be profiled
 through the rank-space downset oracle, whose limits are the factors' (each
 profiled by the subset DP, so at most FULL_ENUM_CAP vertices) and, on three
@@ -448,6 +451,76 @@ def _bnb_profile(g: Graph) -> tuple[list[int], list[tuple[int, ...]]]:
     return best, wits
 
 
+# -- disjoint unions -----------------------------------------------------------
+
+
+def _split_ends(adj: Sequence[int]) -> list[int]:
+    """The ends of the finest split of the ids 0..n-1 into intervals that
+    no edge joins: an interval ends at v + 1 once no vertex up to v has a
+    neighbour above v."""
+    ends, reach = [], 0
+    for v, nbrs in enumerate(adj):
+        reach = max(reach, nbrs.bit_length() - 1)
+        if reach <= v:
+            ends.append(v + 1)
+    return ends
+
+
+def _union_profile(
+    g: Graph, ends: list[int], kind: str, with_witnesses: bool
+) -> tuple[list[int], Optional[list[tuple[int, ...]]]]:
+    """The profile of g from those of its parts, the id intervals that end
+    at ends, which no edge joins.  Each part, a slice of the sorted edge
+    arrays, is profiled and cached on its own (`_enumerated_profile`).
+
+    An extremal m-set is a union of extremal sets of the parts, so the
+    values are the prefix convolutions P_k = P_(k-1) (+) I_k of the parts'
+    profiles I_k: max-plus for induced edges, min-plus for the boundary.
+    The witness is the DP's, the smallest attaining mask.  Masks compare
+    from the highest part down, and a set attains P_k(rest) exactly when
+    its part in k attains I_k(s) and the rest P_(k-1)(rest - s) for a size
+    s with I_k(s) + P_(k-1)(rest - s) = P_k(rest); so from the highest part
+    down, each part takes its smallest witness over those sizes.
+    """
+    pick = max if kind == "induced_max" else min
+    eu, ev = g.edge_arrays()
+    parts, start = [], 0
+    for end in ends:
+        i, j = np.searchsorted(eu, (start, end)).tolist()
+        edges = zip((eu[i:j] - start).tolist(), (ev[i:j] - start).tolist())
+        part = Graph(end - start, edges)
+        parts.append((start, _enumerated_profile(part, kind, "full", with_witnesses)))
+        start = end
+    prefix = [(0,)]  # prefix[k][m]: P_k(m), the best m-set in parts below k
+
+    def sizes(k: int, m: int) -> range:
+        """The sizes s of part k that leave m - s for the parts below."""
+        return range(max(0, m + 1 - len(prefix[k])), min(m, parts[k][1].n) + 1)
+
+    for k, (_, p) in enumerate(parts):
+        vals, last = p.i_values, prefix[k]
+        prefix.append(tuple(
+            pick(vals[s] + last[m - s] for s in sizes(k, m))
+            for m in range(len(last) + p.n)
+        ))
+    if not with_witnesses:
+        return list(prefix[-1]), None
+    masks = [[sum(1 << a + x for x in w) for w in p.witnesses] for a, p in parts]
+    wits = []
+    for m in range(g.n + 1):
+        rest, mask = m, 0
+        for k in reversed(range(len(parts))):
+            vals, last, best = parts[k][1].i_values, prefix[k], prefix[k + 1][rest]
+            s = min(
+                (s for s in sizes(k, rest) if vals[s] + last[rest - s] == best),
+                key=masks[k].__getitem__,
+            )
+            mask |= masks[k][s]
+            rest -= s
+        wits.append(tuple(x for x in range(g.n) if mask >> x & 1))
+    return list(prefix[-1]), wits
+
+
 # -- profile cache -------------------------------------------------------------
 
 # "full" and "bnb" profiles by (kind, strategy, graph digest).  An
@@ -462,7 +535,9 @@ def _enumerated_profile(
     with_witnesses: bool,
 ) -> Profile:
     """Profile by subset enumeration ("full": the DP, "bnb": branch and
-    bound), from the cache when an entry answers the request."""
+    bound), from the cache when an entry answers the request.  Under
+    "full" a graph that splits into id intervals no edge joins is profiled
+    from those parts (`_union_profile`), each through this function."""
     Budget.check()  # a hit polls too
     key = (kind, strategy, g.digest)
     hit = _PROFILE_CACHE.get(key)
@@ -472,6 +547,8 @@ def _enumerated_profile(
         return replace(hit, witnesses=None)
     if strategy == "bnb":
         values, wits = _bnb_profile(g)
+    elif len(ends := _split_ends(g.adjacency_bitmasks())) > 1:
+        values, wits = _union_profile(g, ends, kind, with_witnesses)
     else:
         mode = "induced" if kind == "induced_max" else "boundary"
         if g.n < STREAM_MIN_N:
@@ -501,9 +578,11 @@ def exact_profile(
     """Exact I(m) for all m under the chosen strategy.
 
     "full" and "bnb" enumerate subsets and work on any graph up to
-    FULL_ENUM_CAP vertices.  "compressed" restricts the search to sets
-    stable under all single-factor compressions along the factors' orders
-    from `factor_profile_and_order`, so it is exact on any product whose
+    FULL_ENUM_CAP vertices; "full" profiles a disjoint union of id
+    intervals from its parts, with the witnesses of the whole graph's DP.
+    "compressed" restricts the search to sets stable under all
+    single-factor compressions along the factors' orders from
+    `factor_profile_and_order`, so it is exact on any product whose
     factors have nested solutions (else NoNestedSolutions).  The downset
     oracle behind it takes at most three factors, and on three a slab
     table of at most `staircase.STACK_CELL_CAP` cells; past either it
@@ -533,7 +612,8 @@ def exact_profile(
 
 
 def theta_profile(g: Graph, *, with_witnesses: bool = True) -> Profile:
-    """Minimum boundary-edge counts per size, by the subset DP."""
+    """Minimum boundary-edge counts per size, by the subset DP, or from the
+    parts of a disjoint union of id intervals by min-plus convolution."""
     if g.n > FULL_ENUM_CAP:
         raise SizeCapExceeded(
             f"{g.n} vertices exceed the full-enumeration cap of {FULL_ENUM_CAP}"

@@ -427,3 +427,44 @@ def test_import_does_not_build_the_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+UNION_ARGVS = [
+    ("profile", "union(K5,C18)"),
+    ("profile", "union(K5,C18)", "--witnesses"),
+    ("profile", "union(K5,C18)", "--theta", "--witnesses", "--format", "json"),
+    ("profile", "union(C3,C17)", "--format", "json"),
+    ("profile", "union(P3,C6,K5,P9)", "--witnesses", "--format", "csv"),
+    ("profile", "union(C7,C9,C3,C3)", "--theta", "--format", "json"),
+    ("profile", "union(P15,P5)", "--theta", "--witnesses"),
+    ("profile", "union(K4,P3,K5,C11)", "--witnesses", "--format", "json"),
+    ("profile", "union(C12,C12)", "--theta", "--witnesses", "--format", "json"),
+    ("profile", "union(K3,3,K2)", "--witnesses"),
+    ("profile", "union(P3^2,K2)", "--theta", "--witnesses", "--format", "csv"),
+    ("profile", "union(K2xK3,C5,K1)", "--witnesses", "--format", "json"),
+]
+
+
+def test_union_reports_match_the_table_dp(capsys, monkeypatch):
+    """Profiles of unions from their parts report what the subset DP over
+    the whole graph reports, streamed sizes (23 and 24) included."""
+    from blocklex import solver
+
+    def reports():
+        out = []
+        for argv in UNION_ARGVS:
+            solver.clear_caches()
+            out.append(run(capsys, *argv))
+        return out
+
+    split = reports()
+    monkeypatch.setattr(solver, "_split_ends", lambda adj: [len(adj)])
+    whole = reports()
+    assert [r[0] for r in split] == [0] * len(UNION_ARGVS)
+    for argv, a, b in zip(UNION_ARGVS, split, whole):
+        assert a == b, argv
+
+
+def test_malformed_union_and_power_specs_exit_64(capsys):
+    for spec in ("union(K5", "K5^", "union(K5,)"):
+        assert run(capsys, "graph", spec)[0] == 64, spec

@@ -219,6 +219,21 @@ def test_spec_grammar(spec, n, edges):
     assert g.n == n and g.num_edges == edges
 
 
+@pytest.mark.parametrize(
+    "spec, parts",
+    [
+        ("union(P3^2,K2)", [graph_power(path(3), 2), clique(2)]),
+        ("union(K2xK3,C5)", [cartesian_product([clique(2), clique(3)]), cycle(5)]),
+        ("union(K3,3,K2)", [complete_bipartite(3, 3), clique(2)]),
+        ("union(K2,K3,3)", [clique(2), complete_bipartite(3, 3)]),
+    ],
+)
+def test_union_arguments_are_specs(spec, parts):
+    """Powers and products inside a union, and K<a>,<b> among its
+    arguments, parse as they do on their own."""
+    assert parse_graph_spec(spec).digest == disjoint_union(parts).digest
+
+
 def test_spec_grammar_rejects_garbage():
     for bad in ["", "Q7", "K5x", "union(K5", "K5^"]:
         with pytest.raises(ValueError):
@@ -256,3 +271,18 @@ def test_digest_is_the_sha256_of_the_compact_sorted_json():
     for g in graphs:
         payload = json.dumps(g.to_json(), sort_keys=True, separators=(",", ":"))
         assert g.digest == hashlib.sha256(payload.encode()).hexdigest(), g
+
+
+def test_adjacency_bitmasks_are_built_once_from_the_edges():
+    graphs = [clique(1), clique(5), path(4), cycle(5), petersen(), complete_bipartite(3, 3)]
+    graphs += [
+        Graph(5, [(0, 4), (1, 3)]),
+        disjoint_union([clique(3), path(4)]),
+        graph_power(clique(2), 4),
+        parse_graph_spec("K3,3xK2"),
+        parse_graph_spec("P3xC7"),
+    ]
+    for g in graphs:
+        adj = g.adjacency_bitmasks()
+        assert adj == tuple(sum(1 << int(w) for w in nb) for nb in g.neighbors), g
+        assert g.adjacency_bitmasks() is adj

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklex import (
     Budget,
@@ -409,13 +411,13 @@ def _table_profile(g, maximize, with_witnesses=True):
 
 
 def _streamed_profile(g, maximize, with_witnesses=True):
-    from blocklex import solver
+    """The streamed result, whatever route `exact_profile` takes on g:
+    graphs that split into id intervals are profiled from their parts."""
+    from blocklex.solver import STREAM_MIN_N, _profile_from_values, _SubsetRows
 
-    assert g.n >= solver.STREAM_MIN_N
-    solver.clear_caches()
-    prof = (exact_profile if maximize else theta_profile)(g, with_witnesses=with_witnesses)
-    wits = None if prof.witnesses is None else list(prof.witnesses)
-    return list(prof.i_values), wits
+    assert g.n >= STREAM_MIN_N
+    rows = _SubsetRows(g, "induced" if maximize else "boundary")
+    return _profile_from_values(g.n, rows, maximize, with_witnesses)
 
 
 @pytest.mark.parametrize("n", [22, 23, 24])
@@ -560,6 +562,168 @@ def test_profile_c24_peak_rss_under_200mb():
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
     assert usage.ru_maxrss < 200 * 1024  # KiB on Linux
+
+
+# -- disjoint unions -----------------------------------------------------------
+
+
+def _routed_profile(g, maximize, with_witnesses=True):
+    from blocklex import solver
+
+    solver.clear_caches()
+    prof = (exact_profile if maximize else theta_profile)(g, with_witnesses=with_witnesses)
+    wits = None if prof.witnesses is None else list(prof.witnesses)
+    return list(prof.i_values), wits
+
+
+@st.composite
+def _graphs_of_parts(draw):
+    """At most 14 vertices in parts with random edges inside each.  The
+    parts are id intervals, or shuffled so that they interleave; a part of
+    one vertex is an isolated vertex."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7))
+    while sum(sizes) > 14:
+        sizes.pop()
+    n = sum(sizes)
+    ids = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
+    edges, start = [], 0
+    for k in sizes:
+        part = ids[start : start + k]
+        pairs = [(u, v) for i, u in enumerate(part) for v in part[i + 1 :]]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges += [e for e, kept in zip(pairs, keep) if kept]
+        start += k
+    return Graph(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graphs_of_parts())
+def test_profiles_of_split_graphs_equal_the_table_dp(g):
+    for maximize in (True, False):
+        for with_witnesses in (False, True):
+            got = _routed_profile(g, maximize, with_witnesses)
+            assert got == _table_profile(g, maximize, with_witnesses)
+
+
+@pytest.mark.parametrize("n", [22, 23, 24])
+def test_union_profiles_equal_the_streamed_dp(n):
+    """Seeded unions of three parts, one of them an isolated vertex."""
+    from blocklex import solver
+
+    rng = np.random.default_rng(300 + n)
+    a = int(rng.integers(4, n - 4))
+    edges = [
+        (u, v)
+        for lo, hi in ((0, a), (a, n - 1))
+        for u in range(lo, hi)
+        for v in range(u + 1, hi)
+        if v == u + 1 or rng.random() < 0.3
+    ]
+    g = Graph(n, edges)
+    assert solver._split_ends(g.adjacency_bitmasks()) == [a, n - 1, n]
+    for maximize in (True, False):
+        assert _routed_profile(g, maximize) == _streamed_profile(g, maximize), (n, maximize)
+
+
+def _record_graphs(monkeypatch):
+    """The sizes of the graphs the solver builds from now on."""
+    from blocklex import solver
+
+    built = []
+
+    def graph(n, *args, **kw):
+        built.append(n)
+        return Graph(n, *args, **kw)
+
+    monkeypatch.setattr(solver, "Graph", graph)
+    return built
+
+
+def test_interleaved_parts_take_the_table_dp(monkeypatch):
+    """Two paths on the even and the odd ids: no id interval is closed, so
+    no part graph is built."""
+    g = Graph(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
+    built = _record_graphs(monkeypatch)
+    for maximize in (True, False):
+        assert _routed_profile(g, maximize) == _table_profile(g, maximize)
+    assert built == []
+
+
+def test_connected_graphs_build_no_part_graph(monkeypatch):
+    built = _record_graphs(monkeypatch)
+    for g in (petersen(), cycle(22), graph_power(clique(2), 4)):
+        _routed_profile(g, True)
+        _routed_profile(g, False)
+    assert built == []
+
+
+def test_union_parts_are_cached_and_equal_parts_profiled_once(monkeypatch):
+    from blocklex import solver
+
+    dp_sizes = []
+    dp = solver._dp_subset_values
+
+    def counting_dp(g, mode):
+        dp_sizes.append(g.n)
+        return dp(g, mode)
+
+    monkeypatch.setattr(solver, "_dp_subset_values", counting_dp)
+    k5 = clique(5)
+    g = disjoint_union([k5, k5])
+    solver.clear_caches()
+    prof = exact_profile(g)
+    assert dp_sizes == [5]
+    assert set(solver._PROFILE_CACHE) == {
+        ("induced_max", "full", g.digest),
+        ("induced_max", "full", k5.digest),
+    }
+    assert prof.i_values == (0, 0, 1, 3, 6, 10, 10, 11, 13, 16, 20)
+    assert prof.strategy == "full" and prof.witnesses[6] == (0, 1, 2, 3, 4, 5)
+
+
+def test_budget_out_inside_a_part_caches_neither_it_nor_the_union(monkeypatch):
+    """A budget that runs out at any poll raises BudgetExceeded; the union
+    and the part it ran out in stay out of the cache, and only a part
+    that finished first stays in."""
+    from blocklex import solver
+
+    k5, c12 = clique(5), cycle(12)
+    g = disjoint_union([k5, c12])
+
+    def counting_check(limit, polls):
+        def check():
+            polls.append(None)
+            if limit is not None and len(polls) > limit:
+                raise BudgetExceeded("budget exceeded")
+
+        return staticmethod(check)
+
+    for profile in (exact_profile, theta_profile):
+        polls = []
+        monkeypatch.setattr(Budget, "check", counting_check(None, polls))
+        solver.clear_caches()
+        profile(g)
+        assert {key[2] for key in solver._PROFILE_CACHE} == {g.digest, k5.digest, c12.digest}
+        for limit in range(len(polls)):
+            monkeypatch.setattr(Budget, "check", counting_check(limit, []))
+            solver.clear_caches()
+            with pytest.raises(BudgetExceeded, match="budget exceeded"):
+                profile(g)
+            assert {key[2] for key in solver._PROFILE_CACHE} <= {k5.digest}
+
+
+def test_bnb_profiles_a_union_as_a_whole(monkeypatch):
+    """Branch and bound keeps its own search and witness order."""
+    from blocklex import solver
+
+    g = disjoint_union([cycle(5), path(4), clique(3)])
+    built = _record_graphs(monkeypatch)
+    solver.clear_caches()
+    prof = exact_profile(g, "bnb")
+    values, wits = solver._bnb_profile(g)
+    assert prof.i_values == tuple(values) and prof.witnesses == tuple(wits)
+    assert built == []
+    assert prof.i_values == exact_profile(g).i_values
 
 
 # -- the profile cache --------------------------------------------------------

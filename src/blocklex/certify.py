@@ -18,6 +18,7 @@ only when the slab DP beats the order at some size.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -536,7 +537,7 @@ def _nested_instance(name: str, g: Graph) -> Instance:
             name, g.n, "INCONCLUSIVE", {"reason": f"{g.n} vertices beyond cap {FULL_ENUM_CAP}"}
         )
     try:
-        prof = exact_profile(g, "full", with_witnesses=False)
+        prof = exact_profile(g, with_witnesses=False)
         res = find_nested_chain(g, prof)
     except BudgetExceeded as e:
         return Instance(name, g.n, "INCONCLUSIVE", {"reason": str(e)})
@@ -609,6 +610,7 @@ def explore_conjecture(
     if family == "path_clique":
         # products of path powers and clique powers admitting nested solutions
         max_n = int(params.get("max_vertices", 16))
+        paths, cliques = functools.cache(path), functools.cache(clique)
         seen = set()
         for n1 in range(2, max_n + 1):
             for d1 in range(0, 5):
@@ -626,7 +628,8 @@ def explore_conjecture(
                         if key in seen:
                             continue
                         seen.add(key)
-                        factors = [path(n1)] * d1 + [clique(n2)] * d2
+                        factors = [paths(n1) for _ in range(d1)]
+                        factors += [cliques(n2) for _ in range(d2)]
                         g = (
                             cartesian_product(factors)
                             if len(factors) > 1

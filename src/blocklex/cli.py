@@ -5,8 +5,8 @@ products, and explore conjectures, emitting machine-readable reports.
 Reports are deterministic for a fixed config and seed (no timestamps),
 embed the tool version and the digests of their inputs, and echo the seed
 so randomized runs can be replayed.  Exit codes: 0 success/certified,
-2 hypothesis or verification failure, 3 budget exceeded or inconclusive,
-64 usage or parse errors.
+2 hypothesis or verification failure, 3 budget or size cap exceeded or
+inconclusive, 64 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .blockgeom import (
     standard_block_lex_order,
     standard_collection,
 )
-from .budget import Budget, BudgetExceeded
+from .budget import Budget, BudgetExceeded, SizeCapExceeded
 from .certify import certify, certify_domination, explore_conjecture
 from .compression import (
     OrderFamily,
@@ -64,7 +64,8 @@ EXIT_HYPOTHESIS = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 
-# profile engines of `profile` and of `order --verify`
+# profile engines of `profile` and of `order --verify`; with none given
+# the profile rule of `solver.exact_profile` picks one
 STRATEGIES = ["full", "compressed", "bnb"]
 
 
@@ -146,13 +147,12 @@ def _cmd_graph(cfg: argparse.Namespace) -> int:
 def _cmd_profile(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     want_theta, want_witnesses = cfg.theta, cfg.witnesses
-    strategy = "full" if want_theta else cfg.strategy
-    inputs = {"spec": cfg.spec, "graph_digest": g.digest, "strategy": strategy}
+    inputs = {"spec": cfg.spec, "graph_digest": g.digest, "strategy": cfg.strategy}
     try:
         if want_theta:
             prof = theta_profile(g, with_witnesses=want_witnesses)
         else:
-            prof = exact_profile(g, strategy, with_witnesses=want_witnesses)
+            prof = exact_profile(g, cfg.strategy, with_witnesses=want_witnesses)
     except BudgetExceeded as e:
         _emit(
             cfg,
@@ -184,6 +184,7 @@ def _cmd_profile(cfg: argparse.Namespace) -> int:
             "delta": list(delta.values),
             "complete": True,
         }
+    result["engine"] = prof.strategy
     if want_witnesses and prof.witnesses is not None:
         result["witnesses"] = [sorted(w) for w in prof.witnesses]
     _emit(cfg, inputs, result, text, csv_lines)
@@ -205,7 +206,7 @@ def _resolve_partition(cfg: argparse.Namespace, g: Graph) -> Partition:
 def _cmd_partition(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     if g.n > FULL_ENUM_CAP:
-        raise UsageError(
+        raise SizeCapExceeded(
             f"partition command profiles the graph exactly; n <= {FULL_ENUM_CAP} required"
         )
     p = _resolve_partition(cfg, g)
@@ -274,6 +275,8 @@ def _cmd_order(cfg: argparse.Namespace) -> int:
         "verified_optimal": verified,
         "first_failing_m": failing,
     }
+    if cfg.verify:
+        result["engine"] = prof.strategy
     lines = [f"order ({kind}) on {cfg.spec}: ranks={order.ranks.tolist()}"]
     if verified is not None:
         lines.append(
@@ -456,7 +459,7 @@ def _build_parser() -> _Parser:
     p.add_argument("spec")
     p.add_argument("--theta", action="store_true")
     p.add_argument("--witnesses", action="store_true", help="include optimal sets")
-    p.add_argument("--strategy", choices=STRATEGIES, default="full")
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     common(p, _cmd_profile, "csv")
 
     p = sub.add_parser("partition", help="standard/atomic/custom partitions with validation")
@@ -476,7 +479,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--optimal", action="store_true", help="order from the nested-chain search")
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--strategy", choices=STRATEGIES, default="full")
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     common(p, _cmd_order)
 
     p = sub.add_parser("compress", help="compression operations and predicates")
@@ -529,7 +532,7 @@ def main(argv=None) -> int:
     except NoNestedSolutions as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except BudgetExceeded as e:
+    except (BudgetExceeded, SizeCapExceeded) as e:  # could not tell
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, json.JSONDecodeError) as e:

@@ -156,8 +156,8 @@ class Graph:
 
     __slots__ = (
         "n",
-        "neighbors",
         "factors",
+        "_neighbors",
         "_edges",
         "_coords",
         "_radix",
@@ -176,20 +176,11 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             seen.add((min(u, v), max(u, v)))
-        edge_list = sorted(seen)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_list:
-            adj[u].append(v)
-            adj[v].append(u)
         self.n = n
-        self.neighbors = tuple(np.array(sorted(a), dtype=np.int64) for a in adj)
-        for arr in self.neighbors:
-            arr.setflags(write=False)
-        eu = np.array([e[0] for e in edge_list], dtype=np.int64)
-        ev = np.array([e[1] for e in edge_list], dtype=np.int64)
-        eu.setflags(write=False)
-        ev.setflags(write=False)
-        self._edges = (eu, ev)
+        pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+        pairs = np.ascontiguousarray(pairs.T)
+        pairs.setflags(write=False)
+        self._edges = (pairs[0], pairs[1])
         if factors is not None:
             factors = tuple(factors)
             prod = 1
@@ -198,6 +189,7 @@ class Graph:
             if prod != n:
                 raise ValueError("factor sizes do not multiply to n")
         self.factors = factors
+        self._neighbors = None
         self._coords = None
         self._radix = None
         self._digest = None
@@ -217,7 +209,20 @@ class Graph:
         return list(zip(eu.tolist(), ev.tolist()))
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.neighbors], dtype=np.int64)
+        return np.bincount(np.concatenate(self._edges), minlength=self.n)
+
+    @property
+    def neighbors(self) -> tuple[np.ndarray, ...]:
+        """Per-vertex sorted neighbour ids, read-only views of one array
+        built on first use from the edge arrays."""
+        if self._neighbors is None:
+            eu, ev = self._edges
+            src, dst = np.concatenate((eu, ev)), np.concatenate((ev, eu))
+            nbrs = dst[np.lexsort((dst, src))]
+            nbrs.setflags(write=False)
+            ends = np.cumsum(np.bincount(src, minlength=self.n))[:-1]
+            self._neighbors = tuple(np.split(nbrs, ends))
+        return self._neighbors
 
     def regular_degree(self):
         """Common degree if the graph is regular, else None."""

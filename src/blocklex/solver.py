@@ -12,10 +12,13 @@ of at most three factors with nested solutions can instead be profiled
 through the rank-space downset oracle, whose limits are the factors' (each
 profiled by the subset DP, so at most FULL_ENUM_CAP vertices) and, on three
 factors, the slab DP's table (`staircase.STACK_CELL_CAP` cells).
-`check_order` is the one rule that decides whether an order on a product
-is optimal: the sandwich bound first, then an exact engine chosen by the
-number of factors.  Pairs, block classes, the crosscheck and the
-explorers all decide through it.
+`exact_profile` with no engine named applies the profile rule: a product
+is profiled from its factors by the sandwich bound where that bound is
+proven exact, and by the subset DP elsewhere.  `check_order` is the one
+rule that decides whether an order on a product is optimal: the sandwich
+bound first, then an exact engine chosen by the number of factors.
+Pairs, block classes, the crosscheck and the explorers all decide
+through it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import staircase
 from .budget import Budget, BudgetExceeded, SizeCapExceeded
 from .graphs import Graph
-from .orders import TotalOrder
+from .orders import TotalOrder, lex_order
 
 __all__ = [
     "FULL_ENUM_CAP",
@@ -523,8 +526,8 @@ def _union_profile(
 
 # -- profile cache -------------------------------------------------------------
 
-# "full" and "bnb" profiles by (kind, strategy, graph digest).  An
-# entry without witnesses does not answer a request for them.
+# "full", "bnb" and "sandwich" profiles by (kind, strategy, graph digest).
+# An entry without witnesses does not answer a request for them.
 _PROFILE_CACHE: dict[tuple[str, str, str], Profile] = {}
 
 
@@ -571,11 +574,12 @@ def _enumerated_profile(
 
 def exact_profile(
     g: Graph,
-    strategy: str = "full",
+    strategy: Optional[str] = None,
     *,
     with_witnesses: bool = True,
 ) -> Profile:
-    """Exact I(m) for all m under the chosen strategy.
+    """Exact I(m) for all m, by the named engine or, with none named, by
+    the profile rule.
 
     "full" and "bnb" enumerate subsets and work on any graph up to
     FULL_ENUM_CAP vertices; "full" profiles a disjoint union of id
@@ -587,14 +591,23 @@ def exact_profile(
     oracle behind it takes at most three factors, and on three a slab
     table of at most `staircase.STACK_CELL_CAP` cells; past either it
     raises SizeCapExceeded.
+
+    With no strategy, a product profiled without witnesses is answered by
+    the sandwich bound where that bound is proven exact (strategy
+    "sandwich", see `_sandwich_profile`); every other request runs "full".
     """
-    if strategy not in ("full", "bnb", "compressed"):
+    if strategy not in (None, "full", "bnb", "compressed"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy is None:
+        if g.factors is not None and not with_witnesses:
+            prof = _sandwich_profile(g)
+            if prof is not None:
+                return prof
+        strategy = "full"
     if strategy in ("full", "bnb"):
         if g.n > FULL_ENUM_CAP:
             raise SizeCapExceeded(
-                f"{g.n} vertices exceed the {strategy} cap of {FULL_ENUM_CAP}; "
-                "use strategy='compressed' on a product with optimal factor orders"
+                f"{g.n} vertices exceed the {strategy} cap of {FULL_ENUM_CAP}"
             )
         return _enumerated_profile(g, "induced_max", strategy, with_witnesses)
     # compressed oracle
@@ -609,6 +622,36 @@ def exact_profile(
         "compressed",
         g.digest,
     )
+
+
+def _sandwich_profile(g: Graph) -> Optional[Profile]:
+    """The bound U of `staircase.sandwich_bound` over the factors' exact
+    profiles, as the product g's profile, where U is proven exact; else
+    None.  U is exact on two factors with nested solutions (`check_order`),
+    and on any number of factors where the prefix counts of the
+    lexicographic order of the factors' optimal orders meet it.  A factor
+    without nested solutions, or whose chain search stops at its node
+    cap, proves nothing.  A proven profile is cached under "sandwich"."""
+    Budget.check()  # a hit polls too
+    key = ("induced_max", "sandwich", g.digest)
+    hit = _PROFILE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    try:
+        profiles, orders = zip(*(factor_profile_and_order(f) for f in g.factors))
+    except (NoNestedSolutions, ChainSearchInconclusive):
+        return None
+    if len(g.factors) == 2:
+        upper = staircase.sandwich_bound([p.i_values for p in profiles])
+    else:
+        prefix, upper = order_sandwich(g, lex_order(g, orders))
+        if not np.array_equal(prefix, upper):
+            return None
+    prof = Profile(
+        "induced_max", tuple(int(x) for x in upper), None, "sandwich", g.digest
+    )
+    _PROFILE_CACHE[key] = prof
+    return prof
 
 
 def theta_profile(g: Graph, *, with_witnesses: bool = True) -> Profile:

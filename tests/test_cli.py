@@ -233,21 +233,31 @@ def test_parse_error_exit_64(capsys):
     assert run(capsys, "profile", "Q99")[0] == 64
     assert run(capsys, "bogus-command")[0] == 64
     assert run(capsys, "certify", "K5")[0] == 64  # not a 3-factor product
-    assert run(capsys, "profile", "P30")[0] == 64  # beyond the cap, refused
+    assert run(capsys, "profile", "K5", "--strategy", "nope")[0] == 64
     # only profile and order read --strategy
     assert run(capsys, "certify", "K2xK3xK4", "--strategy", "bnb")[0] == 64
     assert run(capsys, "compress", "K2^3", "--laws", "3", "--strategy", "bnb")[0] == 64
 
 
-def test_compressed_strategy_beyond_three_factors_exits_64(capsys):
-    """The downset oracle stops at three factors: a usage error, not a
-    traceback."""
+def test_size_and_cell_caps_exit_3(capsys):
+    """A size or cell cap is "could not tell" (exit 3), with no engine
+    named or an explicit one, never a usage error."""
+    for argv in (
+        ["profile", "K25"],
+        ["profile", "P30"],
+        ["profile", "K5xK6", "--strategy", "full"],
+        ["profile", "C10^3", "--strategy", "compressed"],
+        ["partition", "K25"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "cap" in err or "n <= 24" in err, argv
     for argv in (
         ["profile", "K2^4", "--strategy", "compressed"],
         ["order", "K2^4", "--lex", "--verify", "--strategy", "compressed"],
     ):
         code, _, err = run(capsys, *argv)
-        assert code == 64, argv
+        assert code == 3, argv
         assert "up to three factors" in err
 
 
@@ -468,3 +478,48 @@ def test_union_reports_match_the_table_dp(capsys, monkeypatch):
 def test_malformed_union_and_power_specs_exit_64(capsys):
     for spec in ("union(K5", "K5^", "union(K5,)"):
         assert run(capsys, "graph", spec)[0] == 64, spec
+
+
+RULE_ARGVS = [
+    ("profile", "P3xC7", "--format", "json"),
+    ("profile", "C3xC7"),
+    ("profile", "K4xP5", "--format", "text"),
+    ("profile", "petersenxK2", "--format", "json"),
+    ("profile", "C4xC5", "--format", "csv"),
+    ("profile", "P2xP10", "--format", "json"),
+    ("profile", "K2xK3xK4", "--format", "json"),
+    ("profile", "K2^3xK3"),
+    ("profile", "P3xP3xK2", "--format", "json"),
+    ("profile", "K4^2", "--format", "text"),
+    ("order", "K2xK3xK4", "--lex", "--verify", "--format", "json"),
+    ("order", "K3xK2", "--lex", "--verify", "--format", "json"),
+]
+
+
+def test_profile_rule_reports_match_the_subset_dp(capsys, monkeypatch):
+    """With the profile rule on and off: the explorer's report is the
+    same, and product profiles and verified orders have the same exit
+    codes and values, their JSON differing only in the engine named."""
+    from blocklex import solver
+
+    def reports():
+        explore = run(capsys, "explore", "path_clique", "--max-vertices", "20")
+        return explore, [run(capsys, *argv) for argv in RULE_ARGVS]
+
+    explore, rule = reports()
+    monkeypatch.setattr(solver, "_sandwich_profile", lambda g: None)
+    explore_dp, dp = reports()
+    assert explore == explore_dp and explore[0] == 0
+    engines = []
+    for argv, a, b in zip(RULE_ARGVS, rule, dp):
+        assert a[0] == b[0] and a[0] in (0, 2), argv
+        if "json" not in argv:
+            assert a == b, argv
+            continue
+        ja, jb = json.loads(a[1]), json.loads(b[1])
+        engines.append((ja["result"].pop("engine"), jb["result"].pop("engine")))
+        assert ja == jb, argv
+    # the lexicographic order of P3xP3xK2 misses the bound: the DP decides
+    assert engines == [("sandwich", "full")] * 4 + [("full", "full")] + [
+        ("sandwich", "full")
+    ] * 2

@@ -286,3 +286,22 @@ def test_adjacency_bitmasks_are_built_once_from_the_edges():
         adj = g.adjacency_bitmasks()
         assert adj == tuple(sum(1 << int(w) for w in nb) for nb in g.neighbors), g
         assert g.adjacency_bitmasks() is adj
+
+
+def test_neighbours_are_built_on_first_use_from_the_edges():
+    """Sorted read-only neighbour lists, built once, and degrees by count,
+    against a per-edge loop."""
+    graphs = [clique(1), Graph(4, []), Graph(5, [(4, 0), (3, 1), (0, 3)]), petersen()]
+    graphs += [disjoint_union([clique(3), path(4)]), parse_graph_spec("P3xC7")]
+    for g in graphs:
+        assert g._neighbors is None
+        want = [[] for _ in range(g.n)]
+        for u, v in g.edges():
+            want[u].append(v)
+            want[v].append(u)
+        nbrs = g.neighbors
+        assert [nb.tolist() for nb in nbrs] == [sorted(w) for w in want], g
+        assert all(not nb.flags.writeable for nb in nbrs)
+        assert g.neighbors is nbrs
+        assert g.degrees().tolist() == [len(w) for w in want]
+        assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in g.edges())

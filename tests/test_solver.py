@@ -789,3 +789,181 @@ def test_cached_profile_does_not_hide_an_expired_cli_budget(capsys):
     assert main(["profile", "K2^4"]) == 0
     assert main(["profile", "K2^4", "--budget", "0.0001"]) == 3
     assert capsys.readouterr().out.endswith("# incomplete: budget exceeded\n")
+
+
+# -- the profile rule: products from their factors ------------------------------
+
+# the product profiles of the sweep benchmark and its 24-vertex clique products
+SWEEP_PRODUCTS = (
+    "C3xC7", "K3xC7", "P3xC7", "K3xP7", "P3xP7", "C3xP7",
+    "C4xC5", "K4xC5", "P4xC5", "petersenxK2", "K4xP5", "P5xC4", "K2xC10", "P2xP10",
+    "C4xC4", "K2xC8", "K2xP8", "P4xC4", "P2xC8", "P4xP4",
+    "K2^3xK3", "K2xK3xK4", "K4xK6", "K3xK8", "K2xK12",
+)
+# three- and four-factor products whose lexicographic order misses the bound
+LEX_MISSES = ("P3xP3xK2", "K2xK2xP4", "K2xP3xC3", "K2^3xP3", "K2xP3xK2xK2")
+
+
+def _path_clique_products(max_n=20):
+    """The products of `explore path_clique`, P_a^i x K_b^j with two or
+    more factors and at most max_n vertices, by name."""
+    keys = {
+        (a if i else 0, i, b if j else 0, j)
+        for a in range(2, max_n + 1)
+        for b in range(2, max_n + 1)
+        for i in range(5)
+        for j in range(5)
+        if i + j >= 2 and a**i * b**j <= max_n
+    }
+    return {
+        f"P{a}^{i} x K{b}^{j}": cartesian_product(
+            [path(a) for _ in range(i)] + [clique(b) for _ in range(j)]
+        )
+        for a, i, b, j in sorted(keys)
+    }
+
+
+def _rule_and_dp(g):
+    from blocklex import solver
+
+    solver.clear_caches()
+    rule = exact_profile(g, with_witnesses=False)
+    solver.clear_caches()
+    return rule, exact_profile(g, "full", with_witnesses=False)
+
+
+def test_profile_rule_equals_the_subset_dp():
+    """On every product of the benchmark and the path-clique explorer the
+    rule gives the DP's values: two factors from the bound, more where the
+    lexicographic order meets it, and by the DP where it misses."""
+    from blocklex import parse_graph_spec
+
+    graphs = {s: parse_graph_spec(s) for s in SWEEP_PRODUCTS + LEX_MISSES}
+    graphs.update(_path_clique_products())
+    assert len(graphs) == len(SWEEP_PRODUCTS) + len(LEX_MISSES) + 50
+    by_dp = set()
+    for name, g in graphs.items():
+        rule, dp = _rule_and_dp(g)
+        assert rule.i_values == dp.i_values, name
+        assert rule.witnesses is None and dp.strategy == "full"
+        assert rule.strategy in ("sandwich", "full")
+        if rule.strategy == "full":
+            by_dp.add(name)
+    assert by_dp == set(LEX_MISSES) | {"P3^2 x K2^1"}
+
+
+def test_full_requests_run_the_dp_after_a_rule_answer(monkeypatch):
+    from blocklex import parse_graph_spec, solver
+
+    calls = []
+    dp = solver._dp_subset_values
+    monkeypatch.setattr(
+        solver, "_dp_subset_values", lambda g, mode: calls.append(g.n) or dp(g, mode)
+    )
+    for spec in ("P3xC7", "K2xK3xK3"):
+        g = parse_graph_spec(spec)
+        solver.clear_caches()
+        rule = exact_profile(g, with_witnesses=False)
+        assert rule.strategy == "sandwich" and g.n not in calls
+        assert ("induced_max", "full", g.digest) not in solver._PROFILE_CACHE
+        assert exact_profile(g, with_witnesses=False) is rule  # cached
+        full = exact_profile(g, "full", with_witnesses=False)
+        assert full.strategy == "full" and calls[-1] == g.n
+        assert full.i_values == rule.i_values
+
+
+def test_a_bound_one_edge_high_falls_back_to_the_dp(monkeypatch):
+    """On three factors the bound is trusted only where the lexicographic
+    order meets it, so an overstated bound is never returned."""
+    from blocklex import parse_graph_spec, solver, staircase
+
+    bound = staircase.sandwich_bound
+    for spec in ("K2xK3xK4", "C4xK2xK2"):
+        g = parse_graph_spec(spec)
+        truth = _rule_and_dp(g)[1].i_values
+        for m in (1, g.n // 2, g.n - 1):
+
+            def high(profiles, lower=None, m=m):
+                out = bound(profiles, lower).copy()
+                out[m] += 1
+                return out
+
+            monkeypatch.setattr(staircase, "sandwich_bound", high)
+            solver.clear_caches()
+            prof = exact_profile(g, with_witnesses=False)
+            assert prof.strategy == "full" and prof.i_values == truth, (spec, m)
+            monkeypatch.setattr(staircase, "sandwich_bound", bound)
+
+
+def test_products_with_an_unproven_factor_take_the_dp(monkeypatch, non_nested_7):
+    """A factor without nested solutions, or whose chain search stops at
+    its node cap, sends the rule to the DP."""
+    from blocklex import solver
+
+    g = cartesian_product([non_nested_7, clique(2)])
+    rule, dp = _rule_and_dp(g)
+    assert rule.strategy == "full" and rule.i_values == dp.i_values
+    search = solver.find_nested_chain
+    monkeypatch.setattr(
+        solver, "find_nested_chain", lambda g, prof, **kw: search(g, prof, node_cap=3)
+    )
+    g = cartesian_product([petersen(), clique(2)])
+    rule, dp = _rule_and_dp(g)
+    assert rule.strategy == "full" and rule.i_values == dp.i_values
+
+
+def test_witness_and_theta_requests_take_the_dp():
+    from blocklex import solver
+
+    g = cartesian_product([cycle(4), cycle(5)])
+    solver.clear_caches()
+    prof = exact_profile(g)
+    assert prof.strategy == "full" and prof.witnesses is not None
+    assert theta_profile(g, with_witnesses=False).strategy == "full"
+    assert all(key[1] == "full" for key in solver._PROFILE_CACHE)
+
+
+def test_budget_out_inside_the_rule_raises_and_caches_nothing(monkeypatch):
+    """A deadline at any one poll of the rule raises BudgetExceeded, never
+    a fallback to the DP, and leaves no profile of the product cached."""
+    from blocklex import solver
+
+    def counting_check(at, polls):
+        def check():
+            polls.append(None)
+            if len(polls) == at:
+                raise BudgetExceeded("budget exceeded")
+
+        return staticmethod(check)
+
+    for g in (
+        cartesian_product([path(3), cycle(7)]),
+        cartesian_product([clique(2), clique(3), clique(4)]),
+    ):
+        polls = []
+        monkeypatch.setattr(Budget, "check", counting_check(None, polls))
+        solver.clear_caches()
+        assert exact_profile(g, with_witnesses=False).strategy == "sandwich"
+        for at in range(1, len(polls) + 1):
+            monkeypatch.setattr(Budget, "check", counting_check(at, []))
+            solver.clear_caches()
+            with pytest.raises(BudgetExceeded, match="budget exceeded"):
+                exact_profile(g, with_witnesses=False)
+            assert all(key[2] != g.digest for key in solver._PROFILE_CACHE)
+
+
+def test_rule_profiles_products_past_the_dp_cap(capsys):
+    """C10xC10 and petersen^2 from their factors, as the downset oracle
+    gives them; K2^12 where lexicographic order meets the bound (Harper)."""
+    from blocklex import lex_order, parse_graph_spec
+
+    for spec in ("C10xC10", "petersen^2"):
+        rule = _cli_json(capsys, "profile", spec)
+        comp = _cli_json(capsys, "profile", spec, "--strategy", "compressed")
+        assert rule["values"] == comp["values"] and rule["delta"] == comp["delta"]
+        assert (rule["engine"], comp["engine"]) == ("sandwich", "compressed")
+    g = parse_graph_spec("K2^12")
+    prof = exact_profile(g, with_witnesses=False)
+    orders = [TotalOrder.identity(2)] * 12
+    assert prof.strategy == "sandwich"
+    assert list(prof.i_values) == prefix_edge_counts(g, lex_order(g, orders)).tolist()

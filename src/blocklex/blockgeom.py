@@ -9,6 +9,9 @@ the block starts.  Because segment start ranks increase with the segment
 index, the across-block comparison is just the lexicographic order of the
 per-factor segment indices.
 
+`block_lex_prefix_counts` reads the order's prefix counts from the factors
+in rank space, where a block is a box of rank intervals.
+
 Block permutations are stored per full-product block; every subproduct
 inherits its block orders by restriction, which keeps the nested-subset
 consistency condition satisfied by construction.  Restriction has to be
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .budget import SizeCapExceeded
-from .graphs import Graph, VertexSet, cartesian_product, induced_subgraph, mixed_radix
+from .graphs import Graph, VertexSet, induced_subgraph, mixed_radix
 from .orders import (
     TotalOrder,
     _rank_matrix,
@@ -40,12 +43,12 @@ from .partitions import (
     standard_monotonic_partition,
 )
 from .solver import (
-    check_order,
+    check_prefix_counts,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,
 )
-from .staircase import sandwich_bound
+from .staircase import product_prefix_counts, sandwich_bound
 
 __all__ = [
     "DominationCollection",
@@ -59,6 +62,7 @@ __all__ = [
     "stack",
     "slice_vertices",
     "block_lex_order",
+    "block_lex_prefix_counts",
     "standard_block_lex_order",
     "validate_regular_domination_collection",
     "block_occupancy",
@@ -143,7 +147,8 @@ class DominationCollection:
         permutation; every full block projecting onto the sub-block must
         restrict identically, otherwise the subproduct orders would be
         ill-defined and a ValueError is raised.  Each restriction is built
-        once per collection; it is validated once this collection is.
+        once per collection; it is validated once this collection is, and
+        shares this collection's block class verdicts.
         """
         s_sorted = sorted(set(int(i) for i in s))
         if not s_sorted:
@@ -154,14 +159,19 @@ class DominationCollection:
         dc = cache.get(tuple(s_sorted))
         if dc is None:
             dc = cache[tuple(s_sorted)] = self._restrict(s_sorted)
+            dc._class_verdicts = self.__dict__.setdefault("_class_verdicts", {})
         dc.validated = dc.validated or self.validated
         return dc
 
     def _restrict(self, s_sorted: list[int]) -> "DominationCollection":
         sub_perms: dict[BlockId, tuple[int, ...]] = {}
+        restricted: dict[tuple[int, ...], tuple[int, ...]] = {}  # by full perm
         for bid in self.block_ids():
             sub_bid = tuple(bid[i] for i in s_sorted)
-            perm = restrict_perm(self.perm_for(bid), s_sorted)
+            full = self.perm_for(bid)
+            if full not in restricted:
+                restricted[full] = restrict_perm(full, s_sorted)
+            perm = restricted[full]
             prev = sub_perms.get(sub_bid)
             if prev is None:
                 sub_perms[sub_bid] = perm
@@ -202,30 +212,33 @@ class DominationCollection:
 
     def validate(
         self,
-        g: Graph,
+        gs: Graph | Sequence[Graph],
         *,
         check_block_optimality: bool = True,
     ) -> tuple[bool, list[str]]:
-        """Structural validation; optionally verifies that every block's
-        domination order is optimal for the block-induced graph
-        (`_verify_block_class`).  Sets `validated` on success so the order
-        constructors will accept the collection.
+        """Structural validation on the factors `gs` or their product;
+        optionally verifies that every block's domination order is optimal
+        for the block-induced graph (`_verify_block_class`).  Sets
+        `validated` on success so the order constructors will accept it.
 
         Restrictions are checked on the factor pairs alone: a restricted
         permutation is fixed by the relative order of each pair in it, so
         consistent pairs make every subset consistent.
 
-        Raises SizeCapExceeded when no block fails but `solver.check_order`
-        cannot decide some block (four or more nontrivial segment graphs
-        past the subset DP's cap, or a table past
-        `staircase.STACK_CELL_CAP` cells), and NoNestedSolutions when a
-        block that misses the sandwich bound has a segment graph without
+        A block class, its segment graphs of more than one vertex in
+        significance order, is decided once for a collection and all its
+        restrictions.  Raises SizeCapExceeded when no block fails but
+        `solver.check_prefix_counts` cannot decide some block (four or
+        more nontrivial segment graphs past the subset DP's cap, or a table
+        past `staircase.STACK_CELL_CAP` cells), and NoNestedSolutions when
+        a block that misses the sandwich bound has a segment graph without
         nested solutions."""
         diags: list[str] = []
         ok = True
-        if g.factors is None or len(g.factors) != self.d:
+        factors = gs.factors if isinstance(gs, Graph) else tuple(gs)
+        if factors is None or len(factors) != self.d:
             return False, ["graph is not a product with matching factor count"]
-        for i, (f, p) in enumerate(zip(g.factors, self.partitions)):
+        for i, (f, p) in enumerate(zip(factors, self.partitions)):
             if p.n != f.n:
                 ok = False
                 diags.append(f"partition {i + 1} does not match factor size")
@@ -240,29 +253,25 @@ class DominationCollection:
             diags.append(str(e))
         undecided = None
         if check_block_optimality:
-            # Blocks with the same segment graphs and the same permutation
-            # are isomorphic with corresponding domination orders, so each
-            # such class is verified once.
-            segs = _segment_graphs(g, self)
-            verdicts: dict[tuple, tuple[bool, Optional[int]]] = {}
+            segs = [segment_graphs(f, p) for f, p in zip(factors, self.partitions)]
+            verdicts = self.__dict__.setdefault("_class_verdicts", {})
             for bid in self.block_ids():
-                key = (
-                    tuple(row[j].digest for row, j in zip(segs, bid)),
-                    self.perm_for(bid),
-                )
+                chosen = [segs[i][bid[i]] for i in self.perm_for(bid)]
+                chosen = [s for s in chosen if s.n > 1]
+                key = tuple(s.digest for s in chosen)
                 if key not in verdicts:
                     try:
-                        verdicts[key] = _verify_block_class(self, bid, segs)
+                        verdicts[key] = _verify_block_class(chosen)
                     except SizeCapExceeded as e:
-                        if undecided is None:
-                            undecided = e
-                        verdicts[key] = (True, None)
-                good, bad_m = verdicts[key]
-                if not good:
+                        verdicts[key] = e
+                verdict = verdicts[key]
+                if isinstance(verdict, SizeCapExceeded):
+                    undecided = undecided or verdict
+                elif not verdict[0]:
                     ok = False
                     diags.append(
                         f"block {bid}: domination order not optimal for the "
-                        f"block graph (fails at m={bad_m})"
+                        f"block graph (fails at m={verdict[1]})"
                     )
         if ok and undecided is not None:
             raise undecided
@@ -271,56 +280,20 @@ class DominationCollection:
         return ok, diags
 
 
-def _segment_graphs(g: Graph, dc: DominationCollection) -> list[tuple[Graph, ...]]:
-    """Per factor, its `segment_graphs` under the collection's partition; a
-    collection's restrictions share its partitions, and so the rows."""
-    return [segment_graphs(f, p) for f, p in zip(g.factors, dc.partitions)]
-
-
-def _lex_prefix_counts(gs: Sequence[Graph]) -> np.ndarray:
-    """Edges among the first m vertices, m = 0..n, of the lexicographic
-    order on the product of `gs` (the first most significant), each factor
-    in its identity order.
-
-    With F the first factor (W_F[q] edges among its first q vertices,
-    L_F[r] edges from vertex r - 1 to earlier ones) and P_H the counts of
-    the rest (n_H vertices, E_H edges), a prefix of m = q * n_H + s
-    vertices is q full copies of H and s vertices of the next one:
-    P(m) = q * E_H + n_H * W_F[q] + P_H[s] + L_F[q + 1] * s."""
-    prefix = np.zeros(2, dtype=np.int64)  # the one-vertex product
-    for f in reversed(gs):
-        eu, ev = f.edge_arrays()
-        L = np.bincount(np.maximum(eu, ev) + 1, minlength=f.n + 2)
-        W = np.cumsum(L)
-        n_h = len(prefix) - 1
-        q, s = np.divmod(np.arange(f.n * n_h + 1), n_h)
-        prefix = q * prefix[-1] + n_h * W[q] + prefix[s] + L[q + 1] * s
-    return prefix
-
-
-def _verify_block_class(
-    dc: DominationCollection, bid: BlockId, segs: list[tuple[Graph, ...]]
-) -> tuple[bool, Optional[int]]:
-    """Whether the block's domination order is optimal for the block
-    graph, and if not, the first size where it fails.
-
-    The block graph is the product of its segment graphs, and its
-    domination order is lexicographic on them in the permutation's
-    significance order.  Prefix counts in closed form that meet
-    `sandwich_bound` prove the order optimal without building the block.
-    Otherwise `solver.check_order` decides on the product of the
-    nontrivial segment graphs in that order, whose identity order is the
-    domination order."""
-    chosen = [segs[i][bid[i]] for i in dc.perm_for(bid)]
-    lower = _lex_prefix_counts(chosen)
+def _verify_block_class(chosen: Sequence[Graph]) -> tuple[bool, Optional[int]]:
+    """Whether a block's domination order, lexicographic on its nontrivial
+    segment graphs `chosen` in identity orders, is optimal, and if not,
+    the first size where it fails.  Prefix counts that meet
+    `sandwich_bound` prove it without building the block; elsewhere
+    `solver.check_prefix_counts` decides."""
+    lower = product_prefix_counts(chosen)
     upper = sandwich_bound(
         [exact_profile(s, "full", with_witnesses=False).i_values for s in chosen],
         lower,
     )
     if np.array_equal(lower, upper):
         return True, None
-    block = cartesian_product([s for s in chosen if s.n > 1])
-    _, good, bad_m, _ = check_order(block, TotalOrder.identity(block.n))
+    _, good, bad_m, _ = check_prefix_counts(chosen, lower)
     return good, bad_m
 
 
@@ -491,17 +464,44 @@ def slice_vertices(g: Graph, dc: DominationCollection, q: int) -> VertexSet:
 # -- block-lexicographic orders -----------------------------------------------
 
 
-def block_lex_order(g: Graph, dc: DominationCollection) -> TotalOrder:
-    """Within a block, the block's domination order; across blocks, the
-    lexicographic order of block starts.  Requires a validated collection."""
+def _orderable_factors(gs: Graph | Sequence[Graph], dc: DominationCollection):
     if not dc.validated:
         raise ValueError(
             "domination collection must pass validate() before building orders"
         )
-    if g.factors is None or len(g.factors) != dc.d:
+    factors = gs.factors if isinstance(gs, Graph) else gs
+    if factors is None or len(factors) != dc.d:
         raise ValueError("graph does not match the collection")
+    return factors
+
+
+def block_lex_order(g: Graph, dc: DominationCollection) -> TotalOrder:
+    """Within a block, the block's domination order; across blocks, the
+    lexicographic order of block starts.  Requires a validated collection."""
+    _orderable_factors(g, dc)
     geo = _geometry(g, dc)
     return order_by_keys(np.column_stack([geo.composite, geo.within]))
+
+
+def block_lex_prefix_counts(
+    gs: Graph | Sequence[Graph], dc: DominationCollection
+) -> np.ndarray:
+    """Prefix counts of `block_lex_order` on the product of `gs` (the
+    factors or their product) by `staircase.product_prefix_counts`, with
+    the order's rank tuples listed in rank space: each block is a box of
+    rank intervals, read in its permutation's significance order.  No
+    product, geometry or order is built.  Requires a validated collection."""
+    factors = _orderable_factors(gs, dc)
+    shape = [p.n for p in dc.partitions]
+    ids = np.arange(math.prod(shape)).reshape(shape)
+    cuts = [[slice(a - 1, b) for a, b in p.segments] for p in dc.partitions]
+    sequence = np.concatenate(
+        [
+            ids[box].transpose(dc.perm_for(bid)).ravel()
+            for box, bid in zip(itertools.product(*cuts), dc.block_ids())
+        ]
+    )
+    return product_prefix_counts(factors, dc.factor_orders, sequence)
 
 
 def standard_block_lex_order(

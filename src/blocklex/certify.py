@@ -7,11 +7,12 @@ isoperimetric, the leading factors' partitions are non-decreasing, the
 collection is a regular domination collection, and the two-factor
 block-lexicographic order is optimal for every factor pair.  Every order
 check, of a block, a pair or the crosscheck, is one call of
-`solver.check_order`: the sandwich bound of the factors' profiles proves
-an order optimal when met, and where it is missed the pair's bound itself
-(exact under nested solutions), the slab DP on three factors or the subset
-DP decides.  A certificate carries one entry per hypothesis with evidence
-and is emitted only if every entry verified; cross-checking runs the same
+`solver.check_prefix_counts` on counts read from the factors in rank
+space: the sandwich bound of the factors' profiles proves an order optimal
+when met, and where it is missed the pair's bound itself (exact under
+nested solutions), the slab DP on three factors or the subset DP decides.
+A certificate carries one entry per hypothesis with evidence and is
+emitted only if every entry verified; cross-checking runs the same
 check on the certified order of the three-factor product, and revokes
 only when the slab DP beats the order at some size.
 """
@@ -31,6 +32,7 @@ from . import __version__
 from .blockgeom import (
     DominationCollection,
     block_lex_order,
+    block_lex_prefix_counts,
     standard_block_lex_order,
     standard_collection,
     uniform_collection,
@@ -38,7 +40,7 @@ from .blockgeom import (
 )
 from .budget import BudgetExceeded, SizeCapExceeded
 from .graphs import Graph, cartesian_product, clique, path, petersen, cycle
-from .orders import TotalOrder, lex_order
+from .orders import TotalOrder
 from .partitions import (
     Partition,
     atomic_partition,
@@ -49,13 +51,15 @@ from .partitions import (
 from .solver import (
     FULL_ENUM_CAP,
     check_order,
+    check_prefix_counts,
     delta_sequence,
     exact_profile,
     factor_profile_and_order,
     find_nested_chain,
-    order_sandwich,
+    prefix_bound,
     prefix_edge_counts,
 )
+from .staircase import product_prefix_counts
 
 __all__ = [
     "Hypothesis",
@@ -302,14 +306,14 @@ def certify(
             return make("hypothesis_failed")
         # (e) pairwise two-factor optimality, computed once per distinct pair
         def verify_pair(i: int, j: int, pair_dc: DominationCollection) -> dict:
-            pair = cartesian_product([gs[i], gs[j]])
+            pair, n = [gs[i], gs[j]], gs[i].n * gs[j].n
             okv, diags = pair_dc.validate(pair)
             if not okv:
-                return {"optimal": False, "diagnostics": diags, "n": pair.n}
-            order2 = block_lex_order(pair, pair_dc)
-            used, ok, bad_m, values = check_order(pair, order2)
+                return {"optimal": False, "diagnostics": diags, "n": n}
+            prefix = block_lex_prefix_counts(pair, pair_dc)
+            used, ok, bad_m, values = check_prefix_counts(pair, prefix)
             return {
-                "n": pair.n,
+                "n": n,
                 "profile_strategy": used,
                 "optimal": ok,
                 "first_failing_m": bad_m,
@@ -383,17 +387,17 @@ def certify_domination(
         transcripts: dict[str, dict] = {}
         for k, l in itertools.combinations(range(d), 2):
             i, j = pi[k], pi[l]
-            pair = cartesian_product([gs[i], gs[j]])
-            key = pair.digest
+            key = (gs[i].digest, gs[j].digest)
             if key in transcripts:
                 detail = dict(transcripts[key])
                 detail["reused_transcript"] = True
                 ok = detail["optimal"]
             else:
-                order2 = lex_order(pair, [orders[i], orders[j]])
-                used, ok, bad_m, _ = check_order(pair, order2)
+                pair = [gs[i], gs[j]]
+                prefix = product_prefix_counts(pair, [orders[i], orders[j]])
+                used, ok, bad_m, _ = check_prefix_counts(pair, prefix)
                 detail = {
-                    "n": pair.n,
+                    "n": gs[i].n * gs[j].n,
                     "profile_strategy": used,
                     "optimal": ok,
                     "first_failing_m": bad_m,
@@ -439,8 +443,8 @@ def crosscheck(
     order_override: Optional[TotalOrder] = None,
 ) -> Certificate:
     """Check the certified order on the three-factor product at every size
-    m = 0..n with `solver.check_order`.  Sizes where its prefix counts
-    meet the sandwich bound are proved; if any miss it, the slab DP
+    m = 0..n with `solver.check_prefix_counts`.  Sizes where its prefix
+    counts meet the sandwich bound are proved; if any miss it, the slab DP
     decides them (oracle "sandwich+slab"), and the first size where it
     beats the order revokes the certificate and records the
     counterexample.  When the slab DP's table passes its cap, the sizes
@@ -448,26 +452,32 @@ def crosscheck(
     the bound can be loose (oracle "sandwich").  `gs` is the three
     factors or their product graph; `dc` must be validated.
 
-    `order_override` substitutes a different order for the certified one;
-    it exists so tests can demonstrate the revocation path.
+    The certified order is counted in rank space (`block_lex_prefix_counts`)
+    and built only for a revocation's initial segment.  `order_override`,
+    counted on the product graph, substitutes a different order; it
+    exists so tests can demonstrate the revocation path.
     """
     g = gs if isinstance(gs, Graph) else cartesian_product(gs)
     if g.factors is None or len(g.factors) != 3:
         raise ValueError("cross-checks run on three-factor products")
-    order = order_override if order_override is not None else block_lex_order(g, dc)
+    order = order_override
+    prefix = (
+        block_lex_prefix_counts(g, dc) if order is None else prefix_edge_counts(g, order)
+    )
     oracle, unchecked, bad = "sandwich", [], None
     try:
-        used, ok, m, exact = check_order(g, order)
+        used, ok, m, exact = check_prefix_counts(g, prefix)
     except SizeCapExceeded:
-        prefix, upper = order_sandwich(g, order)
-        unchecked = np.flatnonzero(prefix != upper).tolist()
+        unchecked = np.flatnonzero(prefix != prefix_bound(g.factors, prefix)).tolist()
     else:
         if used == "slab":
             oracle = "sandwich+slab"
         if not ok:
+            if order is None:
+                order = block_lex_order(g, dc)
             bad = {
                 "m": m,
-                "order_value": int(prefix_edge_counts(g, order)[m]),
+                "order_value": int(prefix[m]),
                 "oracle_value": exact[m],
                 "initial_segment": order.initial_segment(m).ids().tolist(),
             }
@@ -661,14 +671,14 @@ def explore_conjecture(
         if d >= 2 and ins.status == "SUPPORTED":
             # the conjecture's claims (lex optimal inside the bound, no
             # nested solutions beyond it) are about the powers of g
-            prod = cartesian_product([g] * d)
             lex_name = f"{name} ^ {d} lexicographic"
             try:
                 _, o = factor_profile_and_order(g)
-                _, ok, bad, _ = check_order(prod, lex_order(prod, [o] * d))
+                prefix = product_prefix_counts([g] * d, [o] * d)
+                _, ok, bad, _ = check_prefix_counts([g] * d, prefix)
             except (SizeCapExceeded, BudgetExceeded) as e:
                 instances.append(
-                    Instance(lex_name, prod.n, "INCONCLUSIVE", {"reason": str(e)})
+                    Instance(lex_name, g.n**d, "INCONCLUSIVE", {"reason": str(e)})
                 )
             else:
                 if inside_bound:
@@ -680,7 +690,7 @@ def explore_conjecture(
                 instances.append(
                     Instance(
                         lex_name,
-                        prod.n,
+                        g.n**d,
                         status,
                         {
                             "lex_optimal": ok,

@@ -176,17 +176,17 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             seen.add((min(u, v), max(u, v)))
-        self.n = n
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-        pairs = np.ascontiguousarray(pairs.T)
+        self._set(n, np.ascontiguousarray(pairs.T), factors)
+
+    def _set(self, n: int, pairs: np.ndarray, factors) -> None:
+        """Fill the slots from a (2, E) array of sorted edges u < v."""
+        self.n = n
         pairs.setflags(write=False)
         self._edges = (pairs[0], pairs[1])
         if factors is not None:
             factors = tuple(factors)
-            prod = 1
-            for f in factors:
-                prod *= f.n
-            if prod != n:
+            if math.prod(f.n for f in factors) != n:
                 raise ValueError("factor sizes do not multiply to n")
         self.factors = factors
         self._neighbors = None
@@ -413,26 +413,25 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 
 def cartesian_product(graphs: Sequence[Graph]) -> Graph:
     """Cartesian product: edge iff exactly one coordinate differs and that
-    pair is an edge in its factor.  Records the factor list."""
+    pair is an edge in its factor.  Records the factor list.  A product
+    of simple graphs is simple, so its edges skip `Graph`'s input checks."""
     graphs = list(graphs)
     if not graphs:
         raise ValueError("product of no graphs")
     shape = [g.n for g in graphs]
-    d = len(shape)
     n = math.prod(shape)
-    w = mixed_radix(shape).tolist()
-    edges = []
+    ids = np.arange(n, dtype=np.int64).reshape(shape)
+    keys = []
     for i, gi in enumerate(graphs):
-        # line copies of factor i across all assignments of the others
-        bases = [0]
-        for j in range(d):
-            if j == i:
-                continue
-            bases = [b + c * w[j] for b in bases for c in range(shape[j])]
-        for u, v in gi.edges():
-            du, dv = u * w[i], v * w[i]
-            edges += [(b + du, b + dv) for b in bases]
-    return Graph(n, edges, factors=graphs)
+        # line copies of factor i: its edges (u, v), coded u * n + v, shifted
+        # to every id whose i-th coordinate is 0
+        w = math.prod(shape[i + 1 :])
+        eu, ev = gi.edge_arrays()
+        keys.append(np.add.outer(eu * (w * n) + ev * w, ids.take(0, axis=i) * (n + 1)))
+    key = np.sort(np.concatenate([k.ravel() for k in keys]))
+    g = Graph.__new__(Graph)
+    g._set(n, np.stack(np.divmod(key, n)), graphs)
+    return g
 
 
 def graph_power(g: Graph, k: int) -> Graph:

@@ -17,15 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet
+from .graphs import Graph
 from .orders import TotalOrder
-from .solver import (
-    DeltaSequence,
-    Profile,
-    delta_sequence,
-    exact_profile,
-    verify_order_optimal,
-)
+from .solver import DeltaSequence, Profile, delta_sequence, exact_profile
+from .staircase import rank_edge_tables
 
 __all__ = [
     "Partition",
@@ -194,37 +189,39 @@ def validate_isoperimetric_partition(
 ) -> tuple[bool, list[str]]:
     """Check the two isoperimetric-partition conditions; returns
     (ok, diagnostics).  Requires (and checks) that the partition's own
-    order is optimal for g."""
+    order is optimal for g.  Both are read from `rank_edge_tables` of g
+    under that order and of each segment graph: the rank-r vertex of
+    segment [a, b] sends L[r] - L_seg[r - a + 1] edges to earlier ones."""
     diags: list[str] = []
     if profile is None:
         profile = exact_profile(g, "full", with_witnesses=False)
-    ok_order, bad_m = verify_order_optimal(g, p.order, profile)
-    if not ok_order:
-        diags.append(f"partition order is not optimal for the graph (fails at m={bad_m})")
+    W, L = rank_edge_tables(g, p.order)
+    bad = np.flatnonzero(W != profile.values_array())
+    if bad.size:
+        diags.append(f"partition order is not optimal for the graph (fails at m={bad[0]})")
         return False, diags
     delta = delta_sequence(profile)
     ok = True
-    for i, (a, b) in enumerate(p.segments):
-        sub, sub_order, old = segment_subgraph(g, p, i)
+    for i, ((a, b), sub) in enumerate(zip(p.segments, segment_graphs(g, p))):
+        W_seg, L_seg = rank_edge_tables(sub)
         sub_prof = exact_profile(sub, "full", with_witnesses=False)
-        seg_ok, seg_bad = verify_order_optimal(sub, sub_order, sub_prof)
-        if not seg_ok:
+        bad = np.flatnonzero(W_seg != sub_prof.values_array())
+        if bad.size:
             ok = False
             diags.append(
                 f"segment {i + 1} [{a},{b}]: induced order not optimal for the "
-                f"induced graph (fails at m={seg_bad})"
+                f"induced graph (fails at m={bad[0]})"
             )
         # condition 2: backward edges of each vertex equal delta at the start
-        earlier = p.order.initial_segment(a - 1) if a > 1 else VertexSet.empty(g.n)
         want = delta.at_rank(a)
-        for v in old:
-            got = int(np.count_nonzero(earlier.mask[g.neighbors[v]]))
-            if got != want:
-                ok = False
-                diags.append(
-                    f"segment {i + 1} [{a},{b}]: vertex {v} sends {got} edges to "
-                    f"earlier segments, expected delta({a}) = {want}"
-                )
+        got = L[a : b + 1] - L_seg[1:]
+        for k in np.flatnonzero(got != want).tolist():
+            ok = False
+            diags.append(
+                f"segment {i + 1} [{a},{b}]: vertex {p.order.vertex_at(a + k)} "
+                f"sends {got[k]} edges to earlier segments, expected "
+                f"delta({a}) = {want}"
+            )
     return ok, diags
 
 

@@ -15,15 +15,17 @@ factors, the slab DP's table (`staircase.STACK_CELL_CAP` cells).
 `exact_profile` with no engine named applies the profile rule: a product
 is profiled from its factors by the sandwich bound where that bound is
 proven exact, and by the subset DP elsewhere.  `check_order` is the one
-rule that decides whether an order on a product is optimal: the sandwich
-bound first, then an exact engine chosen by the number of factors.
-Pairs, block classes, the crosscheck and the explorers all decide
-through it.
+rule that decides whether an order on a product is optimal, through
+`check_prefix_counts`: the sandwich bound first, then an exact engine
+chosen by the number of factors.  Pairs, block classes, the crosscheck and
+the explorers all decide through it, most of them on prefix counts read
+from the factors in rank space (`staircase.product_prefix_counts`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -31,8 +33,8 @@ import numpy as np
 
 from . import staircase
 from .budget import Budget, BudgetExceeded, SizeCapExceeded
-from .graphs import Graph
-from .orders import TotalOrder, lex_order
+from .graphs import Graph, cartesian_product
+from .orders import TotalOrder
 
 __all__ = [
     "FULL_ENUM_CAP",
@@ -47,7 +49,8 @@ __all__ = [
     "find_nested_chain",
     "verify_order_optimal",
     "check_order",
-    "order_sandwich",
+    "check_prefix_counts",
+    "prefix_bound",
     "prefix_edge_counts",
     "factor_profile_and_order",
     "clear_caches",
@@ -644,7 +647,8 @@ def _sandwich_profile(g: Graph) -> Optional[Profile]:
     if len(g.factors) == 2:
         upper = staircase.sandwich_bound([p.i_values for p in profiles])
     else:
-        prefix, upper = order_sandwich(g, lex_order(g, orders))
+        prefix = staircase.product_prefix_counts(g.factors, orders)
+        upper = prefix_bound(g.factors, prefix)
         if not np.array_equal(prefix, upper):
             return None
     prof = Profile(
@@ -693,29 +697,32 @@ def verify_order_optimal(
     return False, int(bad[0])
 
 
-def order_sandwich(g: Graph, order: TotalOrder) -> tuple[np.ndarray, np.ndarray]:
-    """The order's prefix counts on the product g and
-    `staircase.sandwich_bound` over g's factors' exact profiles, the first
-    factor most significant.  Where the two are equal the order is optimal.
-    Elsewhere the bound alone tells nothing, unless g has two factors with
-    nested solutions, where it is the exact profile (`check_order`)."""
-    prefix = prefix_edge_counts(g, order)
-    upper = staircase.sandwich_bound(
-        [exact_profile(f, "full", with_witnesses=False).i_values for f in g.factors],
+def prefix_bound(factors: Sequence[Graph], prefix: np.ndarray) -> np.ndarray:
+    """`staircase.sandwich_bound` over the factors' exact profiles, the
+    first most significant, for an order with the prefix counts `prefix`."""
+    return staircase.sandwich_bound(
+        [exact_profile(f, "full", with_witnesses=False).i_values for f in factors],
         prefix,
     )
-    return prefix, upper
 
 
 def check_order(
     g: Graph, order: TotalOrder
 ) -> tuple[str, bool, Optional[int], tuple[int, ...]]:
-    """Whether the order is optimal on the product g: the engine that
+    """`check_prefix_counts` on the order's prefix counts on the product g."""
+    return check_prefix_counts(g, prefix_edge_counts(g, order))
+
+
+def check_prefix_counts(
+    gs: Graph | Sequence[Graph], prefix: np.ndarray
+) -> tuple[str, bool, Optional[int], tuple[int, ...]]:
+    """Whether an order with the prefix counts `prefix` is optimal on the
+    product of `gs` (the factors or their product): the engine that
     decided, the verdict, the first failing size and the exact profile.
 
-    Prefix counts that meet the bound U of `order_sandwich` prove the
-    order optimal, and U is then the exact profile ("sandwich").  Where
-    they miss it, the number of factors picks the exact engine:
+    Prefix counts that meet the bound U of `prefix_bound` prove the order
+    optimal, and U is then the exact profile ("sandwich").  Where they
+    miss it, the number of factors picks the exact engine:
 
     - two: U is the exact profile when both factors have nested solutions,
       since compression takes every set to a rank-space staircase and U
@@ -725,35 +732,38 @@ def check_order(
     - one, or four and more: the subset DP, up to FULL_ENUM_CAP vertices
       ("full_enumeration").
 
-    The two- and three-factor engines rely on the factors' nested
-    solutions, which `factor_profile_and_order` confirms, raising
-    NoNestedSolutions without them.  A product of four or more factors
-    past FULL_ENUM_CAP vertices, or one whose bound or slab table passes
-    `staircase.STACK_CELL_CAP` cells, raises SizeCapExceeded."""
-    prefix, exact = order_sandwich(g, order)
+    Only these last two build the product from the factors.  The two- and
+    three-factor engines rely on the factors' nested solutions, which
+    `factor_profile_and_order` confirms, raising NoNestedSolutions without
+    them.  A product of four or more factors past FULL_ENUM_CAP vertices,
+    or one whose bound or slab table passes `staircase.STACK_CELL_CAP`
+    cells, raises SizeCapExceeded."""
+    factors = tuple(gs.factors if isinstance(gs, Graph) else gs)
+    exact = prefix_bound(factors, prefix)
     used = "sandwich"
     miss = np.flatnonzero(prefix != exact)
-    if miss.size:
-        d = len(g.factors)
-        if d == 2:
-            for f in g.factors:
-                factor_profile_and_order(f)  # U is exact only under this
-        elif d == 3:
+    d, n = len(factors), math.prod(f.n for f in factors)
+    if miss.size and d == 2:
+        for f in factors:
+            factor_profile_and_order(f)  # U is exact only under this
+    elif miss.size and d != 3 and n > FULL_ENUM_CAP:
+        raise SizeCapExceeded(
+            f"the order misses the sandwich bound on {n} vertices and "
+            f"{d} factors: the subset DP takes up to {FULL_ENUM_CAP} "
+            "vertices and the slab DP products of up to three factors"
+        )
+    elif miss.size:
+        g = gs if isinstance(gs, Graph) else cartesian_product(factors)
+        if d == 3:
             used = "slab"
-            orders = [factor_profile_and_order(f)[1] for f in g.factors]
+            orders = [factor_profile_and_order(f)[1] for f in factors]
             m_max = int(miss[-1])
             exact = np.concatenate(
                 (staircase.downset_profile(g, orders, m_max), exact[m_max + 1 :])
             )
-        elif g.n <= FULL_ENUM_CAP:
+        else:
             used = "full_enumeration"
             exact = exact_profile(g, "full", with_witnesses=False).values_array()
-        else:
-            raise SizeCapExceeded(
-                f"the order misses the sandwich bound on {g.n} vertices and "
-                f"{d} factors: the subset DP takes up to {FULL_ENUM_CAP} "
-                "vertices and the slab DP products of up to three factors"
-            )
     bad = np.flatnonzero(prefix != exact)
     bad_m = int(bad[0]) if bad.size else None
     return used, bad_m is None, bad_m, tuple(int(x) for x in exact)

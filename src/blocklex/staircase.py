@@ -30,6 +30,7 @@ from .orders import TotalOrder
 
 __all__ = [
     "rank_edge_tables",
+    "product_prefix_counts",
     "stacked_profile",
     "sandwich_bound",
     "downset_profile",
@@ -48,22 +49,41 @@ STACK_CELL_CAP = 1 << 24
 SKEW_CHUNK = 1 << 16
 
 
-def rank_edge_tables(g: Graph, order: TotalOrder) -> tuple[np.ndarray, np.ndarray]:
-    """Tables (W, L) over ranks 1..n (index 0 unused, = 0):
+def rank_edge_tables(
+    g: Graph, order: Optional[TotalOrder] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tables (W, L) over ranks 1..n of `order` (the identity when None),
+    index 0 unused, = 0:
 
     L[r] = number of neighbors of the rank-r vertex with smaller rank;
     W[r] = number of edges among the first r ranks (= cumsum of L).
     """
-    n = g.n
-    L = np.zeros(n + 1, dtype=np.int64)
     eu, ev = g.edge_arrays()
-    if eu.size:
-        ru = order.ranks[eu]
-        rv = order.ranks[ev]
-        hi = np.maximum(ru, rv)
-        np.add.at(L, hi, 1)
-    W = np.cumsum(L)
-    return W, L
+    ranks = np.arange(1, g.n + 1) if order is None else order.ranks
+    L = np.bincount(np.maximum(ranks[eu], ranks[ev]), minlength=g.n + 1)
+    return L.cumsum(), L
+
+
+def product_prefix_counts(
+    factors: Sequence[Graph],
+    orders: Optional[Sequence[TotalOrder]] = None,
+    sequence: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Edges among the first m vertices, m = 0..n, of a product order built
+    from factor orders (identity orders when None), from the factors'
+    back-degree tables L_i alone.  In such an order (lexicographic,
+    domination or block-lexicographic), two vertices that differ only in
+    coordinate i compare as their i-th ranks do, so the vertex with rank
+    tuple (r_1, ..., r_d) has sum_i L_i[r_i] earlier neighbours.
+    `sequence` lists the order's rank tuples as flat C-order indices into
+    the rank box; by default it is C order (lexicographic)."""
+    back = np.zeros(1, dtype=np.int64)
+    for k, f in enumerate(factors):
+        L = rank_edge_tables(f, None if orders is None else orders[k])[1]
+        back = (back[:, None] + L[1:]).ravel()
+    if sequence is not None:
+        back = back[sequence]
+    return np.concatenate(([0], back.cumsum()))
 
 
 def stacked_profile(

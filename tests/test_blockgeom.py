@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklex import (
     DominationCollection,
@@ -720,15 +722,247 @@ def _single_block_case():
     ],
 )
 def test_block_prefix_counts_in_closed_form(make):
-    """The closed-form prefix counts of every block's domination order,
+    """The rank-space prefix counts of every block's domination order,
     from its segment graphs in the permutation's significance order, equal
     the counts on the built block graph."""
     from blocklex import prefix_edge_counts
-    from blocklex.blockgeom import _lex_prefix_counts, _segment_graphs
+    from blocklex.partitions import segment_graphs
+    from blocklex.staircase import product_prefix_counts
 
     g, dc = make()
-    segs = _segment_graphs(g, dc)
+    segs = [segment_graphs(f, p) for f, p in zip(g.factors, dc.partitions)]
     for bid in dc.block_ids():
-        closed = _lex_prefix_counts([segs[i][bid[i]] for i in dc.perm_for(bid)])
+        closed = product_prefix_counts([segs[i][bid[i]] for i in dc.perm_for(bid)])
         sub, order = block_graph_and_order(g, dc, bid)
         assert closed.tolist() == prefix_edge_counts(sub, order).tolist()
+
+
+# -- prefix counts in rank space -----------------------------------------------
+
+# The three- and four-factor products of the certify benchmark workload
+# (seeds 1-5) and its two controls.
+WORKLOAD_PRODUCTS = """
+C3xC4xC5 C3xC5xC4 C3xC5xP4 C3xC6xC3 C3xC6xK3 C3xK2xC5 C3xK2xK4 C3xK3xC6
+C3xP3xC4 C3xP5xC4 C4xC3xC5 C4xC3xP5 C4xC4xC4xC4 C4xC4xC5 C4xC4xP5 C4xC5xC3
+C4xC5xK2 C4xC5xK3 C4xC5xP3 C4xK2xC5 C4xK2xK2 C4xK2xK3 C4xK2xP5 C4xK3xC5
+C4xK3xK2xC5 C4xK3xP5 C5xC3xC4 C5xC3xP4 C5xC4xC3 C5xC4xC4 C5xC4xK2 C5xC4xK3
+C5xC4xP3 C5xK2xC3 C5xK2xC4 C5xK2xP3 C5xK2xP4 C5xK3xC4 C5xK3xK2xC4 C5xK3xP4
+C6xC3xK3 C6xK3xC3 C6xP4xP4 K2xC3xK4 K2xC3xP4 K2xC4xC5 K2xC4xP5 K2xC5xC4
+K2xC5xK3 K2xK2xC5 K2xK2xpetersen K2xK3xK4 K2xK3xP3 K2xK4xC3 K2xK4xK3
+K2xK4xP5 K2xP3xP4 K2xP5xP3 K2xpetersenxpetersen K3^3 K3xC3xC6 K3xC4xC5
+K3xC4xP5 K3xC5xC4 K3xC5xP4 K3xC6xC3 K3xC6xK3 K3xK2xK4 K3xK4xK2 K3xP3xC4
+K3xP3xC5 K3xP3xP5 K3xP4xC5 K4xC3xK2 K4xK2xC3 K4xK2xK3 K4xK2xP5 K4xK3xK2 K5^3
+P3xC4xC5 P3xC4xP5 P3xC5xC4 P3xC5xP4 P3xK2xC5 P3xK2xK2 P3xK4xP5 P3xP4xC6
+P3xP4xK3 P4xC3xC5 P4xC5xC3 P4xC5xK2 P4xC5xK3 P4xC5xP3 P4xK2xC5 P4xK2xK2xP5
+P4xK2xP5 P4xK3xC5 P4xK3xP5 P4xP3xC5 P4xP5xP4 P5xC3xC4 P5xC3xP4 P5xC4xC3
+P5xC4xC4 P5xC4xK2 P5xC4xK3 P5xC4xP3 P5xK2xC4 P5xK2xK2 P5xK2xK4 P5xK2xP4
+P5xK3xC4 P5xK3xP4 P5xK4xK2 P5xK4xP3 petersenxK2xK2 petersenxK2xpetersen
+petersenxpetersenxK2 petersenxpetersenxpetersen
+""".split()
+
+
+def _orderable(g, dc):
+    ok, diags = dc.validate(g, check_block_optimality=False)
+    assert ok, diags
+    return dc
+
+
+def _assert_rank_space_counts(g, dc):
+    from blocklex import prefix_edge_counts
+    from blocklex.blockgeom import block_lex_prefix_counts
+
+    want = prefix_edge_counts(g, block_lex_order(g, dc)).tolist()
+    assert block_lex_prefix_counts(g, dc).tolist() == want
+    assert block_lex_prefix_counts(g.factors, dc).tolist() == want
+
+
+@pytest.mark.parametrize("kind", ["standard", "atomic"])
+def test_rank_space_counts_equal_the_built_order_on_workload_products(kind):
+    """Block-lex prefix counts read from the factors' back-degree tables
+    equal the counts of the order built on the product graph, on every
+    product the certify workload draws and on each of its factor pairs."""
+    from blocklex import parse_graph_spec
+
+    for spec in WORKLOAD_PRODUCTS:
+        g = parse_graph_spec(spec)
+        if kind == "standard":
+            dc = standard_collection(g.factors)
+        else:
+            dc = uniform_collection(
+                [atomic_partition(factor_profile_and_order(f)[1]) for f in g.factors]
+            )
+        _assert_rank_space_counts(g, _orderable(g, dc))
+        for s in itertools.combinations(range(dc.d), 2):
+            _assert_rank_space_counts(subproduct(g, s), dc.restricted(s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rank_space_counts_on_drawn_collections(data):
+    """Random factor orders, random partitions and block permutations
+    (consistent on every pair, as validation needs), on two to four
+    factors: the rank-space counts equal those of the built order."""
+    from blocklex import Graph
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d = data.draw(st.integers(2, 4))
+    factors, parts = [], []
+    for _ in range(d):
+        n = int(rng.integers(1, 5 if d == 4 else 6))
+        f = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+        order = TotalOrder.from_sequence(rng.permutation(n).tolist())
+        cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False).tolist())
+        factors.append(f)
+        parts.append(Partition.from_boundaries(order, cuts + [n]))
+    g = cartesian_product(factors)
+    counts = [p.num_segments for p in parts]
+    dc = DominationCollection(tuple(parts), _keyed_perms(rng, counts, 0))
+    _assert_rank_space_counts(g, _orderable(g, dc))
+
+
+def test_rank_space_lex_counts_under_every_permutation():
+    """Lexicographic and domination orders: the kernel on the factors in
+    significance order equals the counts of the order built on the
+    product, for every significance permutation."""
+    from blocklex import parse_graph_spec, prefix_edge_counts
+    from blocklex.staircase import product_prefix_counts
+
+    for spec in ("P4xK3xC5", "C5xC4xK2xC3", "K2xpetersenxpetersen", "P3xC5xP4"):
+        g = parse_graph_spec(spec)
+        orders = [factor_profile_and_order(f)[1] for f in g.factors]
+        want = prefix_edge_counts(g, lex_order(g, orders)).tolist()
+        assert product_prefix_counts(g.factors, orders).tolist() == want
+        for pi in itertools.permutations(range(len(orders))):
+            want = prefix_edge_counts(g, domination_order(g, orders, pi)).tolist()
+            got = product_prefix_counts(
+                [g.factors[i] for i in pi], [orders[i] for i in pi]
+            )
+            assert got.tolist() == want, (spec, pi)
+
+
+def _order_of_sequence(g, orders, sequence):
+    """The order on g that lists the rank tuples of `sequence` (flat
+    C-order indices into the rank box) first to last."""
+    shape = [o.n for o in orders]
+    ranks = np.unravel_index(sequence, shape)
+    ids = sum(o.inverse[r] * w for o, r, w in zip(orders, ranks, g.radix()))
+    return TotalOrder.from_sequence(ids.tolist())
+
+
+def test_rank_space_counts_need_line_consistent_orders():
+    """Negative controls: a seeded random sequence of rank tuples, and the
+    block-lex sequence with one block's run of a factor reversed, are
+    orders in which some vertices that differ in one coordinate compare
+    against their factor ranks; the kernel's counts then differ from the
+    counts of that order on the product.  The sequence unchanged agrees."""
+    from blocklex import parse_graph_spec, prefix_edge_counts
+    from blocklex.staircase import product_prefix_counts
+
+    g = parse_graph_spec("P4xK3xC5")
+    dc = _orderable(g, standard_collection(g.factors))
+    orders = dc.factor_orders
+    shape = [o.n for o in orders]
+    ids = np.arange(g.n).reshape(shape)
+    cuts = [[slice(a - 1, b) for a, b in p.segments] for p in dc.partitions]
+    pieces = [
+        ids[box].transpose(dc.perm_for(bid))
+        for box, bid in zip(itertools.product(*cuts), dc.block_ids())
+    ]
+
+    def counts(sequence):
+        kernel = product_prefix_counts(g.factors, orders, sequence)
+        built = prefix_edge_counts(g, _order_of_sequence(g, orders, sequence))
+        return kernel.tolist(), built.tolist()
+
+    kernel, built = counts(np.concatenate([p.ravel() for p in pieces]))
+    assert kernel == built
+    big = max(range(len(pieces)), key=lambda k: pieces[k].size)
+    pieces[big] = pieces[big][::-1]  # the most significant run reversed
+    kernel, built = counts(np.concatenate([p.ravel() for p in pieces]))
+    assert kernel != built
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        kernel, built = counts(rng.permutation(g.n))
+        assert kernel != built
+
+
+def test_certify_builds_one_product_and_no_geometry(capsys, monkeypatch):
+    """Certifying a product (standard partitions with the crosscheck,
+    atomic partitions, or a domination order) builds one product graph,
+    the one it parsed, and no block geometry: its pairs, blocks and
+    crosscheck are counted from the factors."""
+    from blocklex import Graph, blockgeom
+    from blocklex.cli import main
+
+    products = []
+    real = Graph._set
+
+    def counting(self, n, pairs, factors):
+        if factors is not None:
+            products.append(n)
+        real(self, n, pairs, factors)
+
+    def no_geometry(*args):
+        raise AssertionError("a block geometry was built")
+
+    monkeypatch.setattr(Graph, "_set", counting)
+    monkeypatch.setattr(blockgeom, "_Geometry", no_geometry)
+    for argv in (
+        ("P4xK3xC5",),
+        ("C5xK3xK2xC4",),
+        ("K2xK3xK4", "--partitions", "atomic"),
+        ("K2xK3xK4", "--domination", "1,2,3"),
+    ):
+        products.clear()
+        assert main(["certify", *argv, "--format", "json"]) == 0
+        assert len(products) == 1, (argv, products)
+    capsys.readouterr()
+
+
+def test_block_classes_are_decided_once_per_collection_family(monkeypatch):
+    """A block class is its nontrivial segment graphs in significance
+    order, and a collection's restrictions share its verdicts: certify
+    P3xC5xP4 decides 4 classes (20 when each collection and permutation
+    decided its own), P4xK3xC5 6 and petersen^2xK2 4."""
+    from blocklex import blockgeom, certify, parse_graph_spec
+
+    calls = []
+    real = blockgeom._verify_block_class
+
+    def counting(chosen):
+        calls.append(tuple(s.digest for s in chosen))
+        return real(chosen)
+
+    monkeypatch.setattr(blockgeom, "_verify_block_class", counting)
+    for spec, classes in (("P3xC5xP4", 4), ("P4xK3xC5", 6), ("petersen^2xK2", 4)):
+        calls.clear()
+        certify(parse_graph_spec(spec), "standard")
+        assert len(calls) == len(set(calls)) == classes, spec
+
+
+def test_an_undecided_class_raises_in_every_collection_that_meets_it(monkeypatch):
+    """P3^4 x K1 under the P3 order 0, 2, 1 is one block of four 3-vertex
+    segment graphs (and a one-vertex one), past both exact engines.  It
+    raises SizeCapExceeded, and so does the restriction to the four P3
+    factors, which meets the same class, and the collection again; the
+    class is checked once."""
+    from blocklex import SizeCapExceeded, blockgeom, path
+
+    calls = []
+    real = blockgeom._verify_block_class
+
+    def counting(chosen):
+        calls.append(len(chosen))
+        return real(chosen)
+
+    monkeypatch.setattr(blockgeom, "_verify_block_class", counting)
+    part = Partition.from_boundaries(TotalOrder.from_sequence([0, 2, 1]), [3])
+    one = Partition.from_boundaries(TotalOrder.identity(1), [1])
+    factors = [path(3)] * 4 + [clique(1)]
+    dc = uniform_collection([part] * 4 + [one])
+    sub = dc.restricted((0, 1, 2, 3))
+    for coll, gs in ((dc, factors), (sub, factors[:4]), (dc, factors)):
+        with pytest.raises(SizeCapExceeded, match="up to three factors"):
+            coll.validate(gs)
+        assert not coll.validated
+    assert calls == [4]

@@ -269,6 +269,44 @@ def test_crosscheck_slab_refutes_block_lex_on_c6_cube():
     assert len(ce["initial_segment"]) == 17
 
 
+def test_crosscheck_revocation_builds_the_order_for_its_segment(monkeypatch):
+    """The crosscheck counts the certified order in rank space and builds
+    it only to report a revocation: on C6^3 the counterexample is the
+    order's own initial segment of 17 vertices, as listed, equal to that
+    of `block_lex_order`, with the 29 edges that its prefix counts give."""
+    import importlib
+
+    from blocklex import block_lex_order, prefix_edge_counts
+
+    certify_module = importlib.import_module("blocklex.certify")
+
+    gs = [cycle(6)] * 3
+    g = cartesian_product(gs)
+    dc = standard_collection(gs)
+    dc.validate(g, check_block_optimality=False)
+    order = block_lex_order(g, dc)
+    built = []
+
+    def recording(h, coll):
+        built.append(h.digest)
+        return order
+
+    monkeypatch.setattr(certify_module, "block_lex_order", recording)
+    cert = crosscheck(Certificate("certified", {}, "", "", [], None), g, dc)
+    ce = cert.counterexample
+    assert ce["initial_segment"] == [
+        0, 1, 2, 3, 4, 6, 7, 8, 9, 36, 37, 38, 39, 42, 43, 44, 45
+    ]
+    assert ce["initial_segment"] == order.initial_segment(17).ids().tolist()
+    assert ce["order_value"] == prefix_edge_counts(g, order)[17] == 29
+    assert built == [g.digest]
+    built.clear()
+    dc = standard_collection([cycle(5)] * 3)
+    dc.validate([cycle(5)] * 3, check_block_optimality=False)
+    cert = crosscheck(Certificate("certified", {}, "", "", [], None), [cycle(5)] * 3, dc)
+    assert cert.crosschecks[-1]["agreement"] and built == []
+
+
 def test_certificate_json_roundtrip():
     cert = certify([cycle(5), cycle(4), cycle(3)], "standard")
     back = Certificate.from_json(cert.to_json())

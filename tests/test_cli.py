@@ -523,3 +523,59 @@ def test_profile_rule_reports_match_the_subset_dp(capsys, monkeypatch):
     assert engines == [("sandwich", "full")] * 4 + [("full", "full")] + [
         ("sandwich", "full")
     ] * 2
+
+
+CERTIFY_ARGVS = [
+    ("certify", "P4xK3xC5"),
+    ("certify", "P3xC5xP4", "--format", "json"),
+    ("certify", "C5xK3xK2xC4", "--format", "json"),
+    ("certify", "petersen^2xK2", "--format", "json"),
+    ("certify", "K2xK3xK4", "--partitions", "atomic", "--format", "json"),
+    ("certify", "K4xK2xK3", "--partitions", "atomic"),
+    ("certify", "K2xK3xK4", "--domination", "1,2,3", "--format", "json"),
+    ("certify", "K2xK3xK4", "--domination", "3,1,2"),
+    ("certify", "C6^3"),
+    ("certify", "C6^3", "--format", "json"),
+    ("certify", "P4^3", "--format", "json"),
+    ("certify", "K3^3", "--format", "json"),
+    ("explore", "hspi", "--p", "3", "--i", "1", "--d", "2", "--format", "json"),
+]
+
+
+def test_rank_space_certificates_match_built_orders(capsys, monkeypatch):
+    """Certificates from prefix counts read in rank space equal those of
+    the products, geometries and orders they replace: with every
+    rank-space count patched back to an order built on a product graph,
+    stdout and exit codes are the same."""
+    import importlib
+
+    import numpy as np
+
+    from blocklex import TotalOrder, block_lex_order, blockgeom, cartesian_product
+    from blocklex import lex_order, prefix_edge_counts
+
+    certify_module = importlib.import_module("blocklex.certify")
+
+    def product(gs):
+        return cartesian_product(gs) if isinstance(gs, list) else gs
+
+    def built_block_lex(gs, dc):
+        g = product(gs)
+        return prefix_edge_counts(g, block_lex_order(g, dc))
+
+    def built_lex(factors, orders=None):
+        if not factors:  # a block of one-vertex segments
+            return np.zeros(2, dtype=np.int64)
+        g = cartesian_product(factors)
+        if orders is None:
+            orders = [TotalOrder.identity(f.n) for f in factors]
+        return prefix_edge_counts(g, lex_order(g, orders))
+
+    rank_space = [run(capsys, *argv) for argv in CERTIFY_ARGVS]
+    monkeypatch.setattr(certify_module, "block_lex_prefix_counts", built_block_lex)
+    monkeypatch.setattr(certify_module, "product_prefix_counts", built_lex)
+    monkeypatch.setattr(blockgeom, "product_prefix_counts", built_lex)
+    built = [run(capsys, *argv) for argv in CERTIFY_ARGVS]
+    for argv, a, b in zip(CERTIFY_ARGVS, rank_space, built):
+        assert a[:2] == b[:2], argv
+    assert [r[0] for r in rank_space] == [0, 2, 0, 0, 0, 2, 0, 2, 2, 2, 2, 0, 0]

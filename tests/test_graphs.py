@@ -305,3 +305,32 @@ def test_neighbours_are_built_on_first_use_from_the_edges():
         assert g.neighbors is nbrs
         assert g.degrees().tolist() == [len(w) for w in want]
         assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in g.edges())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+def test_product_edges_equal_the_coordinate_definition(sizes, data):
+    """Broadcast products of seeded random factors, one-vertex and
+    edgeless ones included, have exactly the edges of the definition (one
+    coordinate differs, by a factor edge) as a sorted simple edge list,
+    the digest of a graph built from that list, and their factors."""
+    import itertools
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    factors = [
+        Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        for n in sizes
+    ]
+    g = cartesian_product(factors)
+    tuples = list(itertools.product(*(range(n) for n in sizes)))
+    want = [
+        (a, b)
+        for a, x in enumerate(tuples)
+        for b, y in enumerate(tuples)
+        if a < b
+        and sum(p != q for p, q in zip(x, y)) == 1
+        and any(p != q and f.has_edge(p, q) for f, p, q in zip(factors, x, y))
+    ]
+    assert g.edges() == want
+    assert g.digest == Graph(g.n, want, factors=factors).digest
+    assert g.factors == tuple(factors)

@@ -184,3 +184,70 @@ def test_partition_json_roundtrip(pet, pet_profile, pet_order):
     q = Partition.from_json(p.to_json())
     assert q.segments == p.segments
     assert q.order == p.order
+
+
+def _ref_partition_diagnostics(g, p):
+    """Both conditions checked by a literal loop: each order against the
+    subset DP, and each vertex's edges into the earlier segments counted
+    from its neighbours."""
+    from blocklex import TotalOrder, exact_profile, verify_order_optimal
+
+    profile = exact_profile(g, "full", with_witnesses=False)
+    good, bad_m = verify_order_optimal(g, p.order, profile)
+    if not good:
+        return [f"partition order is not optimal for the graph (fails at m={bad_m})"]
+    delta = delta_sequence(profile)
+    diags = []
+    for i, (a, b) in enumerate(p.segments):
+        sub, _, old = segment_subgraph(g, p, i)
+        good, bad_m = verify_order_optimal(
+            sub, TotalOrder.identity(sub.n), exact_profile(sub, "full", with_witnesses=False)
+        )
+        if not good:
+            diags.append(
+                f"segment {i + 1} [{a},{b}]: induced order not optimal for the "
+                f"induced graph (fails at m={bad_m})"
+            )
+        earlier = {p.order.vertex_at(r) for r in range(1, a)}
+        want = delta.at_rank(a)
+        for v in old:
+            got = sum(1 for w in g.neighbors[v].tolist() if w in earlier)
+            if got != want:
+                diags.append(
+                    f"segment {i + 1} [{a},{b}]: vertex {v} sends {got} edges to "
+                    f"earlier segments, expected delta({a}) = {want}"
+                )
+    return diags
+
+
+def test_partition_diagnostics_match_the_per_vertex_loop():
+    """Seeded random cuts of the optimal orders of small graphs, and a
+    non-optimal order: the conditions read from the back-degree tables
+    give the per-vertex loop's diagnostics, in its order, including
+    segments where several vertices fail."""
+    import numpy as np
+
+    from blocklex import Graph, TotalOrder, complete_bipartite, parse_graph_spec
+
+    rng = np.random.default_rng(2)
+    graphs = [petersen(), cycle(6), path(5), clique(4), complete_bipartite(3, 3),
+              disjoint_union([clique(3), path(3)]), Graph(6, [(0, 1), (1, 2), (3, 4)]),
+              Graph(9, parse_graph_spec("P3xP3").edges())]
+    several = failing = 0
+    for g in graphs:
+        order = factor_profile_and_order(g)[1]
+        for _ in range(8):
+            cuts = rng.choice(np.arange(1, g.n), size=int(rng.integers(0, g.n)), replace=False)
+            p = Partition.from_boundaries(order, sorted(cuts.tolist()) + [g.n])
+            ok, diags = validate_isoperimetric_partition(g, p)
+            assert diags == _ref_partition_diagnostics(g, p)
+            assert ok == (not diags)
+            failing += not ok
+            per_segment = [d.split(":")[0] for d in diags if "sends" in d]
+            several += any(per_segment.count(s) > 1 for s in set(per_segment))
+    assert failing > 20 and several > 5
+    g = cycle(6)
+    p = Partition.from_boundaries(TotalOrder.from_sequence([0, 3, 1, 4, 2, 5]), [3, 6])
+    ok, diags = validate_isoperimetric_partition(g, p)
+    assert not ok and diags == _ref_partition_diagnostics(g, p)
+    assert diags[0].startswith("partition order is not optimal")

@@ -252,7 +252,8 @@ def test_pair_order_that_misses_the_bound_needs_nested_factors(non_nested_7):
     for factors in ([non_nested_7, clique(2)], [clique(3), non_nested_7]):
         pair = cartesian_product(factors)
         order = TotalOrder.from_sequence(rng.permutation(pair.n).tolist())
-        prefix, upper = solver.order_sandwich(pair, order)
+        prefix = solver.prefix_edge_counts(pair, order)
+        upper = solver.prefix_bound(pair.factors, prefix)
         assert (prefix < upper).any()
         with pytest.raises(NoNestedSolutions):
             check_order(pair, order)

@@ -45,10 +45,9 @@ from .partitions import (
 from .solver import (
     check_prefix_counts,
     delta_sequence,
-    exact_profile,
     factor_profile_and_order,
 )
-from .staircase import product_prefix_counts, sandwich_bound
+from .staircase import product_prefix_counts
 
 __all__ = [
     "DominationCollection",
@@ -180,9 +179,14 @@ class DominationCollection:
                     f"block permutations restrict inconsistently onto factors "
                     f"{s_sorted} at sub-block {sub_bid}: {prev} vs {perm}"
                 )
-        return DominationCollection(
-            tuple(self.partitions[i] for i in s_sorted), sub_perms
-        )
+        # projections of checked block ids carrying restrictions of checked
+        # permutations pass __post_init__'s checks, so it is skipped
+        dc = object.__new__(DominationCollection)
+        dc.partitions = tuple(self.partitions[i] for i in s_sorted)
+        dc.block_perms = sub_perms
+        dc.default_perm = None
+        dc.validated = False
+        return dc
 
     def to_json(self) -> dict:
         return {
@@ -283,17 +287,10 @@ class DominationCollection:
 def _verify_block_class(chosen: Sequence[Graph]) -> tuple[bool, Optional[int]]:
     """Whether a block's domination order, lexicographic on its nontrivial
     segment graphs `chosen` in identity orders, is optimal, and if not,
-    the first size where it fails.  Prefix counts that meet
-    `sandwich_bound` prove it without building the block; elsewhere
-    `solver.check_prefix_counts` decides."""
-    lower = product_prefix_counts(chosen)
-    upper = sandwich_bound(
-        [exact_profile(s, "full", with_witnesses=False).i_values for s in chosen],
-        lower,
-    )
-    if np.array_equal(lower, upper):
-        return True, None
-    _, good, bad_m, _ = check_prefix_counts(chosen, lower)
+    the first size where it fails, by `solver.check_prefix_counts`, which
+    proves it from the sandwich bound without building the block where the
+    prefix counts meet that bound."""
+    _, good, bad_m, _ = check_prefix_counts(chosen, product_prefix_counts(chosen))
     return good, bad_m
 
 

@@ -180,6 +180,18 @@ def _product_summary(gs: Sequence[Graph]) -> dict:
     }
 
 
+def _pair_key(g: Graph, h: Graph, pair_dc: DominationCollection) -> tuple:
+    """What a pair's transcript depends on: the two factors and everything
+    `pair_dc.to_json()` holds."""
+    return (
+        g.digest,
+        h.digest,
+        tuple((tuple(p.order.ranks.tolist()), p.boundaries) for p in pair_dc.partitions),
+        tuple(sorted(pair_dc.block_perms.items())),
+        pair_dc.default_perm,
+    )
+
+
 def resolve_partitions(gs: Sequence[Graph], partitions) -> list[Partition]:
     """Accept "standard", "atomic", or an explicit list."""
     if partitions is None or partitions == "standard":
@@ -322,13 +334,8 @@ def certify(
 
         pairs = list(itertools.combinations(range(d), 2))
         pair_dcs = {(i, j): dc.restricted((i, j)) for i, j in pairs}
-        keys = {}
-        for i, j in pairs:
-            pair_key = _digest(
-                [gs[i].digest, gs[j].digest, pair_dcs[(i, j)].to_json()]
-            )
-            keys[(i, j)] = pair_key
-        unique: dict[str, tuple[int, int]] = {}
+        keys = {(i, j): _pair_key(gs[i], gs[j], pair_dcs[(i, j)]) for i, j in pairs}
+        unique: dict[tuple, tuple[int, int]] = {}
         for (i, j), key in keys.items():
             unique.setdefault(key, (i, j))
         transcripts = {

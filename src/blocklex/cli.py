@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -97,9 +98,68 @@ def _write(cfg: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _dumps(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, without
+    the pure-Python encoder that `indent` selects."""
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    return "".join(out)
+
+
+def _encode(obj, nl: str, out: list[str]) -> None:
+    """Append obj's encoding at the indentation `nl` (a newline and the
+    current indent) to out.  Strings and ints are encoded in C, and a list
+    of only ints or only strings in one join; floats, dicts with a non-str
+    key and every other type go to `json.dumps`, which gives the same
+    bytes or raises the same error."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("[" + inner)
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            out.append(sep.join(map(int.__repr__, obj)))
+        elif kinds == {str}:
+            out.append(sep.join(map(_encode_str, obj)))
+        else:
+            for k, item in enumerate(obj):
+                if k:
+                    out.append(sep)
+                _encode(item, inner, out)
+        out.append(nl + "]")
+    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        out.append("{" + inner)
+        for k, key in enumerate(sorted(obj)):
+            if k:
+                out.append("," + inner)
+            out.append(_encode_str(key) + ": ")
+            _encode(obj[key], inner, out)
+        out.append(nl + "}")
+    else:
+        # JSON text has no raw newline outside its indentation
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl))
+
+
 def _emit(cfg: argparse.Namespace, inputs: dict, result: dict, text_lines, csv_lines=None) -> None:
     if cfg.fmt == "json":
-        _write(cfg, json.dumps(_envelope(cfg, inputs, result), indent=2, sort_keys=True))
+        _write(cfg, _dumps(_envelope(cfg, inputs, result)))
     elif cfg.fmt == "csv":
         if csv_lines is None:
             raise UsageError(f"csv output is not available for '{cfg.command}'")

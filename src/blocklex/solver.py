@@ -726,7 +726,9 @@ def check_prefix_counts(
 
     - two: U is the exact profile when both factors have nested solutions,
       since compression takes every set to a rank-space staircase and U
-      maximizes over those, so U refutes too ("sandwich");
+      maximizes over those, so U refutes too ("sandwich").  U is one
+      stacked step here, the same with either factor outer, so no minimum
+      over outer choices is taken;
     - three: the slab DP on the factors' optimal orders, up to the largest
       size that misses U ("slab"); past that size U is met, so exact;
     - one, or four and more: the subset DP, up to FULL_ENUM_CAP vertices
@@ -862,8 +864,9 @@ def factor_profile_and_order(g: Graph) -> tuple[Profile, TotalOrder]:
 
 
 def clear_caches():
-    """Empty the profile cache, the per-factor cache and the memo of
-    `staircase.sandwich_bound`."""
+    """Empty the profile cache, the per-factor cache and the memos of
+    `staircase.sandwich_bound`, its bounds and its stacked steps."""
     _PROFILE_CACHE.clear()
     _FACTOR_CACHE.clear()
     staircase._BOUND_CACHE.clear()
+    staircase._STEP_CACHE.clear()

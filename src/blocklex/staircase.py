@@ -144,8 +144,10 @@ def stacked_profile(
     return out
 
 
-# sandwich bounds by (mode, factor profiles); emptied by solver.clear_caches
+# sandwich bounds by (ordered, factor profiles), and the stacked steps they
+# take by (outer profile, inner bound); emptied by solver.clear_caches
 _BOUND_CACHE: dict[tuple, np.ndarray] = {}
+_STEP_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def sandwich_bound(
@@ -173,26 +175,36 @@ def sandwich_bound(
 
     The factors are first peeled in the given order, the significance
     sequence of the order under test.  When the prefix counts `lower` of
-    that order miss this bound, the minimum over every choice of outer
-    factor at every level is returned instead.  Prefix counts equal to U
-    prove the order optimal, and U is then the exact profile; counts below
-    U prove nothing, since the bound can be loose.  Results are memoized
-    until `solver.clear_caches()`.  A product too large for
-    `stacked_profile`'s STACK_CELL_CAP raises `SizeCapExceeded`.
+    that order miss this bound on three or more factors, the minimum over
+    every choice of outer factor at every level is returned instead.  On
+    two factors there is no minimum to take.  There U_H = I_H, and reading
+    a staircase c by columns (its conjugate c') turns the sum for F outside
+    into the one for H outside, since sum_r I_H(c_(r)) = sum_t delta_H(t)
+    * c'_t and sum_r delta_F(r) * c_(r) = sum_t I_F(c'_t): both outer
+    choices give one bound, whatever the profiles.  Prefix counts equal to U prove the
+    order optimal, and U is then the exact profile; counts below U prove
+    nothing, since the bound can be loose.
+
+    Bounds are memoized, and so is each stacked step, by its outer profile
+    and the values of the inner bound it stacks, so the ordered bound and
+    the minimum over outer choices share the steps they have in common.
+    Both memos last until `solver.clear_caches()`.  A product too
+    large for `stacked_profile`'s STACK_CELL_CAP raises `SizeCapExceeded`.
     """
     # a one-vertex factor leaves the product unchanged
     profs = tuple(tuple(int(x) for x in p) for p in profiles if len(p) > 2)
     if not profs:
         return np.zeros(2, dtype=np.int64)
     upper = _bound(profs, True)
-    if lower is not None and not np.array_equal(lower, upper):
+    if len(profs) > 2 and lower is not None and not np.array_equal(lower, upper):
         upper = _bound(tuple(sorted(profs)), False)
     return upper
 
 
 def _bound(profs: tuple[tuple[int, ...], ...], ordered: bool) -> np.ndarray:
-    """U over the factors `profs`: the first one outer when `ordered`, the
-    minimum over the distinct outer choices (`profs` sorted) otherwise."""
+    """U over the factors `profs`: the first one outer when `ordered` or
+    on two factors, where every outer choice gives it, the minimum over the
+    distinct outer choices (`profs` sorted) otherwise."""
     Budget.check()
     key = (ordered, profs)
     hit = _BOUND_CACHE.get(key)
@@ -201,18 +213,30 @@ def _bound(profs: tuple[tuple[int, ...], ...], ordered: bool) -> np.ndarray:
     if len(profs) == 1:
         out = np.asarray(profs[0], dtype=np.int64)
     else:
-        out = None
-        outer = [0] if ordered else [
+        outer = [0] if ordered or len(profs) == 2 else [
             k for k in range(len(profs)) if k == 0 or profs[k] != profs[k - 1]
         ]
-        for k in outer:
-            inner = _bound(profs[:k] + profs[k + 1 :], ordered)
-            level = np.diff(profs[k], prepend=0)
-            u = stacked_profile(level, inner, len(profs[k]) - 1, len(inner) - 1)
-            out = u if out is None else np.minimum(out, u)
+        steps = [
+            _step(profs[k], _bound(profs[:k] + profs[k + 1 :], ordered))
+            for k in outer
+        ]
+        out = steps[0] if len(steps) == 1 else np.minimum.reduce(steps)
     out.setflags(write=False)
     _BOUND_CACHE[key] = out
     return out
+
+
+def _step(outer: tuple[int, ...], inner: np.ndarray) -> np.ndarray:
+    """The stacked step with the profile `outer` outside and the bound
+    `inner` inside, memoized by the two's values."""
+    key = (outer, inner.tobytes())
+    hit = _STEP_CACHE.get(key)
+    if hit is None:
+        level = np.diff(outer, prepend=0)
+        hit = stacked_profile(level, inner, len(outer) - 1, len(inner) - 1)
+        hit.setflags(write=False)
+        _STEP_CACHE[key] = hit
+    return hit
 
 
 # -- 2-D shapes for the pure three-factor DP ---------------------------------

@@ -46,6 +46,7 @@ from blocklex.blockgeom import (
     check_shared_bone_containment,
 )
 from blocklex.graphs import VertexSet, induced_subgraph
+from blocklex.orders import restrict_perm
 
 
 def atomic_dc(g):
@@ -618,6 +619,45 @@ def test_consistent_pairs_make_every_restriction_consistent():
         )
         assert (ok, diags) == (not errors, [e for _, e in errors[:1]])
     assert outcomes == {True, False}
+
+
+def test_restriction_equals_the_checked_collection(monkeypatch):
+    """A restriction is built without `__post_init__`'s checks, and on
+    seeded random consistent 4-factor collections, default permutation
+    included, it equals the collection those checks accept."""
+    rng = np.random.default_rng(5)
+    counts = (2, 3, 2, 2)
+    parts = [
+        Partition.from_boundaries(TotalOrder.identity(k), list(range(1, k + 1)))
+        for k in counts
+    ]
+    subsets = [s for k in range(1, 5) for s in itertools.combinations(range(4), k)]
+    checked = DominationCollection.__post_init__
+    runs = []
+
+    def counting(self):
+        runs.append(self)
+        checked(self)
+
+    monkeypatch.setattr(DominationCollection, "__post_init__", counting)
+    for _ in range(3):
+        for dc in (
+            DominationCollection(parts, _keyed_perms(rng, counts, 0)),
+            uniform_collection(parts, tuple(rng.permutation(4).tolist())),
+        ):
+            for s in subsets:
+                runs.clear()
+                sub = dc.restricted(s)
+                assert not runs and not sub.validated
+                want = DominationCollection(
+                    tuple(parts[i] for i in s),
+                    {
+                        tuple(b[i] for i in s): restrict_perm(dc.perm_for(b), s)
+                        for b in dc.block_ids()
+                    },
+                )
+                assert len(runs) == 1
+                assert sub == want and sub.to_json() == want.to_json()
 
 
 def test_validate_tells_apart_segments_of_one_size():

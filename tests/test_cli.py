@@ -2,9 +2,27 @@
 
 import json
 
+import pytest
+
 from blocklex.cli import main
 
 PETERSEN_DELTA = [0, 1, 1, 1, 2, 1, 2, 2, 2, 3]
+
+
+@pytest.fixture(autouse=True)
+def reports_match_the_stdlib_encoder(monkeypatch):
+    """Every JSON report a test here emits must be the bytes of
+    `json.dumps(indent=2, sort_keys=True)`."""
+    from blocklex import cli
+
+    fast = cli._dumps
+
+    def checked(obj):
+        text = fast(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", checked)
 
 
 def run(capsys, *args):
@@ -579,3 +597,90 @@ def test_rank_space_certificates_match_built_orders(capsys, monkeypatch):
     for argv, a, b in zip(CERTIFY_ARGVS, rank_space, built):
         assert a[:2] == b[:2], argv
     assert [r[0] for r in rank_space] == [0, 2, 0, 0, 0, 2, 0, 2, 2, 2, 2, 0, 0]
+
+
+def test_emitter_matches_the_stdlib_encoder_on_every_json_type():
+    """Escapes, non-ASCII text, floats, empty and nested containers,
+    tuples, bools, None, int and str subclasses and non-str keys give the
+    stdlib's bytes, as a whole and value by value."""
+    import enum
+    from collections import OrderedDict
+
+    from blocklex.cli import _dumps
+
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    class Name(str):
+        pass
+
+    obj = {
+        "escapes": "quote \" backslash \\ slash / newline \n tab \t nul \x00 \x1f \x7f",
+        "non_ascii": ["h\u00e9llo", "\u2713", "\U0001d518", "\u2028", "caf\u00e9"],
+        "floats": [0.0, -0.0, 1.5, 1e300, 1e-7, 3.0, float("nan"), float("inf"), -float("inf")],
+        "empty": {"list": [], "dict": {}, "tuple": (), "str": ""},
+        "nested": [[[]], [{}], [[1, [2, [3, []]]]], {"a": {"b": {"c": [{}]}}}],
+        "tuple": (1, "two", (3,), None, ()),
+        "bools": [True, False, None, 0, 1],
+        "ints": [0, -1, 2**70, -(2**70)],
+        "strs": ["a", "\u00e9", "", "\n"],
+        "mixed": [1, "a", 1.0, True, None, [], {}, (2,)],
+        "subclasses": [Level.LOW, Name("named"), {Name("k"): Level.LOW}],
+        "ordered": OrderedDict([("b", 1), ("a", [2.5])]),
+        "int_keys": {2: "b", 1: ["a"], -3: {}},
+        "float_keys": {1.5: 1, 0.25: [True]},
+        "bool_keys": {True: 1, False: 2},
+        "none_key": {None: [None]},
+        "none": None,
+        "true": True,
+        "false": False,
+        "int": 7,
+        "float": 2.5,
+        "str": "s",
+    }
+    want = json.dumps(obj, indent=2, sort_keys=True)
+    assert _dumps(obj) == want
+    for value in [*obj.values(), [obj], (obj, obj), {"only": obj}]:
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_emitter_raises_what_the_stdlib_encoder_raises():
+    import numpy as np
+
+    from blocklex.cli import _dumps
+
+    for bad in (
+        {"a": np.int64(1)},
+        [1, "x", {"k": {2, 3}}],
+        {1: "a", "b": 2},
+        {"k": [object()]},
+        {(1, 2): "tuple key"},
+    ):
+        with pytest.raises(TypeError) as want:
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            _dumps(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_emit_leaves_no_garbage(capsys, monkeypatch):
+    """A certify report is written without reference cycles: with the
+    collector off, an emit leaves nothing for it to find (the stdlib's
+    indenting encoder leaves its generator closures)."""
+    import argparse
+    import gc
+
+    from blocklex import certify, cli, cycle
+
+    monkeypatch.undo()  # the autouse check calls the stdlib encoder
+    result = certify([cycle(5), cycle(4), cycle(3)]).to_json()
+    cfg = argparse.Namespace(fmt="json", out=None, command="certify", seed=None)
+    gc.collect()
+    gc.disable()
+    try:
+        cli._emit(cfg, {"spec": "C5xC4xC3"}, result, [])
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+    assert json.loads(capsys.readouterr().out)["result"] == result

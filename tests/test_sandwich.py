@@ -37,7 +37,12 @@ from blocklex.solver import (
     check_order,
     clear_caches,
 )
-from blocklex.staircase import downset_profile, sandwich_bound, staircase_scan_2d
+from blocklex.staircase import (
+    downset_profile,
+    product_prefix_counts,
+    sandwich_bound,
+    staircase_scan_2d,
+)
 
 
 def _values(g):
@@ -243,6 +248,108 @@ def test_pair_bound_is_the_downset_profile(factors):
     upper = list(sandwich_bound([_values(f) for f in factors]))
     assert list(downset_profile(g, orders)) == upper
     assert list(staircase_scan_2d(g, orders)[0]) == upper
+
+
+@pytest.fixture
+def stacked_calls(monkeypatch):
+    """The (level, inner) pair of every `stacked_profile` call from here
+    on, with the caches cleared first."""
+    calls = []
+    stacked = staircase.stacked_profile
+
+    def recording(level, inner, *args, **kwargs):
+        calls.append((tuple(level.tolist()), tuple(inner.tolist())))
+        return stacked(level, inner, *args, **kwargs)
+
+    monkeypatch.setattr(staircase, "stacked_profile", recording)
+    clear_caches()
+    return calls
+
+
+def test_each_stacked_step_is_built_once_per_command(stacked_calls):
+    """One `certify C4xC5xK3` takes the ordered bound and the minimum over
+    outer choices on its blocks and pairs: `stacked_profile` never sees the
+    same (level, inner) pair twice, and clearing the caches drops every
+    memoized step."""
+    from blocklex import certify
+
+    cert = certify([cycle(4), cycle(5), clique(3)], "standard")
+    assert cert.status == "hypothesis_failed"
+    assert stacked_calls and len(set(stacked_calls)) == len(stacked_calls)
+    assert staircase._STEP_CACHE and staircase._BOUND_CACHE
+    clear_caches()
+    assert not staircase._STEP_CACHE and not staircase._BOUND_CACHE
+
+
+def test_minimum_over_outer_choices_shares_the_ordered_steps(stacked_calls):
+    """The ordered bound of C4 x C5 x K3 takes two stacked steps (C5 over
+    K3, then C4 over that).  The minimum over outer choices then takes four
+    more, not nine: it reuses both, and on each pair inside it takes one
+    step, as either outer choice gives the same."""
+    values = [_values(f) for f in (cycle(4), cycle(5), clique(3))]
+    ordered = sandwich_bound(values)
+    assert len(stacked_calls) == 2
+    least = sandwich_bound(values, np.full(1, -1))
+    assert len(stacked_calls) == 6
+    assert (least <= ordered).all()
+
+
+def _step(outer, inner):
+    return staircase.stacked_profile(
+        np.diff(outer, prepend=0), np.asarray(inner), len(outer) - 1, len(inner) - 1
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_two_factor_bound_is_the_same_for_either_outer_factor(seed):
+    """Conjugating a staircase swaps the two factors' roles, so on random
+    sequences starting at 0 (profiles or not) both outer choices give the
+    same stacked step, and `sandwich_bound` takes no minimum on two."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        f, h = (
+            tuple([0] + np.cumsum(rng.integers(-3, 6, int(rng.integers(2, 9)))).tolist())
+            for _ in range(2)
+        )
+        assert np.array_equal(_step(f, h), _step(h, f))
+        assert np.array_equal(sandwich_bound([f, h], np.full(1, -1)), _step(f, h))
+
+
+def test_pair_check_that_misses_the_bound_takes_one_step(stacked_calls):
+    """A refuted pair order costs one stacked step: no second outer choice
+    is tried on two factors."""
+    pair = cartesian_product([cycle(4), cycle(5)])
+    orders = [factor_profile_and_order(f)[1] for f in pair.factors]
+    prefix = solver.prefix_edge_counts(pair, domination_order(pair, orders, (0, 1)))
+    used, ok, bad_m, _ = solver.check_prefix_counts(pair.factors, prefix)
+    assert (used, ok) == ("sandwich", False) and bad_m is not None
+    assert len(stacked_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "names", list(itertools.product(ATOMS, repeat=2)), ids="x".join
+)
+def test_pair_bound_takes_no_minimum(names):
+    """On every ordered pair of K2-K4, C3-C6, P3-P5 and petersen, U with
+    the first factor outer equals the minimum over both outer choices, and
+    equals the subset DP where the pair has at most 24 vertices."""
+    f, h = (_values(ATOMS[x]) for x in names)
+    ordered = sandwich_bound([f, h])
+    assert np.array_equal(ordered, np.minimum(_step(f, h), _step(h, f)))
+    pair = cartesian_product([ATOMS[x] for x in names])
+    if pair.n <= 24:
+        assert list(ordered) == list(_values(pair))
+
+
+def test_two_factor_check_without_nested_solutions_still_raises(non_nested_7):
+    """Negative control: prefix counts that miss the two-factor bound get
+    no verdict when a factor has no nested solutions, whichever factor is
+    outer and though no minimum over outer choices is taken."""
+    for factors in ([non_nested_7, clique(3)], [path(3), non_nested_7]):
+        prefix = product_prefix_counts(factors)
+        assert (prefix < sandwich_bound([_values(f) for f in factors])).any()
+        with pytest.raises(NoNestedSolutions):
+            solver.check_prefix_counts(factors, prefix)
 
 
 def test_pair_order_that_misses_the_bound_needs_nested_factors(non_nested_7):

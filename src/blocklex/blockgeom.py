@@ -20,8 +20,10 @@ independent of the dropped coordinates; `restricted` checks that.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -37,9 +39,10 @@ from .orders import (
     restrict_perm,
 )
 from .partitions import (
+    FactorTable,
     Partition,
+    factor_table,
     is_regular_partition,
-    segment_graphs,
     standard_monotonic_partition,
 )
 from .solver import (
@@ -123,18 +126,17 @@ class DominationCollection:
         return tuple(p.num_segments for p in self.partitions)
 
     def block_ids(self) -> list[BlockId]:
-        return [
-            tuple(b)
-            for b in itertools.product(*(range(k) for k in self.segment_counts))
-        ]
+        return list(itertools.product(*map(range, self.segment_counts)))
+
+    @functools.cached_property
+    def block_items(self) -> list[tuple[BlockId, tuple[int, ...]]]:
+        """(block id, `perm_for` it) for every block, in block order, listed
+        on first use."""
+        return [(bid, self.perm_for(bid)) for bid in self.block_ids()]
 
     def perm_for(self, bid: BlockId) -> tuple[int, ...]:
         perm = self.block_perms.get(tuple(bid))
-        if perm is not None:
-            return perm
-        if self.default_perm is not None:
-            return self.default_perm
-        return identity_perm(self.d)
+        return perm or self.default_perm or identity_perm(self.d)
 
     def block_segments(self, bid: BlockId) -> tuple[tuple[int, int], ...]:
         return tuple(self.partitions[i].segments[j] for i, j in enumerate(bid))
@@ -165,16 +167,15 @@ class DominationCollection:
     def _restrict(self, s_sorted: list[int]) -> "DominationCollection":
         sub_perms: dict[BlockId, tuple[int, ...]] = {}
         restricted: dict[tuple[int, ...], tuple[int, ...]] = {}  # by full perm
-        for bid in self.block_ids():
-            sub_bid = tuple(bid[i] for i in s_sorted)
-            full = self.perm_for(bid)
-            if full not in restricted:
-                restricted[full] = restrict_perm(full, s_sorted)
-            perm = restricted[full]
-            prev = sub_perms.get(sub_bid)
-            if prev is None:
-                sub_perms[sub_bid] = perm
-            elif prev != perm:
+        # itemgetter of one index gives a bare value: one index more keeps a tuple
+        pick = operator.itemgetter(*s_sorted, s_sorted[0])
+        for bid, full in self.block_items:
+            perm = restricted.get(full)
+            if perm is None:
+                perm = restricted[full] = restrict_perm(full, s_sorted)
+            sub_bid = pick(bid)[:-1]
+            prev = sub_perms.setdefault(sub_bid, perm)
+            if prev != perm:
                 raise ValueError(
                     f"block permutations restrict inconsistently onto factors "
                     f"{s_sorted} at sub-block {sub_bid}: {prev} vs {perm}"
@@ -257,13 +258,14 @@ class DominationCollection:
             diags.append(str(e))
         undecided = None
         if check_block_optimality:
-            segs = [segment_graphs(f, p) for f, p in zip(factors, self.partitions)]
+            segs = [factor_table(f, p).segments for f, p in zip(factors, self.partitions)]
+            # a segment graph's digest, None on one vertex, which no class holds
+            digests = [[s.g.digest if s.g.n > 1 else None for s in row] for row in segs]
             verdicts = self.__dict__.setdefault("_class_verdicts", {})
-            for bid in self.block_ids():
-                chosen = [segs[i][bid[i]] for i in self.perm_for(bid)]
-                chosen = [s for s in chosen if s.n > 1]
-                key = tuple(s.digest for s in chosen)
+            for bid, perm in self.block_items:
+                key = tuple(digests[i][bid[i]] for i in perm if digests[i][bid[i]])
                 if key not in verdicts:
+                    chosen = [segs[i][bid[i]] for i in perm if digests[i][bid[i]]]
                     try:
                         verdicts[key] = _verify_block_class(chosen)
                     except SizeCapExceeded as e:
@@ -284,13 +286,14 @@ class DominationCollection:
         return ok, diags
 
 
-def _verify_block_class(chosen: Sequence[Graph]) -> tuple[bool, Optional[int]]:
+def _verify_block_class(chosen: Sequence[FactorTable]) -> tuple[bool, Optional[int]]:
     """Whether a block's domination order, lexicographic on its nontrivial
-    segment graphs `chosen` in identity orders, is optimal, and if not,
-    the first size where it fails, by `solver.check_prefix_counts`, which
-    proves it from the sandwich bound without building the block where the
-    prefix counts meet that bound."""
-    _, good, bad_m, _ = check_prefix_counts(chosen, product_prefix_counts(chosen))
+    segment graphs in identity orders (their tables `chosen`), is optimal,
+    and if not, the first size where it fails, by `solver.check_prefix_counts`
+    on the tables' L and profiles, which proves it from the sandwich bound
+    without building the block where the prefix counts meet that bound."""
+    graphs, profiles = [t.g for t in chosen], [t.profile for t in chosen]
+    _, good, bad_m, _ = check_prefix_counts(graphs, product_prefix_counts(chosen), profiles)
     return good, bad_m
 
 
@@ -322,14 +325,13 @@ def standard_collection(
             parts.append(standard_monotonic_partition(delta_sequence(prof, order)))
         partitions = parts
     partitions = tuple(partitions)
-    perms: dict[BlockId, tuple[int, ...]] = {}
-    counts = [p.num_segments for p in partitions]
-    for bid in itertools.product(*(range(k) for k in counts)):
-        sizes = [
-            p.segments[j][1] - p.segments[j][0] + 1
-            for p, j in zip(partitions, bid)
-        ]
-        perms[tuple(bid)] = standard_block_domination(sizes)
+    sizes = [[b - a + 1 for a, b in p.segments] for p in partitions]
+    ids = itertools.product(*(range(len(s)) for s in sizes))
+    by_sizes: dict[tuple[int, ...], tuple[int, ...]] = {}
+    perms = {
+        bid: by_sizes.get(sz) or by_sizes.setdefault(sz, standard_block_domination(sz))
+        for bid, sz in zip(ids, itertools.product(*sizes))
+    }
     return DominationCollection(partitions, perms)
 
 
@@ -362,7 +364,7 @@ class _Geometry:
         self.sizes = np.bincount(
             self.composite, minlength=math.prod(dc.segment_counts)
         )
-        perms = np.array([dc.perm_for(bid) for bid in dc.block_ids()])
+        perms = np.array([perm for _, perm in dc.block_items])
         self.within = np.take_along_axis(self.ranks, perms[self.composite], axis=1)
 
     def in_block(self, bid: BlockId) -> np.ndarray:
@@ -494,11 +496,12 @@ def block_lex_prefix_counts(
     cuts = [[slice(a - 1, b) for a, b in p.segments] for p in dc.partitions]
     sequence = np.concatenate(
         [
-            ids[box].transpose(dc.perm_for(bid)).ravel()
-            for box, bid in zip(itertools.product(*cuts), dc.block_ids())
+            ids[box].transpose(perm).ravel()
+            for box, (_, perm) in zip(itertools.product(*cuts), dc.block_items)
         ]
     )
-    return product_prefix_counts(factors, dc.factor_orders, sequence)
+    tables = [factor_table(f, p) for f, p in zip(factors, dc.partitions)]
+    return product_prefix_counts(tables, None, sequence)
 
 
 def standard_block_lex_order(

@@ -5,8 +5,9 @@ The certifier machine-checks the hypotheses that let two-dimensional
 optimality propagate to any number of factors: every factor partition is
 isoperimetric, the leading factors' partitions are non-decreasing, the
 collection is a regular domination collection, and the two-factor
-block-lexicographic order is optimal for every factor pair.  Every order
-check, of a block, a pair or the crosscheck, is one call of
+block-lexicographic order is optimal for every factor pair.  They all read
+one `partitions.FactorTable` per distinct factor, built once per command.
+Every order check, of a block, a pair or the crosscheck, is one call of
 `solver.check_prefix_counts` on counts read from the factors in rank
 space: the sandwich bound of the factors' profiles proves an order optimal
 when met, and where it is missed the pair's bound itself (exact under
@@ -44,6 +45,7 @@ from .orders import TotalOrder
 from .partitions import (
     Partition,
     atomic_partition,
+    factor_table,
     is_non_decreasing,
     standard_monotonic_partition,
     validate_isoperimetric_partition,
@@ -192,17 +194,23 @@ def _pair_key(g: Graph, h: Graph, pair_dc: DominationCollection) -> tuple:
     )
 
 
-def resolve_partitions(gs: Sequence[Graph], partitions) -> list[Partition]:
-    """Accept "standard", "atomic", or an explicit list."""
-    if partitions is None or partitions == "standard":
-        out = []
-        for g in gs:
+def resolve_partitions(gs: Sequence[Graph], partitions, shared=None) -> list[Partition]:
+    """Accept "standard", "atomic", or an explicit list.  Equal factors get
+    one standard or atomic partition, which keeps the factor's table with
+    the profile it was built from (`factor_table`, with `shared`)."""
+    if partitions not in (None, "standard", "atomic"):
+        return list(partitions)
+    out: dict[str, Partition] = {}
+    for g in gs:
+        if g.digest not in out:
             prof, order = factor_profile_and_order(g)
-            out.append(standard_monotonic_partition(delta_sequence(prof, order)))
-        return out
-    if partitions == "atomic":
-        return [atomic_partition(factor_profile_and_order(g)[1]) for g in gs]
-    return list(partitions)
+            if partitions == "atomic":
+                p = atomic_partition(order)
+            else:
+                p = standard_monotonic_partition(delta_sequence(prof, order))
+            out[g.digest] = p
+            factor_table(g, p, shared, prof)
+    return [out[g.digest] for g in gs]
 
 
 def certify(
@@ -258,7 +266,10 @@ def certify(
         return cert
 
     try:
-        parts = resolve_partitions(gs, partitions)
+        # one table per distinct factor and partition, and per distinct
+        # segment graph, that every hypothesis below reads
+        shared: dict = {}
+        parts = resolve_partitions(gs, partitions, shared)
         if dc is None:
             if partitions == "atomic":
                 dc = uniform_collection(parts)
@@ -266,64 +277,16 @@ def certify(
                 dc = standard_collection(gs, parts)
         parts_digest = _digest([p.to_json() for p in parts])
         dc_digest = _digest(dc.to_json())
-        # (a) isoperimetric partitions, factor by factor
-        for i, (g, p) in enumerate(zip(gs, parts)):
-            ok, diags = validate_isoperimetric_partition(g, p)
-            hyps.append(
-                Hypothesis(
-                    f"isoperimetric_partition_factor_{i + 1}",
-                    f"factor {i + 1} (n={g.n})",
-                    ok,
-                    {"diagnostics": diags, "segments": list(p.boundaries)},
-                )
-            )
-            if not ok:
-                return make("hypothesis_failed")
-        # (b) non-decreasing partitions on factors 1..d-1
-        for i in range(d - 1):
-            ok = is_non_decreasing(gs[i], parts[i])
-            hyps.append(
-                Hypothesis(
-                    f"non_decreasing_partition_factor_{i + 1}",
-                    f"factor {i + 1}",
-                    ok,
-                    {},
-                )
-            )
-            if not ok:
-                return make("hypothesis_failed")
-        # (c) domination collection: structural + per-block order optimality
-        ok, diags = dc.validate(prod_graph, check_block_optimality=True)
-        hyps.append(
-            Hypothesis(
-                "domination_collection",
-                "all blocks",
-                ok,
-                {"diagnostics": diags},
-            )
-        )
-        if not ok:
-            return make("hypothesis_failed")
-        # (d) regular domination collection
-        ok, diags = validate_regular_domination_collection(prod_graph, dc)
-        hyps.append(
-            Hypothesis(
-                "regular_domination_collection",
-                "middle factors and corner blocks",
-                ok,
-                {"diagnostics": diags},
-            )
-        )
-        if not ok:
-            return make("hypothesis_failed")
-        # (e) pairwise two-factor optimality, computed once per distinct pair
+        tables = [factor_table(g, p, shared) for g, p in zip(gs, dc.partitions)]
+
         def verify_pair(i: int, j: int, pair_dc: DominationCollection) -> dict:
             pair, n = [gs[i], gs[j]], gs[i].n * gs[j].n
             okv, diags = pair_dc.validate(pair)
             if not okv:
                 return {"optimal": False, "diagnostics": diags, "n": n}
             prefix = block_lex_prefix_counts(pair, pair_dc)
-            used, ok, bad_m, values = check_prefix_counts(pair, prefix)
+            profiles = [tables[i].profile, tables[j].profile]
+            used, ok, bad_m, values = check_prefix_counts(pair, prefix, profiles)
             return {
                 "n": n,
                 "profile_strategy": used,
@@ -332,29 +295,44 @@ def certify(
                 "profile_digest": _digest(list(values)),
             }
 
-        pairs = list(itertools.combinations(range(d), 2))
-        pair_dcs = {(i, j): dc.restricted((i, j)) for i, j in pairs}
-        keys = {(i, j): _pair_key(gs[i], gs[j], pair_dcs[(i, j)]) for i, j in pairs}
-        unique: dict[tuple, tuple[int, int]] = {}
-        for (i, j), key in keys.items():
-            unique.setdefault(key, (i, j))
-        transcripts = {
-            key: verify_pair(i, j, pair_dcs[(i, j)]) for key, (i, j) in unique.items()
-        }
-        for i, j in pairs:
-            detail = dict(transcripts[keys[(i, j)]])
-            if unique[keys[(i, j)]] != (i, j):
-                detail["reused_transcript"] = True
-            ok = detail["optimal"]
-            hyps.append(
-                Hypothesis(
-                    f"pairwise_bl2_optimal_{i + 1}_{j + 1}",
-                    f"factors ({i + 1},{j + 1})",
-                    ok,
-                    detail,
-                )
-            )
-            if not ok:
+        def hypotheses():
+            """(name, target, verified, detail) of each hypothesis in turn."""
+            # (a) isoperimetric partitions, factor by factor
+            for i, (g, p) in enumerate(zip(gs, parts)):
+                ok, diags = validate_isoperimetric_partition(g, p)
+                detail = {"diagnostics": diags, "segments": list(p.boundaries)}
+                name = f"isoperimetric_partition_factor_{i + 1}"
+                yield name, f"factor {i + 1} (n={g.n})", ok, detail
+            # (b) non-decreasing partitions on factors 1..d-1
+            for i in range(d - 1):
+                ok = is_non_decreasing(gs[i], parts[i])
+                yield f"non_decreasing_partition_factor_{i + 1}", f"factor {i + 1}", ok, {}
+            # (c) domination collection: structural + per-block order optimality
+            ok, diags = dc.validate(prod_graph, check_block_optimality=True)
+            yield "domination_collection", "all blocks", ok, {"diagnostics": diags}
+            # (d) regular domination collection
+            ok, diags = validate_regular_domination_collection(prod_graph, dc)
+            target = "middle factors and corner blocks"
+            yield "regular_domination_collection", target, ok, {"diagnostics": diags}
+            # (e) pairwise two-factor optimality, every distinct pair decided
+            # before the first is reported
+            pairs = list(itertools.combinations(range(d), 2))
+            pair_dcs = {(i, j): dc.restricted((i, j)) for i, j in pairs}
+            keys = {(i, j): _pair_key(gs[i], gs[j], pair_dcs[(i, j)]) for i, j in pairs}
+            unique: dict[tuple, tuple[int, int]] = {}
+            for (i, j), key in keys.items():
+                unique.setdefault(key, (i, j))
+            transcripts = {k: verify_pair(*ij, pair_dcs[ij]) for k, ij in unique.items()}
+            for i, j in pairs:
+                detail = dict(transcripts[keys[(i, j)]])
+                if unique[keys[(i, j)]] != (i, j):
+                    detail["reused_transcript"] = True
+                name = f"pairwise_bl2_optimal_{i + 1}_{j + 1}"
+                yield name, f"factors ({i + 1},{j + 1})", detail["optimal"], detail
+
+        for h in hypotheses():
+            hyps.append(Hypothesis(*h))
+            if not h[2]:
                 return make("hypothesis_failed")
         cert = make("certified")
         if d == 3 and crosscheck:
@@ -389,8 +367,9 @@ def certify_domination(
     status = "certified"
     note = None
     try:
-        orders = [factor_profile_and_order(g)[1] for g in gs]
-        parts_digest = _digest([atomic_partition(o).to_json() for o in orders])
+        parts = resolve_partitions(gs, "atomic", {})
+        tables = [factor_table(g, p) for g, p in zip(gs, parts)]
+        parts_digest = _digest([p.to_json() for p in parts])
         transcripts: dict[str, dict] = {}
         for k, l in itertools.combinations(range(d), 2):
             i, j = pi[k], pi[l]
@@ -400,9 +379,9 @@ def certify_domination(
                 detail["reused_transcript"] = True
                 ok = detail["optimal"]
             else:
-                pair = [gs[i], gs[j]]
-                prefix = product_prefix_counts(pair, [orders[i], orders[j]])
-                used, ok, bad_m, _ = check_prefix_counts(pair, prefix)
+                pair = [tables[i], tables[j]]
+                prefix, profiles = product_prefix_counts(pair), [t.profile for t in pair]
+                used, ok, bad_m, _ = check_prefix_counts([gs[i], gs[j]], prefix, profiles)
                 detail = {
                     "n": gs[i].n * gs[j].n,
                     "profile_strategy": used,
@@ -471,11 +450,13 @@ def crosscheck(
     prefix = (
         block_lex_prefix_counts(g, dc) if order is None else prefix_edge_counts(g, order)
     )
+    profiles = [factor_table(f, p).profile for f, p in zip(g.factors, dc.partitions)]
     oracle, unchecked, bad = "sandwich", [], None
     try:
-        used, ok, m, exact = check_prefix_counts(g, prefix)
+        used, ok, m, exact = check_prefix_counts(g, prefix, profiles)
     except SizeCapExceeded:
-        unchecked = np.flatnonzero(prefix != prefix_bound(g.factors, prefix)).tolist()
+        bound = prefix_bound(g.factors, prefix, profiles)
+        unchecked = np.flatnonzero(prefix != bound).tolist()
     else:
         if used == "slab":
             oracle = "sandwich+slab"

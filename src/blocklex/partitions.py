@@ -12,6 +12,8 @@ is the delta-sequence of the ambient graph.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,6 +26,8 @@ from .staircase import rank_edge_tables
 
 __all__ = [
     "Partition",
+    "FactorTable",
+    "factor_table",
     "standard_monotonic_partition",
     "atomic_partition",
     "segment_graphs",
@@ -66,12 +70,12 @@ class Partition:
     def num_segments(self) -> int:
         return len(self.segments)
 
-    @property
+    @functools.cached_property
     def boundaries(self) -> tuple[int, ...]:
         """Segment end ranks b_1 < b_2 < ... < b_k = n."""
         return tuple(b for _, b in self.segments)
 
-    @property
+    @functools.cached_property
     def start_ranks(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.segments)
 
@@ -90,25 +94,14 @@ class Partition:
 
     @classmethod
     def from_json(cls, data: dict, kind: str = "custom") -> "Partition":
-        order = TotalOrder(data["order"])
-        bounds = [int(b) for b in data["boundaries"]]
-        segments = []
-        a = 1
-        for b in bounds:
-            segments.append((a, b))
-            a = b + 1
-        return cls(order, tuple(segments), kind)
+        return cls.from_boundaries(TotalOrder(data["order"]), data["boundaries"], kind)
 
     @classmethod
     def from_boundaries(
         cls, order: TotalOrder, boundaries: Sequence[int], kind: str = "custom"
     ) -> "Partition":
-        segments = []
-        a = 1
-        for b in boundaries:
-            segments.append((a, int(b)))
-            a = int(b) + 1
-        return cls(order, tuple(segments), kind)
+        ends = [int(b) for b in boundaries]
+        return cls(order, tuple(zip([1] + [b + 1 for b in ends[:-1]], ends)), kind)
 
 
 def standard_monotonic_partition(delta: DeltaSequence) -> Partition:
@@ -117,40 +110,84 @@ def standard_monotonic_partition(delta: DeltaSequence) -> Partition:
     if delta.source_order is None:
         raise ValueError("delta-sequence must carry its source order")
     vals = delta.values
-    n = len(vals)
-    segments = []
-    a = 1
-    for i in range(1, n):
-        if vals[i] - vals[i - 1] != 1:
-            segments.append((a, i))
-            a = i + 1
-    segments.append((a, n))
-    return Partition(delta.source_order, tuple(segments), "standard_monotonic")
-
-
-def atomic_partition(order: TotalOrder) -> Partition:
-    return Partition(
-        order, tuple((r, r) for r in range(1, order.n + 1)), "atomic"
+    ends = [i for i in range(1, len(vals)) if vals[i] - vals[i - 1] != 1]
+    return Partition.from_boundaries(
+        delta.source_order, ends + [len(vals)], "standard_monotonic"
     )
 
 
+def atomic_partition(order: TotalOrder) -> Partition:
+    return Partition(order, tuple((r, r) for r in range(1, order.n + 1)), "atomic")
+
+
+class FactorTable:
+    """A graph under an order (the identity when no partition is given)
+    and what the local-global hypotheses read about it, each built once:
+    the back-degree tables (W, L) of `rank_edge_tables` and, on first use,
+    its exact profile ("full", without witnesses, unless given), the delta
+    sequence (`delta[r - 1]` = delta(r)) and, under a partition p, one
+    table per segment graph (`segments`).  Tables that share the dict
+    `shared` share the tables of equal segment graphs, keyed by size and
+    edges, and each graph's profile, keyed by digest."""
+
+    def __init__(self, g: Graph, p: Optional[Partition] = None, profile=None, shared=None):
+        self.g, self.p, self.shared = g, p, shared
+        self.W, self.L = rank_edge_tables(g, None if p is None else p.order)
+        if profile is not None:
+            self.profile = profile
+            if shared is not None:
+                shared.setdefault(g.digest, profile)
+
+    @functools.cached_property
+    def profile(self) -> Profile:
+        shared = {} if self.shared is None else self.shared
+        if self.g.digest not in shared:
+            shared[self.g.digest] = exact_profile(self.g, "full", with_witnesses=False)
+        return shared[self.g.digest]
+
+    @functools.cached_property
+    def delta(self) -> tuple[int, ...]:
+        vals = self.profile.i_values
+        return tuple(map(operator.sub, vals[1:], vals[:-1]))
+
+    @functools.cached_property
+    def segments(self) -> tuple["FactorTable", ...]:
+        """Per segment of p, the table of the graph g induces on it, each
+        vertex labelled by its rank offset in the segment, so that the
+        identity is the order the partition gives it."""
+        eu, ev = self.g.edge_arrays()
+        ru, rv = self.p.order.ranks[eu], self.p.order.ranks[ev]
+        # start[r]: the first rank of r's segment
+        start = [0] + [a for a, b in self.p.segments for _ in range(a, b + 1)]
+        inner: dict[int, list] = {a: [] for a in self.p.start_ranks}
+        for x, y in sorted(zip(np.minimum(ru, rv).tolist(), np.maximum(ru, rv).tolist())):
+            if start[x] == start[y]:
+                inner[start[x]].append((x - start[x], y - start[x]))
+        out = []
+        for a, b in self.p.segments:
+            key = (b - a + 1, tuple(inner[a]))
+            t = None if self.shared is None else self.shared.get(key)
+            if t is None:
+                t = FactorTable(Graph(*key), shared=self.shared)
+                if self.shared is not None:
+                    self.shared[key] = t
+            out.append(t)
+        return tuple(out)
+
+
+def factor_table(g: Graph, p: Partition, shared=None, profile=None) -> FactorTable:
+    """The `FactorTable` of g under p, built once and kept on p by g's
+    digest; `shared` and `profile` only serve its first build."""
+    tables = p.__dict__.setdefault("_tables", {})
+    t = tables.get(g.digest)
+    if t is None:
+        t = tables[g.digest] = FactorTable(g, p, profile, shared)
+    return t
+
+
 def segment_graphs(g: Graph, p: Partition) -> tuple[Graph, ...]:
-    """Per segment, the graph g induces on it, with each vertex labelled by
-    its rank offset in the segment, so that the identity is the order the
-    partition gives it.  Built once per partition and graph: the row is
-    cached on the partition by g's digest."""
-    cache = p.__dict__.setdefault("_segment_graphs", {})
-    row = cache.get(g.digest)
-    if row is None:
-        eu, ev = g.edge_arrays()
-        ru, rv = p.order.ranks[eu], p.order.ranks[ev]
-        lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
-        graphs = []
-        for a, b in p.segments:
-            inside = (lo >= a) & (hi <= b)
-            graphs.append(Graph(b - a + 1, zip(lo[inside] - a, hi[inside] - a)))
-        row = cache[g.digest] = tuple(graphs)
-    return row
+    """Per segment, the graph g induces on it (`FactorTable.segments`)."""
+    return tuple(t.g for t in factor_table(g, p).segments)
 
 
 def segment_subgraph(
@@ -163,92 +200,64 @@ def segment_subgraph(
     follows the ambient order.
     """
     a, b = p.segments[i]
-    old = [p.order.vertex_at(r) for r in range(a, b + 1)]
+    old = p.order.inverse[a - 1 : b].tolist()
     return segment_graphs(g, p)[i], TotalOrder.identity(len(old)), old
 
 
 def segment_delta(g: Graph, p: Partition, i: int) -> DeltaSequence:
     """Delta-sequence of the segment-induced subgraph under its induced
     order (exact, by full enumeration on the small subgraph)."""
-    sub, order, _ = segment_subgraph(g, p, i)
-    prof = exact_profile(sub, "full", with_witnesses=False)
-    return delta_sequence(prof, order)
-
-
-def _graph_delta(g: Graph, profile: Optional[Profile]) -> DeltaSequence:
-    if profile is None:
-        profile = exact_profile(g, "full", with_witnesses=False)
-    return delta_sequence(profile)
+    t = factor_table(g, p).segments[i]
+    return delta_sequence(t.profile, TotalOrder.identity(t.g.n))
 
 
 def validate_isoperimetric_partition(
-    g: Graph,
-    p: Partition,
-    *,
-    profile: Optional[Profile] = None,
+    g: Graph, p: Partition, *, profile: Optional[Profile] = None
 ) -> tuple[bool, list[str]]:
     """Check the two isoperimetric-partition conditions; returns
     (ok, diagnostics).  Requires (and checks) that the partition's own
-    order is optimal for g.  Both are read from `rank_edge_tables` of g
-    under that order and of each segment graph: the rank-r vertex of
-    segment [a, b] sends L[r] - L_seg[r - a + 1] edges to earlier ones."""
-    diags: list[str] = []
-    if profile is None:
-        profile = exact_profile(g, "full", with_witnesses=False)
-    W, L = rank_edge_tables(g, p.order)
-    bad = np.flatnonzero(W != profile.values_array())
+    order is optimal for g.  Both are read from g's `factor_table` under
+    p in one pass over the ranks: the rank-r vertex of segment [a, b] sends
+    L[r] - L_seg[r - a + 1] edges to earlier ones, where delta(a) asks."""
+    t = factor_table(g, p, profile=profile)
+    bad = np.flatnonzero(t.W != t.profile.i_values)
     if bad.size:
-        diags.append(f"partition order is not optimal for the graph (fails at m={bad[0]})")
-        return False, diags
-    delta = delta_sequence(profile)
-    ok = True
-    for i, ((a, b), sub) in enumerate(zip(p.segments, segment_graphs(g, p))):
-        W_seg, L_seg = rank_edge_tables(sub)
-        sub_prof = exact_profile(sub, "full", with_witnesses=False)
-        bad = np.flatnonzero(W_seg != sub_prof.values_array())
-        if bad.size:
-            ok = False
+        diag = f"partition order is not optimal for the graph (fails at m={bad[0]})"
+        return False, [diag]
+    diags: list[str] = []
+    for i, ((a, b), s) in enumerate(zip(p.segments, t.segments)):
+        # W_seg and I_seg first differ where their steps L_seg and delta_seg do
+        off = [k for k, x in enumerate(s.L[1:].tolist(), 1) if x != s.delta[k - 1]]
+        if off:
             diags.append(
                 f"segment {i + 1} [{a},{b}]: induced order not optimal for the "
-                f"induced graph (fails at m={bad[0]})"
+                f"induced graph (fails at m={off[0]})"
             )
-        # condition 2: backward edges of each vertex equal delta at the start
-        want = delta.at_rank(a)
-        got = L[a : b + 1] - L_seg[1:]
-        for k in np.flatnonzero(got != want).tolist():
-            ok = False
+        want, got = t.delta[a - 1], (t.L[a : b + 1] - s.L[1:]).tolist()
+        for k in [k for k, x in enumerate(got) if x != want]:
             diags.append(
                 f"segment {i + 1} [{a},{b}]: vertex {p.order.vertex_at(a + k)} "
                 f"sends {got[k]} edges to earlier segments, expected "
                 f"delta({a}) = {want}"
             )
-    return ok, diags
+    return not diags, diags
 
 
 def is_non_decreasing(g: Graph, p: Partition) -> bool:
     """Each segment's induced delta-sequence is non-decreasing."""
-    for i in range(p.num_segments):
-        vals = segment_delta(g, p, i).values
-        if any(vals[j + 1] < vals[j] for j in range(len(vals) - 1)):
-            return False
-    return True
+    return all(
+        x <= y for s in factor_table(g, p).segments for x, y in zip(s.delta, s.delta[1:])
+    )
 
 
 def is_regular_partition(g: Graph, p: Partition) -> bool:
     """First and last segments have identical induced delta-sequences."""
-    first = segment_delta(g, p, 0).values
-    last = segment_delta(g, p, p.num_segments - 1).values
-    return first == last
+    segments = factor_table(g, p).segments
+    return segments[0].delta == segments[-1].delta
 
 
 def segment_delta_shift(
-    g: Graph,
-    p: Partition,
-    i: int,
-    x: int,
-    y: int,
-    *,
-    profile: Optional[Profile] = None,
+    g: Graph, p: Partition, i: int, x: int, y: int, *, profile: Optional[Profile] = None
 ) -> tuple[int, int]:
     """Both sides of the within-segment delta-shift identity for vertices
     x, y of segment i: the ambient delta difference and the induced
@@ -258,8 +267,6 @@ def segment_delta_shift(
     rx, ry = p.order.rank(x), p.order.rank(y)
     if not (a <= rx <= b and a <= ry <= b):
         raise ValueError("both vertices must lie in the given segment")
-    ambient = _graph_delta(g, profile)
-    lhs = ambient.at_rank(rx) - ambient.at_rank(ry)
-    seg = segment_delta(g, p, i)
-    rhs = seg.at_rank(rx - a + 1) - seg.at_rank(ry - a + 1)
-    return lhs, rhs
+    t = factor_table(g, p, profile=profile)
+    seg = t.segments[i].delta
+    return t.delta[rx - 1] - t.delta[ry - 1], seg[rx - a] - seg[ry - a]

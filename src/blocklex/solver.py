@@ -349,7 +349,8 @@ def _profile_from_values(
     val is the 2^n table, or the `_SubsetRows` that stream it.
 
     Rows-first split-popcount reduction: val viewed as (2^h, 2^l), rows of
-    high bits by columns of low bits.  a[i] is the column-wise extremum of
+    high bits by columns of low bits, l = min(n, 12), so that a graph of up
+    to 12 vertices is one row.  a[i] is the column-wise extremum of
     the rows of popcount i (whole contiguous rows, no column gather);
     b[i, j] reduces a[i] over the columns of popcount j, and size m takes
     the best b[i, m - i].  Streamed rows (l = ROW_BITS) are folded into a
@@ -374,18 +375,20 @@ def _profile_from_values(
             ufunc(a[i], row, out=a[i])
         b = [_profile_from_values(l, ai, maximize, False)[0] for ai in a]
     else:
-        h = n // 2
-        l = n - h
+        l = min(n, 12)
+        h = n - l
         grid = val.reshape(1 << h, 1 << l)
         row_classes = _popcount_classes(h)[2]
-        a = np.empty((h + 1, 1 << l), dtype=val.dtype)
-        for i, rows in enumerate(row_classes):
-            Budget.check()
-            ufunc.reduce(grid[rows], axis=0, out=a[i])
+        a = grid
+        if h:
+            a = np.empty((h + 1, 1 << l), dtype=val.dtype)
+            for i, rows in enumerate(row_classes):
+                Budget.check()
+                ufunc.reduce(grid[rows], axis=0, out=a[i])
         by_popcount, starts, col_classes = _popcount_classes(l)
         b = ufunc.reduceat(np.take(a, by_popcount, axis=1), starts, axis=1).tolist()
     pick = max if maximize else min
-    values = [
+    values = b[0] if not h else [
         pick(b[i][m - i] for i in range(max(0, m - l), min(h, m) + 1))
         for m in range(n + 1)
     ]
@@ -697,13 +700,13 @@ def verify_order_optimal(
     return False, int(bad[0])
 
 
-def prefix_bound(factors: Sequence[Graph], prefix: np.ndarray) -> np.ndarray:
-    """`staircase.sandwich_bound` over the factors' exact profiles, the
-    first most significant, for an order with the prefix counts `prefix`."""
-    return staircase.sandwich_bound(
-        [exact_profile(f, "full", with_witnesses=False).i_values for f in factors],
-        prefix,
-    )
+def prefix_bound(factors: Sequence[Graph], prefix: np.ndarray, profiles=None) -> np.ndarray:
+    """`staircase.sandwich_bound` over the factors' exact profiles (looked
+    up unless given), the first most significant, for an order with the
+    prefix counts `prefix`."""
+    if profiles is None:
+        profiles = [exact_profile(f, "full", with_witnesses=False) for f in factors]
+    return staircase.sandwich_bound([p.i_values for p in profiles], prefix)
 
 
 def check_order(
@@ -714,11 +717,12 @@ def check_order(
 
 
 def check_prefix_counts(
-    gs: Graph | Sequence[Graph], prefix: np.ndarray
+    gs: Graph | Sequence[Graph], prefix: np.ndarray, profiles=None
 ) -> tuple[str, bool, Optional[int], tuple[int, ...]]:
     """Whether an order with the prefix counts `prefix` is optimal on the
     product of `gs` (the factors or their product): the engine that
     decided, the verdict, the first failing size and the exact profile.
+    `profiles`, the factors' exact profiles, spare their lookups.
 
     Prefix counts that meet the bound U of `prefix_bound` prove the order
     optimal, and U is then the exact profile ("sandwich").  Where they
@@ -741,7 +745,7 @@ def check_prefix_counts(
     or one whose bound or slab table passes `staircase.STACK_CELL_CAP`
     cells, raises SizeCapExceeded."""
     factors = tuple(gs.factors if isinstance(gs, Graph) else gs)
-    exact = prefix_bound(factors, prefix)
+    exact = prefix_bound(factors, prefix, profiles)
     used = "sandwich"
     miss = np.flatnonzero(prefix != exact)
     d, n = len(factors), math.prod(f.n for f in factors)
@@ -766,9 +770,9 @@ def check_prefix_counts(
         else:
             used = "full_enumeration"
             exact = exact_profile(g, "full", with_witnesses=False).values_array()
-    bad = np.flatnonzero(prefix != exact)
+    bad = miss if used == "sandwich" else np.flatnonzero(prefix != exact)
     bad_m = int(bad[0]) if bad.size else None
-    return used, bad_m is None, bad_m, tuple(int(x) for x in exact)
+    return used, bad_m is None, bad_m, tuple(exact.tolist())
 
 
 def find_nested_chain(

@@ -75,11 +75,15 @@ def product_prefix_counts(
     domination or block-lexicographic), two vertices that differ only in
     coordinate i compare as their i-th ranks do, so the vertex with rank
     tuple (r_1, ..., r_d) has sum_i L_i[r_i] earlier neighbours.
+    A factor may be an object that holds its table as `L` under its own
+    order, such as a `partitions.FactorTable`, in place of the graph.
     `sequence` lists the order's rank tuples as flat C-order indices into
     the rank box; by default it is C order (lexicographic)."""
     back = np.zeros(1, dtype=np.int64)
     for k, f in enumerate(factors):
-        L = rank_edge_tables(f, None if orders is None else orders[k])[1]
+        L = getattr(f, "L", None)
+        if L is None:
+            L = rank_edge_tables(f, None if orders is None else orders[k])[1]
         back = (back[:, None] + L[1:]).ravel()
     if sequence is not None:
         back = back[sequence]
@@ -192,7 +196,7 @@ def sandwich_bound(
     large for `stacked_profile`'s STACK_CELL_CAP raises `SizeCapExceeded`.
     """
     # a one-vertex factor leaves the product unchanged
-    profs = tuple(tuple(int(x) for x in p) for p in profiles if len(p) > 2)
+    profs = tuple(tuple(map(int, p)) for p in profiles if len(p) > 2)
     if not profs:
         return np.zeros(2, dtype=np.int64)
     upper = _bound(profs, True)
@@ -232,7 +236,7 @@ def _step(outer: tuple[int, ...], inner: np.ndarray) -> np.ndarray:
     key = (outer, inner.tobytes())
     hit = _STEP_CACHE.get(key)
     if hit is None:
-        level = np.diff(outer, prepend=0)
+        level = np.subtract(outer, (0,) + outer[:-1])
         hit = stacked_profile(level, inner, len(outer) - 1, len(inner) - 1)
         hit.setflags(write=False)
         _STEP_CACHE[key] = hit

@@ -970,7 +970,7 @@ def test_block_classes_are_decided_once_per_collection_family(monkeypatch):
     real = blockgeom._verify_block_class
 
     def counting(chosen):
-        calls.append(tuple(s.digest for s in chosen))
+        calls.append(tuple(s.g.digest for s in chosen))
         return real(chosen)
 
     monkeypatch.setattr(blockgeom, "_verify_block_class", counting)

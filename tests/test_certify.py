@@ -409,6 +409,55 @@ def test_expired_budget_makes_certificates_inconclusive():
             assert cert.crosschecks == [{"note": "budget exceeded"}]
 
 
+@pytest.mark.parametrize(
+    "spec", ["K2xK2xK2", "K4xK3xK2", "C5xC4xP4", "petersen^2xK2", "C4xK2xK3xC5", "C6^3"]
+)
+@pytest.mark.parametrize("style", ["standard", "atomic", "domination"])
+def test_one_certify_command_builds_each_table_once(spec, style, monkeypatch, capsys):
+    """Within one `certify` command, no (graph, order) pair is tabled twice
+    by `rank_edge_tables`, no segment graph is built twice and no profile
+    is looked up twice: every hypothesis reads the per-factor tables.  The
+    domination certificate takes the factors in reverse significance."""
+    import collections
+    import sys
+
+    from blocklex import cli, parse_graph_spec, partitions, solver, staircase
+
+    counts = collections.Counter()
+    homes = [m for k, m in sys.modules.items() if k.startswith("blocklex")]
+
+    def counting(name, owner, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key(*args, **kwargs)] += 1
+            return real(*args, **kwargs)
+
+        for home in homes:
+            if getattr(home, name, None) is real:
+                monkeypatch.setattr(home, name, wrapper)
+
+    counting("rank_edge_tables", staircase, lambda g, order=None: (
+        "tabled", g.digest, None if order is None else tuple(order.ranks.tolist())))
+    counting("exact_profile", solver, lambda g, strategy=None, **kw: (
+        "looked up", g.digest, strategy, kw.get("with_witnesses", True)))
+
+    class CountingGraph(partitions.Graph):
+        def __init__(self, n, edges):
+            super().__init__(n, edges)
+            counts["built", self.digest] += 1
+
+    monkeypatch.setattr(partitions, "Graph", CountingGraph)
+    d = len(parse_graph_spec(spec).factors)
+    how = ["--domination", ",".join(str(d - k) for k in range(d))]
+    if style != "domination":
+        how = ["--partitions", style]
+    code = cli.main(["certify", spec, *how, "--format", "json"])
+    assert code in (0, 2) and capsys.readouterr().out
+    assert counts and max(counts.values()) == 1, counts.most_common(3)
+    assert {key[0] for key in counts} >= {"tabled", "looked up"}
+
+
 def test_explore_report_roundtrip():
     with Budget(60):
         rep = explore_conjecture("path_clique", {"max_vertices": 6})

@@ -582,6 +582,7 @@ def test_rank_space_certificates_match_built_orders(capsys, monkeypatch):
         return prefix_edge_counts(g, block_lex_order(g, dc))
 
     def built_lex(factors, orders=None):
+        factors = [getattr(f, "g", f) for f in factors]  # a segment's table
         if not factors:  # a block of one-vertex segments
             return np.zeros(2, dtype=np.int64)
         g = cartesian_product(factors)

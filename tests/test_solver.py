@@ -318,10 +318,13 @@ def _ref_profile(n, val, maximize):
 
 
 def test_profile_from_values_against_smallest_extremal_mask():
+    """Up to 12 vertices the table is one row of columns; from 13 on it has
+    2^(n - 12) rows, whose classes the witnesses are looked up in."""
     from blocklex.solver import _dp_subset_values, _profile_from_values
 
     rng = np.random.default_rng(12)
-    for g, _ in _dp_cases():
+    wide = [(_random_graph(n, rng), None) for n in (13, 14, 15, 16) for _ in range(2)]
+    for g, _ in [*_dp_cases(), *wide]:
         for mode, maximize in (("induced", True), ("boundary", False)):
             val = _dp_subset_values(g, mode)
             got = _profile_from_values(g.n, val, maximize, True)

@@ -20,13 +20,13 @@ delta = bx.delta_sequence(prof, order)
 mono = bx.standard_monotonic_partition(delta)
 print("Petersen delta:", list(delta.values))
 print("standard monotonic partition:", list(mono.segments))
-ok, diags = bx.validate_isoperimetric_partition(pet, mono, profile=prof)
+ok, diags = bx.validate_isoperimetric_partition(pet, mono)
 print("isoperimetric:", ok, "| non-decreasing:", bx.is_non_decreasing(pet, mono),
       "| regular:", bx.is_regular_partition(pet, mono))
 print()
 
 halves = Partition.from_boundaries(order, [5, 10])
-ok, _ = bx.validate_isoperimetric_partition(pet, halves, profile=prof)
+ok, _ = bx.validate_isoperimetric_partition(pet, halves)
 print("halves partition [1..5][6..10] valid:", ok)
 for i in range(2):
     sub, _, _ = bx.segment_subgraph(pet, halves, i)

@@ -12,6 +12,7 @@ inconclusive, 64 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -20,12 +21,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from . import __version__
-from .blockgeom import (
-    DominationCollection,
-    block_lex_order,
-    standard_block_lex_order,
-    standard_collection,
-)
+from .blockgeom import DominationCollection, block_lex_order, standard_collection
 from .budget import Budget, BudgetExceeded, SizeCapExceeded
 from .certify import certify, certify_domination, explore_conjecture
 from .compression import (
@@ -51,7 +47,9 @@ from .partitions import (
 )
 from .solver import (
     FULL_ENUM_CAP,
+    ChainSearchInconclusive,
     NoNestedSolutions,
+    check_order,
     clear_caches,
     delta_sequence,
     exact_profile,
@@ -65,13 +63,17 @@ EXIT_HYPOTHESIS = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 
-# profile engines of `profile` and of `order --verify`; with none given
-# the profile rule of `solver.exact_profile` picks one
+# engines `profile` and `order --verify` can be told to use; with none, a
+# product is decided by the one order rule (`solver.check_prefix_counts`)
 STRATEGIES = ["full", "compressed", "bnb"]
 
 
 class UsageError(Exception):
     pass
+
+
+class HypothesisFailed(Exception):
+    """An input is well formed but fails a hypothesis the command needs."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,6 +293,17 @@ def _cmd_partition(cfg: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
+def _validated(dc: DominationCollection, g: Graph, what: str) -> DominationCollection:
+    """dc, once it passes `validate` on g.  Failing is a usage error for a
+    collection that does not fit g's factors, else a failed hypothesis."""
+    ok, diags = dc.validate(g)
+    if not ok:
+        fits = g.factors is not None and [f.n for f in g.factors] == [p.n for p in dc.partitions]
+        error = HypothesisFailed if fits else UsageError
+        raise error(f"{what} collection failed validation: " + "; ".join(diags))
+    return dc
+
+
 def _cmd_order(cfg: argparse.Namespace) -> int:
     g = _graph_from_spec(cfg)
     if cfg.domination:
@@ -303,8 +316,8 @@ def _cmd_order(cfg: argparse.Namespace) -> int:
         kind = "optimal"
     else:
         kind = "lex"
-    if kind in ("lex", "domination") and g.factors is None:
-        raise UsageError("lex/domination orders require a product spec")
+    if kind in ("lex", "domination", "sbl") and g.factors is None:
+        raise UsageError(f"{kind} orders require a product spec")
     if kind == "lex":
         orders = [factor_profile_and_order(f)[1] for f in g.factors]
         order = lex_order(g, orders)
@@ -313,22 +326,22 @@ def _cmd_order(cfg: argparse.Namespace) -> int:
         orders = [factor_profile_and_order(f)[1] for f in g.factors]
         order = domination_order(g, orders, perm)
     elif kind == "sbl":
-        order, _ = standard_block_lex_order(g)
+        order = block_lex_order(g, _validated(standard_collection(g.factors), g, "standard"))
     elif kind == "bl":
         dc = DominationCollection.from_json(_load_json_arg("@" + cfg.bl))
-        ok, diags = dc.validate(g)
-        if not ok:
-            raise UsageError("domination collection failed validation: " + "; ".join(diags))
-        order = block_lex_order(g, dc)
+        order = block_lex_order(g, _validated(dc, g, "domination"))
     else:
         _, order = factor_profile_and_order(g)
     if cfg.reverse:
         order = reverse_order(order)
-    verified = None
-    failing = None
-    if cfg.verify:
+    engine = verified = failing = None
+    if cfg.verify and cfg.strategy is None and g.factors is not None:
+        with contextlib.suppress(NoNestedSolutions, ChainSearchInconclusive):
+            engine, verified, failing, _ = check_order(g, order)
+    # a named engine, a non-product, or a factor without proven nested solutions
+    if cfg.verify and engine is None:
         prof = exact_profile(g, cfg.strategy, with_witnesses=False)
-        verified, failing = verify_order_optimal(g, order, prof)
+        engine, (verified, failing) = prof.strategy, verify_order_optimal(g, order, prof)
     result = {
         "order": order.to_json(),
         "kind": kind,
@@ -336,7 +349,7 @@ def _cmd_order(cfg: argparse.Namespace) -> int:
         "first_failing_m": failing,
     }
     if cfg.verify:
-        result["engine"] = prof.strategy
+        result["engine"] = engine
     lines = [f"order ({kind}) on {cfg.spec}: ranks={order.ranks.tolist()}"]
     if verified is not None:
         lines.append(
@@ -354,10 +367,7 @@ def _cmd_compress(cfg: argparse.Namespace) -> int:
         raise UsageError("compression requires a product spec")
     orders = [factor_profile_and_order(f)[1] for f in g.factors]
     if cfg.family == "sbl":
-        dc = standard_collection(g.factors)
-        ok, diags = dc.validate(g)
-        if not ok:
-            raise UsageError("standard collection failed validation")
+        dc = _validated(standard_collection(g.factors), g, "standard")
         family = OrderFamily.block_lexicographic(g, dc)
     else:
         dc = None
@@ -589,7 +599,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except NoNestedSolutions as e:
+    except (NoNestedSolutions, HypothesisFailed) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (BudgetExceeded, SizeCapExceeded) as e:  # could not tell

@@ -211,15 +211,13 @@ def segment_delta(g: Graph, p: Partition, i: int) -> DeltaSequence:
     return delta_sequence(t.profile, TotalOrder.identity(t.g.n))
 
 
-def validate_isoperimetric_partition(
-    g: Graph, p: Partition, *, profile: Optional[Profile] = None
-) -> tuple[bool, list[str]]:
+def validate_isoperimetric_partition(g: Graph, p: Partition) -> tuple[bool, list[str]]:
     """Check the two isoperimetric-partition conditions; returns
     (ok, diagnostics).  Requires (and checks) that the partition's own
     order is optimal for g.  Both are read from g's `factor_table` under
     p in one pass over the ranks: the rank-r vertex of segment [a, b] sends
     L[r] - L_seg[r - a + 1] edges to earlier ones, where delta(a) asks."""
-    t = factor_table(g, p, profile=profile)
+    t = factor_table(g, p)
     bad = np.flatnonzero(t.W != t.profile.i_values)
     if bad.size:
         diag = f"partition order is not optimal for the graph (fails at m={bad[0]})"
@@ -256,9 +254,7 @@ def is_regular_partition(g: Graph, p: Partition) -> bool:
     return segments[0].delta == segments[-1].delta
 
 
-def segment_delta_shift(
-    g: Graph, p: Partition, i: int, x: int, y: int, *, profile: Optional[Profile] = None
-) -> tuple[int, int]:
+def segment_delta_shift(g: Graph, p: Partition, i: int, x: int, y: int) -> tuple[int, int]:
     """Both sides of the within-segment delta-shift identity for vertices
     x, y of segment i: the ambient delta difference and the induced
     subgraph's delta difference.  They must be equal for isoperimetric
@@ -267,6 +263,6 @@ def segment_delta_shift(
     rx, ry = p.order.rank(x), p.order.rank(y)
     if not (a <= rx <= b and a <= ry <= b):
         raise ValueError("both vertices must lie in the given segment")
-    t = factor_table(g, p, profile=profile)
+    t = factor_table(g, p)
     seg = t.segments[i].delta
     return t.delta[rx - 1] - t.delta[ry - 1], seg[rx - a] - seg[ry - a]

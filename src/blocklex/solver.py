@@ -12,14 +12,12 @@ of at most three factors with nested solutions can instead be profiled
 through the rank-space downset oracle, whose limits are the factors' (each
 profiled by the subset DP, so at most FULL_ENUM_CAP vertices) and, on three
 factors, the slab DP's table (`staircase.STACK_CELL_CAP` cells).
-`exact_profile` with no engine named applies the profile rule: a product
-is profiled from its factors by the sandwich bound where that bound is
-proven exact, and by the subset DP elsewhere.  `check_order` is the one
-rule that decides whether an order on a product is optimal, through
-`check_prefix_counts`: the sandwich bound first, then an exact engine
-chosen by the number of factors.  Pairs, block classes, the crosscheck and
-the explorers all decide through it, most of them on prefix counts read
-from the factors in rank space (`staircase.product_prefix_counts`).
+`check_order` is the one rule that decides whether an order on a product
+is optimal, through `check_prefix_counts`: the sandwich bound first, then
+an exact engine chosen by the number of factors.  Pairs, block classes,
+the crosscheck, the explorers, `order --verify` and the profile rule
+(`exact_profile` with no engine named) decide through it, mostly on
+prefix counts read from the factors (`staircase.product_prefix_counts`).
 """
 
 from __future__ import annotations
@@ -532,9 +530,9 @@ def _union_profile(
 
 # -- profile cache -------------------------------------------------------------
 
-# "full", "bnb" and "sandwich" profiles by (kind, strategy, graph digest).
-# An entry without witnesses does not answer a request for them.
-_PROFILE_CACHE: dict[tuple[str, str, str], Profile] = {}
+# "full" and "bnb" profiles, and the profile rule's under None, by (kind,
+# strategy, graph digest); an entry without witnesses answers no request for them.
+_PROFILE_CACHE: dict[tuple[str, Optional[str], str], Profile] = {}
 
 
 def _enumerated_profile(
@@ -599,16 +597,14 @@ def exact_profile(
     raises SizeCapExceeded.
 
     With no strategy, a product profiled without witnesses is answered by
-    the sandwich bound where that bound is proven exact (strategy
-    "sandwich", see `_sandwich_profile`); every other request runs "full".
+    the one order rule (`_rule_profile`: "sandwich", "slab" or "full");
+    every other request runs "full".
     """
     if strategy not in (None, "full", "bnb", "compressed"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy is None:
-        if g.factors is not None and not with_witnesses:
-            prof = _sandwich_profile(g)
-            if prof is not None:
-                return prof
+        if g.factors is not None and not with_witnesses and (prof := _rule_profile(g)):
+            return prof
         strategy = "full"
     if strategy in ("full", "bnb"):
         if g.n > FULL_ENUM_CAP:
@@ -630,16 +626,14 @@ def exact_profile(
     )
 
 
-def _sandwich_profile(g: Graph) -> Optional[Profile]:
-    """The bound U of `staircase.sandwich_bound` over the factors' exact
-    profiles, as the product g's profile, where U is proven exact; else
-    None.  U is exact on two factors with nested solutions (`check_order`),
-    and on any number of factors where the prefix counts of the
-    lexicographic order of the factors' optimal orders meet it.  A factor
-    without nested solutions, or whose chain search stops at its node
-    cap, proves nothing.  A proven profile is cached under "sandwich"."""
+def _rule_profile(g: Graph) -> Optional[Profile]:
+    """The product g's exact profile by `check_prefix_counts`, under the
+    engine it names, for the lexicographic order of the factors' optimal
+    orders or, on three or more factors where its counts miss the bound U,
+    the standard block-lex order if its counts meet U (any order's counts
+    that meet U prove U exact); None if a factor has no proven nested solutions."""
     Budget.check()  # a hit polls too
-    key = ("induced_max", "sandwich", g.digest)
+    key = ("induced_max", None, g.digest)
     hit = _PROFILE_CACHE.get(key)
     if hit is not None:
         return hit
@@ -647,16 +641,18 @@ def _sandwich_profile(g: Graph) -> Optional[Profile]:
         profiles, orders = zip(*(factor_profile_and_order(f) for f in g.factors))
     except (NoNestedSolutions, ChainSearchInconclusive):
         return None
-    if len(g.factors) == 2:
-        upper = staircase.sandwich_bound([p.i_values for p in profiles])
-    else:
-        prefix = staircase.product_prefix_counts(g.factors, orders)
-        upper = prefix_bound(g.factors, prefix)
-        if not np.array_equal(prefix, upper):
-            return None
-    prof = Profile(
-        "induced_max", tuple(int(x) for x in upper), None, "sandwich", g.digest
-    )
+    prefix = staircase.product_prefix_counts(g.factors, orders)
+    bound = prefix_bound(g.factors, prefix, profiles)
+    if len(g.factors) > 2 and not np.array_equal(prefix, bound):
+        from .blockgeom import block_lex_prefix_counts, standard_collection  # imports solver
+
+        dc = standard_collection(g.factors)
+        if dc.validate(g, check_block_optimality=False)[0]:
+            block_lex = block_lex_prefix_counts(g, dc)
+            if np.array_equal(block_lex, prefix_bound(g.factors, block_lex, profiles)):
+                prefix = block_lex
+    used, _, _, values = check_prefix_counts(g, prefix, profiles)
+    prof = Profile("induced_max", values, None, used, g.digest)
     _PROFILE_CACHE[key] = prof
     return prof
 
@@ -730,13 +726,11 @@ def check_prefix_counts(
 
     - two: U is the exact profile when both factors have nested solutions,
       since compression takes every set to a rank-space staircase and U
-      maximizes over those, so U refutes too ("sandwich").  U is one
-      stacked step here, the same with either factor outer, so no minimum
-      over outer choices is taken;
+      maximizes over those, so U refutes too ("sandwich");
     - three: the slab DP on the factors' optimal orders, up to the largest
       size that misses U ("slab"); past that size U is met, so exact;
     - one, or four and more: the subset DP, up to FULL_ENUM_CAP vertices
-      ("full_enumeration").
+      ("full").
 
     Only these last two build the product from the factors.  The two- and
     three-factor engines rely on the factors' nested solutions, which
@@ -768,7 +762,7 @@ def check_prefix_counts(
                 (staircase.downset_profile(g, orders, m_max), exact[m_max + 1 :])
             )
         else:
-            used = "full_enumeration"
+            used = "full"
             exact = exact_profile(g, "full", with_witnesses=False).values_array()
     bad = miss if used == "sandwich" else np.flatnonzero(prefix != exact)
     bad_m = int(bad[0]) if bad.size else None

@@ -68,7 +68,7 @@ def test_criterion_2_standard_partition_counts():
         assert p.num_segments == want
         # condition 1: monotonic sets induce cliques (with optimal induced
         # order); condition 2: backward degrees equal delta at the start
-        ok, diags = bx.validate_isoperimetric_partition(g, p, profile=prof)
+        ok, diags = bx.validate_isoperimetric_partition(g, p)
         assert ok, diags
         for i, (a, b) in enumerate(p.segments):
             sub, _, _ = bx.segment_subgraph(g, p, i)

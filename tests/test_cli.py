@@ -335,20 +335,20 @@ def test_deadline_inside_validate_is_inconclusive(capsys, monkeypatch):
 def test_order_budget_gives_one_report(capsys, monkeypatch):
     """`order --verify` reports an expired budget the same way whether the
     deadline passes while the factor orders are found or inside the
-    verify profile."""
+    order rule that verifies."""
     import time
 
     from blocklex import cli
 
     argv = ["order", "K2^4", "--lex", "--verify"]
     assert run(capsys, *argv, "--budget", "1e-9") == (3, "", "error: budget exceeded\n")
-    profile = cli.exact_profile
+    check = cli.check_order
 
     def slow(*args, **kw):
         time.sleep(0.3)
-        return profile(*args, **kw)
+        return check(*args, **kw)
 
-    monkeypatch.setattr(cli, "exact_profile", slow)
+    monkeypatch.setattr(cli, "check_order", slow)
     assert run(capsys, *argv, "--budget", "0.2") == (3, "", "error: budget exceeded\n")
 
 
@@ -515,18 +515,22 @@ RULE_ARGVS = [
 
 
 def test_profile_rule_reports_match_the_subset_dp(capsys, monkeypatch):
-    """With the profile rule on and off: the explorer's report is the
+    """With the order rule and with the subset DP (the profile rule off,
+    orders verified under `--strategy full`): the explorer's report is the
     same, and product profiles and verified orders have the same exit
     codes and values, their JSON differing only in the engine named."""
     from blocklex import solver
 
-    def reports():
+    def reports(*order_flags):
         explore = run(capsys, "explore", "path_clique", "--max-vertices", "20")
-        return explore, [run(capsys, *argv) for argv in RULE_ARGVS]
+        return explore, [
+            run(capsys, *argv, *(order_flags if argv[0] == "order" else ()))
+            for argv in RULE_ARGVS
+        ]
 
     explore, rule = reports()
-    monkeypatch.setattr(solver, "_sandwich_profile", lambda g: None)
-    explore_dp, dp = reports()
+    monkeypatch.setattr(solver, "_rule_profile", lambda g: None)
+    explore_dp, dp = reports("--strategy", "full")
     assert explore == explore_dp and explore[0] == 0
     engines = []
     for argv, a, b in zip(RULE_ARGVS, rule, dp):
@@ -537,10 +541,9 @@ def test_profile_rule_reports_match_the_subset_dp(capsys, monkeypatch):
         ja, jb = json.loads(a[1]), json.loads(b[1])
         engines.append((ja["result"].pop("engine"), jb["result"].pop("engine")))
         assert ja == jb, argv
-    # the lexicographic order of P3xP3xK2 misses the bound: the DP decides
-    assert engines == [("sandwich", "full")] * 4 + [("full", "full")] + [
-        ("sandwich", "full")
-    ] * 2
+    # the lexicographic order of P3xP3xK2 misses the bound and the standard
+    # block-lex order meets it
+    assert engines == [("sandwich", "full")] * 7
 
 
 CERTIFY_ARGVS = [
@@ -685,3 +688,79 @@ def test_emit_leaves_no_garbage(capsys, monkeypatch):
         gc.enable()
     assert found == 0
     assert json.loads(capsys.readouterr().out)["result"] == result
+
+
+# -- collections that fail validation, and `order --verify` by the one rule -----
+
+
+def _k3xk2_collection(tmp_path, spec="K3xK2"):
+    """The standard collection of spec with the lexicographic block
+    permutation, which is not optimal on K3xK2 (it fails at m = 3)."""
+    from blocklex import parse_graph_spec, standard_collection
+
+    data = standard_collection(parse_graph_spec(spec).factors).to_json()
+    data["block_perms"] = {key: [1, 2] for key in data["block_perms"]}
+    path = tmp_path / f"{spec}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_a_collection_that_fails_validation_exits_2(capsys, tmp_path):
+    dc = _k3xk2_collection(tmp_path)
+    for verify in ((), ("--verify",)):
+        code, out, err = run(capsys, "order", "K3xK2", "--bl", dc, *verify)
+        assert (code, out) == (2, "")
+        assert "not optimal for the block graph (fails at m=3)" in err
+
+
+def test_a_collection_that_does_not_fit_exits_64(capsys, tmp_path):
+    dc = _k3xk2_collection(tmp_path, "K3xK3")
+    assert run(capsys, "order", "K3xK2", "--bl", dc)[0] == 64
+    assert run(capsys, "order", "K3xK2xK2", "--bl", _k3xk2_collection(tmp_path))[0] == 64
+    (tmp_path / "bad.json").write_text("{")
+    assert run(capsys, "order", "K3xK2", "--bl", str(tmp_path / "bad.json"))[0] == 64
+
+
+def test_a_standard_collection_that_fails_validation_exits_2(capsys, monkeypatch):
+    from blocklex import DominationCollection, cli
+
+    standard = cli.standard_collection
+
+    def lexicographic(gs):
+        dc = standard(gs)
+        return DominationCollection(dc.partitions, {}, (0, 1))
+
+    monkeypatch.setattr(cli, "standard_collection", lexicographic)
+    for argv in (
+        ("order", "K3xK2", "--sbl"),
+        ("compress", "K3xK2", "--family", "sbl", "--set", "[0]"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: standard collection failed validation: block (0, 0)")
+    assert run(capsys, "order", "K5", "--sbl")[0] == 64
+
+
+def test_order_verify_without_factor_orders_compares_with_the_dp(
+    capsys, tmp_path, non_nested_7
+):
+    """A factor without nested solutions leaves the rule nothing to refute
+    with, so `order --verify` compares with the subset DP's profile."""
+    from blocklex import (
+        TotalOrder,
+        atomic_partition,
+        cartesian_product,
+        clique,
+        uniform_collection,
+    )
+
+    g = cartesian_product([non_nested_7, clique(2)])
+    spec, dc = tmp_path / "g.json", tmp_path / "dc.json"
+    spec.write_text(json.dumps(g.to_json()))
+    parts = [atomic_partition(TotalOrder.identity(f.n)) for f in g.factors]
+    dc.write_text(json.dumps(uniform_collection(parts).to_json()))
+    code, out, _ = run(
+        capsys, "order", f"@{spec}", "--bl", str(dc), "--verify", "--format", "json"
+    )
+    result = json.loads(out)["result"]
+    assert (code, result["engine"], result["first_failing_m"]) == (2, "full", 3)

@@ -67,13 +67,13 @@ def test_monotonic_segments_induce_cliques():
 def test_standard_partition_validates():
     for g in [petersen(), clique(5), path(6)]:
         g, prof, p = monotonic(g)
-        ok, diags = validate_isoperimetric_partition(g, p, profile=prof)
+        ok, diags = validate_isoperimetric_partition(g, p)
         assert ok, diags
 
 
 def test_petersen_halves_partition(pet, pet_profile, pet_order):
     halves = Partition.from_boundaries(pet_order, [5, 10])
-    ok, diags = validate_isoperimetric_partition(pet, halves, profile=pet_profile)
+    ok, diags = validate_isoperimetric_partition(pet, halves)
     assert ok, diags
     for i in range(2):
         sub, _, _ = segment_subgraph(pet, halves, i)
@@ -87,9 +87,9 @@ def test_petersen_halves_partition(pet, pet_profile, pet_order):
 
 def test_bad_split_fails_with_offending_vertex():
     g = path(3)
-    prof, order = factor_profile_and_order(g)
+    order = factor_profile_and_order(g)[1]
     bad = Partition.from_boundaries(order, [1, 3])
-    ok, diags = validate_isoperimetric_partition(g, bad, profile=prof)
+    ok, diags = validate_isoperimetric_partition(g, bad)
     assert not ok
     assert any("vertex" in d for d in diags)
 
@@ -120,9 +120,9 @@ def test_atomic_partition_single_vertex():
 
 def test_atomic_refinement_of_clique_is_isoperimetric():
     g = clique(5)
-    prof, order = factor_profile_and_order(g)
+    order = factor_profile_and_order(g)[1]
     p = atomic_partition(order)
-    ok, diags = validate_isoperimetric_partition(g, p, profile=prof)
+    ok, diags = validate_isoperimetric_partition(g, p)
     assert ok, diags
 
 
@@ -155,19 +155,19 @@ def test_start_set(pet_order, pet_profile):
     assert starts[0] == pet_order.vertex_at(1)
 
 
-def test_delta_shift_identity_same_vertex(pet, pet_profile, pet_order):
+def test_delta_shift_identity_same_vertex(pet, pet_order):
     halves = Partition.from_boundaries(pet_order, [5, 10])
     v = pet_order.vertex_at(7)
-    lhs, rhs = segment_delta_shift(pet, halves, 1, v, v, profile=pet_profile)
+    lhs, rhs = segment_delta_shift(pet, halves, 1, v, v)
     assert lhs == rhs == 0
 
 
-def test_delta_shift_identity_across_segment(pet, pet_profile, pet_order):
+def test_delta_shift_identity_across_segment(pet, pet_order):
     halves = Partition.from_boundaries(pet_order, [5, 10])
     for rx in range(6, 11):
         for ry in range(6, 11):
             x, y = pet_order.vertex_at(rx), pet_order.vertex_at(ry)
-            lhs, rhs = segment_delta_shift(pet, halves, 1, x, y, profile=pet_profile)
+            lhs, rhs = segment_delta_shift(pet, halves, 1, x, y)
             assert lhs == rhs
 
 
@@ -175,7 +175,7 @@ def test_delta_shift_on_monotonic_segment(pet, pet_profile, pet_order):
     p = standard_monotonic_partition(delta_sequence(pet_profile, pet_order))
     a, b = p.segments[2]  # the [4,5] run with delta values (1,2)
     x, y = pet_order.vertex_at(b), pet_order.vertex_at(a)
-    lhs, rhs = segment_delta_shift(pet, p, 2, x, y, profile=pet_profile)
+    lhs, rhs = segment_delta_shift(pet, p, 2, x, y)
     assert lhs == rhs == 1
 
 

@@ -838,7 +838,8 @@ def _rule_and_dp(g):
 def test_profile_rule_equals_the_subset_dp():
     """On every product of the benchmark and the path-clique explorer the
     rule gives the DP's values: two factors from the bound, more where the
-    lexicographic order meets it, and by the DP where it misses."""
+    lexicographic or the standard block-lex order meets it, and by an
+    exact engine where both miss."""
     from blocklex import parse_graph_spec
 
     graphs = {s: parse_graph_spec(s) for s in SWEEP_PRODUCTS + LEX_MISSES}
@@ -849,10 +850,11 @@ def test_profile_rule_equals_the_subset_dp():
         rule, dp = _rule_and_dp(g)
         assert rule.i_values == dp.i_values, name
         assert rule.witnesses is None and dp.strategy == "full"
-        assert rule.strategy in ("sandwich", "full")
-        if rule.strategy == "full":
+        assert rule.strategy in ("sandwich", "slab", "full")
+        if rule.strategy != "sandwich":
             by_dp.add(name)
-    assert by_dp == set(LEX_MISSES) | {"P3^2 x K2^1"}
+    # the standard block-lex order meets the bound on every lex miss
+    assert by_dp == set()
 
 
 def test_full_requests_run_the_dp_after_a_rule_answer(monkeypatch):
@@ -876,8 +878,9 @@ def test_full_requests_run_the_dp_after_a_rule_answer(monkeypatch):
 
 
 def test_a_bound_one_edge_high_falls_back_to_the_dp(monkeypatch):
-    """On three factors the bound is trusted only where the lexicographic
-    order meets it, so an overstated bound is never returned."""
+    """On three factors the bound is trusted only where an order's prefix
+    counts meet it, so an overstated bound is never returned: the slab DP
+    decides instead."""
     from blocklex import parse_graph_spec, solver, staircase
 
     bound = staircase.sandwich_bound
@@ -894,7 +897,7 @@ def test_a_bound_one_edge_high_falls_back_to_the_dp(monkeypatch):
             monkeypatch.setattr(staircase, "sandwich_bound", high)
             solver.clear_caches()
             prof = exact_profile(g, with_witnesses=False)
-            assert prof.strategy == "full" and prof.i_values == truth, (spec, m)
+            assert prof.strategy == "slab" and prof.i_values == truth, (spec, m)
             monkeypatch.setattr(staircase, "sandwich_bound", bound)
 
 
@@ -970,3 +973,120 @@ def test_rule_profiles_products_past_the_dp_cap(capsys):
     orders = [TotalOrder.identity(2)] * 12
     assert prof.strategy == "sandwich"
     assert list(prof.i_values) == prefix_edge_counts(g, lex_order(g, orders)).tolist()
+
+
+# -- one order rule behind `profile` and `order --verify` -----------------------
+
+
+def _rule_pool():
+    """The products of at most FULL_ENUM_CAP vertices of the sweep, the lex
+    misses and the path-clique explorer, by name."""
+    from blocklex import FULL_ENUM_CAP, parse_graph_spec
+
+    graphs = {s: parse_graph_spec(s) for s in SWEEP_PRODUCTS + LEX_MISSES}
+    graphs.update(_path_clique_products())
+    return {name: g for name, g in graphs.items() if g.n <= FULL_ENUM_CAP}
+
+
+def test_lex_misses_miss_the_bound():
+    """The block-lex candidate is what answers LEX_MISSES by the bound."""
+    from blocklex import lex_order, parse_graph_spec
+    from blocklex.solver import prefix_bound
+
+    for spec in LEX_MISSES:
+        g = parse_graph_spec(spec)
+        orders = [factor_profile_and_order(f)[1] for f in g.factors]
+        prefix = prefix_edge_counts(g, lex_order(g, orders))
+        assert not np.array_equal(prefix, prefix_bound(g.factors, prefix)), spec
+
+
+def test_order_rule_verdicts_equal_the_subset_dp():
+    """On every small product of the pool, the rule's verdict and first
+    failing size for the lexicographic and standard block-lex orders and
+    their reverses are those of a comparison with the subset DP."""
+    from blocklex import lex_order, reverse_order, solver, standard_block_lex_order
+    from blocklex.solver import check_order
+
+    refuted = 0
+    for name, g in _rule_pool().items():
+        solver.clear_caches()
+        dp = exact_profile(g, "full", with_witnesses=False)
+        lex = lex_order(g, [factor_profile_and_order(f)[1] for f in g.factors])
+        sbl = standard_block_lex_order(g)[0]
+        for order in (lex, sbl, reverse_order(lex), reverse_order(sbl)):
+            used, ok, bad_m, values = check_order(g, order)
+            assert (ok, bad_m) == verify_order_optimal(g, order, dp), name
+            assert values == dp.i_values and used in ("sandwich", "slab", "full"), name
+            refuted += not ok
+    assert refuted
+
+
+def test_order_verify_reports_equal_the_subset_dp(capsys):
+    """`order --verify` with no strategy gives the verdict and first failing
+    size of `--strategy full`, on the named products of the pool."""
+    from blocklex.cli import main
+
+    for spec in SWEEP_PRODUCTS + LEX_MISSES:
+        for flags in (("--lex",), ("--sbl",), ("--lex", "--reverse")):
+            argv = ("order", spec, *flags, "--verify", "--format", "json")
+            reports = []
+            for strategy in ((), ("--strategy", "full")):
+                code = main([*argv, *strategy])
+                result = json.loads(capsys.readouterr().out)["result"]
+                assert code == (0 if result["verified_optimal"] else 2)
+                reports.append((result["verified_optimal"], result["first_failing_m"]))
+            assert reports[0] == reports[1], argv
+
+
+def test_block_lex_counts_one_edge_high_are_never_a_profile(monkeypatch):
+    """Prefix counts of the block-lex candidate overstated at one size
+    miss the bound, so the rule decides by an exact engine instead."""
+    from blocklex import blockgeom, parse_graph_spec, solver
+
+    counts = blockgeom.block_lex_prefix_counts
+    for spec in LEX_MISSES:
+        g = parse_graph_spec(spec)
+        truth = _rule_and_dp(g)[1].i_values
+        for m in (1, g.n // 2, g.n - 1):
+
+            def high(gs, dc, m=m):
+                out = counts(gs, dc).copy()
+                out[m] += 1
+                return out
+
+            monkeypatch.setattr(blockgeom, "block_lex_prefix_counts", high)
+            solver.clear_caches()
+            prof = exact_profile(g, with_witnesses=False)
+            assert prof.strategy in ("slab", "full") and prof.i_values == truth, (spec, m)
+            monkeypatch.setattr(blockgeom, "block_lex_prefix_counts", counts)
+
+
+def test_a_collection_that_fails_validation_is_never_a_candidate(monkeypatch):
+    from blocklex import blockgeom, parse_graph_spec
+
+    monkeypatch.setattr(
+        blockgeom.DominationCollection, "validate", lambda self, gs, **kw: (False, ["no"])
+    )
+    for spec in LEX_MISSES:
+        rule, dp = _rule_and_dp(parse_graph_spec(spec))
+        assert rule.strategy != "sandwich" and rule.i_values == dp.i_values, spec
+
+
+def test_rule_profiles_equal_the_downset_oracle(capsys):
+    """C6^3 and P4^3, where the lexicographic and block-lex orders both
+    miss the bound, are profiled by the slab DP."""
+    for spec in ("C6^3", "P4^3"):
+        rule = _cli_json(capsys, "profile", spec)
+        comp = _cli_json(capsys, "profile", spec, "--strategy", "compressed")
+        assert rule["values"] == comp["values"] and rule["delta"] == comp["delta"]
+        assert (rule["engine"], comp["engine"]) == ("slab", "compressed")
+
+
+def test_order_verify_refutes_by_the_slab_dp(capsys):
+    from blocklex.cli import main
+
+    for argv, bad_m in ((("C6^3", "--sbl"), 17), (("P4^3", "--lex"), 4)):
+        assert main(["order", *argv, "--verify", "--format", "json"]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["verified_optimal"] is False and result["first_failing_m"] == bad_m
+        assert result["engine"] == "slab"

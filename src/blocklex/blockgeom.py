@@ -181,10 +181,20 @@ class DominationCollection:
                     f"{s_sorted} at sub-block {sub_bid}: {prev} vs {perm}"
                 )
         # projections of checked block ids carrying restrictions of checked
-        # permutations pass __post_init__'s checks, so it is skipped
-        dc = object.__new__(DominationCollection)
-        dc.partitions = tuple(self.partitions[i] for i in s_sorted)
-        dc.block_perms = sub_perms
+        # permutations pass __post_init__'s checks
+        return DominationCollection._unchecked(
+            tuple(self.partitions[i] for i in s_sorted), sub_perms
+        )
+
+    @classmethod
+    def _unchecked(
+        cls, partitions: tuple[Partition, ...], block_perms: dict[BlockId, tuple[int, ...]]
+    ) -> "DominationCollection":
+        """A collection whose block ids and permutations are built to pass
+        __post_init__'s checks, made without running them."""
+        dc = object.__new__(cls)
+        dc.partitions = partitions
+        dc.block_perms = block_perms
         dc.default_perm = None
         dc.validated = False
         return dc
@@ -325,6 +335,8 @@ def standard_collection(
             parts.append(standard_monotonic_partition(delta_sequence(prof, order)))
         partitions = parts
     partitions = tuple(partitions)
+    if not partitions:
+        raise ValueError("need at least one factor partition")
     sizes = [[b - a + 1 for a, b in p.segments] for p in partitions]
     ids = itertools.product(*(range(len(s)) for s in sizes))
     by_sizes: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -332,7 +344,8 @@ def standard_collection(
         bid: by_sizes.get(sz) or by_sizes.setdefault(sz, standard_block_domination(sz))
         for bid, sz in zip(ids, itertools.product(*sizes))
     }
-    return DominationCollection(partitions, perms)
+    # every block id of the partitions, each with a sorting permutation
+    return DominationCollection._unchecked(partitions, perms)
 
 
 # -- geometric queries --------------------------------------------------------

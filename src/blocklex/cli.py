@@ -225,31 +225,30 @@ def _cmd_profile(cfg: argparse.Namespace) -> int:
         )
         return EXIT_BUDGET
     vals = list(prof.i_values)
-    if want_theta:
-        csv_lines = ["m,theta"] + [f"{m},{v}" for m, v in enumerate(vals)]
-        text = [f"boundary minima of {cfg.spec}:"] + [
+    result = {"kind": prof.kind, "values": vals, "complete": True, "engine": prof.strategy}
+    if not want_theta:
+        delta = result["delta"] = list(delta_sequence(prof).values)
+    # only the requested format's lines are built: `_emit` reads one of them
+    lines = None
+    if cfg.fmt == "json":
+        if want_witnesses and prof.witnesses is not None:
+            result["witnesses"] = [sorted(w) for w in prof.witnesses]
+    elif cfg.fmt == "csv" and want_theta:
+        lines = ["m,theta"] + [f"{m},{v}" for m, v in enumerate(vals)]
+    elif cfg.fmt == "csv":
+        lines = ["m,I,delta", "0,0,"] + [
+            f"{m},{vals[m]},{delta[m - 1]}" for m in range(1, len(vals))
+        ]
+    elif want_theta:
+        lines = [f"boundary minima of {cfg.spec}:"] + [
             f"  m={m:3d}  theta={v}" for m, v in enumerate(vals)
         ]
-        result = {"kind": prof.kind, "values": vals, "complete": True}
     else:
-        delta = delta_sequence(prof)
-        csv_lines = ["m,I,delta", "0,0,"] + [
-            f"{m},{vals[m]},{delta.values[m - 1]}" for m in range(1, len(vals))
-        ]
-        text = [f"profile of {cfg.spec}: I and delta"] + [
-            f"  m={m:3d}  I={vals[m]:5d}" + (f"  delta={delta.values[m-1]}" if m else "")
+        lines = [f"profile of {cfg.spec}: I and delta"] + [
+            f"  m={m:3d}  I={vals[m]:5d}" + (f"  delta={delta[m-1]}" if m else "")
             for m in range(len(vals))
         ]
-        result = {
-            "kind": prof.kind,
-            "values": vals,
-            "delta": list(delta.values),
-            "complete": True,
-        }
-    result["engine"] = prof.strategy
-    if want_witnesses and prof.witnesses is not None:
-        result["witnesses"] = [sorted(w) for w in prof.witnesses]
-    _emit(cfg, inputs, result, text, csv_lines)
+    _emit(cfg, inputs, result, lines, lines)
     return EXIT_OK
 
 

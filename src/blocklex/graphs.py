@@ -15,6 +15,7 @@ vertex ids and factor indices in the Python API are 0-based.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 from typing import Iterable, Iterator, Sequence
@@ -178,6 +179,14 @@ class Graph:
             seen.add((min(u, v), max(u, v)))
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
         self._set(n, np.ascontiguousarray(pairs.T), factors)
+
+    @classmethod
+    def _unchecked(cls, n: int, pairs: np.ndarray, factors=None) -> "Graph":
+        """A graph from a fresh (2, E) array of edges u < v sorted by (u, v),
+        built from other graphs' edges, so it skips the constructor's checks."""
+        g = cls.__new__(cls)
+        g._set(n, pairs, factors)
+        return g
 
     def _set(self, n: int, pairs: np.ndarray, factors) -> None:
         """Fill the slots from a (2, E) array of sorted edges u < v."""
@@ -400,12 +409,11 @@ def complete_bipartite(a: int, b: int) -> Graph:
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     if not graphs:
         raise ValueError("union of no graphs")
-    edges = []
-    off = 0
-    for g in graphs:
-        edges += [(u + off, v + off) for u, v in g.edges()]
-        off += g.n
-    return Graph(off, edges)
+    # each graph's sorted edges, shifted past the graphs before it, follow
+    # theirs in sorted order
+    offsets = list(itertools.accumulate((g.n for g in graphs), initial=0))
+    pairs = [np.stack(g.edge_arrays()) + off for g, off in zip(graphs, offsets)]
+    return Graph._unchecked(offsets[-1], np.concatenate(pairs, axis=1))
 
 
 # -- products ----------------------------------------------------------------
@@ -429,9 +437,7 @@ def cartesian_product(graphs: Sequence[Graph]) -> Graph:
         eu, ev = gi.edge_arrays()
         keys.append(np.add.outer(eu * (w * n) + ev * w, ids.take(0, axis=i) * (n + 1)))
     key = np.sort(np.concatenate([k.ravel() for k in keys]))
-    g = Graph.__new__(Graph)
-    g._set(n, np.stack(np.divmod(key, n)), graphs)
-    return g
+    return Graph._unchecked(n, np.stack(np.divmod(key, n)), graphs)
 
 
 def graph_power(g: Graph, k: int) -> Graph:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -167,8 +168,33 @@ if FULL_ENUM_CAP * (FULL_ENUM_CAP - 1) > np.iinfo(np.int16).max:
 # whole table is as fast or faster: at 20 vertices streaming measured up
 # to 10 % slower without witnesses and 25-60 % slower with them, and at 21
 # about even (2 cores, Python 3.11, numpy 2.4).
+#
+# Graphs of at most SMALL_MAX_N vertices (factors, segment graphs, union
+# parts) skip numpy, whose DP and reduction cost a fixed 10-50 us a call
+# there, not cells: the table is one Python int of 2^n one-byte fields
+# (`_small_subset_values`), read per size class (`_profile_from_values`).
+# DP plus reduction of induced edges, numpy path against the small path,
+# in us (min of 9 x 100 calls; 2 cores, Python 3.11, numpy 2.4):
+#
+#     graph       no witnesses       witnesses
+#     K2            8.2 ->   2.0      42.5 ->   2.1
+#     K4           15.6 ->   3.8      73.5 ->   4.1
+#     C5           18.7 ->   4.3      90.6 ->   4.6
+#     P8           30.8 ->  12.7     141.3 ->  13.0
+#     petersen     48.0 ->  40.3     189.2 ->  41.0
+#     C12          61.3 -> 128.7     239.5 -> 128.2
+#
+# The worst ratio over paths, cycles, cliques and seeded random graphs, in
+# both kinds, is 0.86 at 10 vertices and 1.75 at 11 without witnesses
+# (0.40 and 0.57 with them), so the cutover is 10.
 ROW_BITS = 16
 STREAM_MIN_N = 22
+SMALL_MAX_N = 10
+
+# A small table's fields hold a set's induced or boundary edges, at most
+# the n(n-1)/2 edges of the graph.
+if SMALL_MAX_N * (SMALL_MAX_N - 1) // 2 > 255:
+    raise ImportError("SMALL_MAX_N is too large for one-byte subset values")
 
 
 def _double(out: np.ndarray, nbrs: int, step: int) -> None:
@@ -201,12 +227,41 @@ def _subset_dp(adj: Sequence[int], k: int, induced: bool) -> np.ndarray:
     return val
 
 
-def _dp_subset_values(g: Graph, mode: str) -> np.ndarray:
-    """val[mask] for every membership word, by highest-bit slice doubling.
+@functools.lru_cache(maxsize=None)
+def _bit_words(n: int) -> tuple[int, ...]:
+    """For each vertex u < n, the int of 2^n one-byte fields whose field r
+    is bit u of r."""
+    periods = ((b"\0" * (1 << u) + b"\1" * (1 << u), 1 << (n - u - 1)) for u in range(n))
+    return tuple(int.from_bytes(period * k, "little") for period, k in periods)
+
+
+def _small_subset_values(adj: Sequence[int], n: int, induced: bool) -> bytes:
+    """val[r] for every word r < 2^n, a graph of at most SMALL_MAX_N
+    vertices: the sum over edges uv of the fields of r that hold both u
+    and v (induced) or just one of them (boundary), added up in one int."""
+    words = _bit_words(n)
+    acc = 0
+    for v in range(n):
+        Budget.check()
+        wv = words[v]
+        below = adj[v] & ((1 << v) - 1)
+        while below:
+            u = below.bit_length() - 1
+            below ^= 1 << u
+            acc += wv & words[u] if induced else wv ^ words[u]
+    return acc.to_bytes(1 << n, "little")
+
+
+def _dp_subset_values(g: Graph, mode: str) -> np.ndarray | bytes:
+    """val[mask] for every membership word: by highest-bit slice doubling,
+    or, on graphs of at most SMALL_MAX_N vertices, as the bytes of
+    `_small_subset_values`.
 
     mode "induced": number of edges inside the set.
     mode "boundary": number of edges leaving the set.
     """
+    if g.n <= SMALL_MAX_N:
+        return _small_subset_values(g.adjacency_bitmasks(), g.n, mode == "induced")
     return _subset_dp(g.adjacency_bitmasks(), g.n, mode == "induced")
 
 
@@ -339,12 +394,34 @@ def _popcount_classes(k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray,
     return order, starts, tuple(np.split(order, starts[1:]))
 
 
+@functools.lru_cache(maxsize=None)
+def _size_classes(n: int) -> tuple[tuple[operator.itemgetter, tuple], ...]:
+    """For each size m = 0..n: a getter of the fields of the words of
+    popcount m, ascending, with the first again at the end (itemgetter of
+    one index gives a bare value: one index more keeps a tuple); and the
+    sets of those words."""
+    classes: list[list[int]] = [[] for _ in range(n + 1)]
+    for r in range(1 << n):
+        classes[r.bit_count()].append(r)
+    return tuple(
+        (
+            operator.itemgetter(*words, words[0]),
+            tuple(tuple(x for x in range(n) if r >> x & 1) for r in words),
+        )
+        for words in classes
+    )
+
+
 def _profile_from_values(
-    n: int, val: np.ndarray | _SubsetRows, maximize: bool, with_witnesses: bool
+    n: int, val: np.ndarray | bytes | _SubsetRows, maximize: bool, with_witnesses: bool
 ) -> tuple[list[int], Optional[list[tuple[int, ...]]]]:
     """Per-size extremum of val and, on request, its smallest attaining mask.
 
-    val is the 2^n table, or the `_SubsetRows` that stream it.
+    val is the 2^n table, the bytes of a small graph's table, or the
+    `_SubsetRows` that stream it.
+
+    Bytes are read per size class, ascending, so the first field that
+    attains a class's extremum is its smallest attaining mask.
 
     Rows-first split-popcount reduction: val viewed as (2^h, 2^l), rows of
     high bits by columns of low bits, l = min(n, 12), so that a graph of up
@@ -363,6 +440,16 @@ def _profile_from_values(
     Streamed rows take theirs from a second pass (`_SubsetRows.witnesses`).
     """
     Budget.check()
+    pick = max if maximize else min
+    if isinstance(val, bytes):
+        values, wits = [], []
+        for get, sets in _size_classes(n):
+            fields = get(val)
+            best = pick(fields)
+            values.append(best)
+            if with_witnesses:
+                wits.append(sets[fields.index(best)])
+        return values, wits if with_witnesses else None
     ufunc = np.maximum if maximize else np.minimum
     streamed = isinstance(val, _SubsetRows)
     if streamed:
@@ -385,7 +472,6 @@ def _profile_from_values(
                 ufunc.reduce(grid[rows], axis=0, out=a[i])
         by_popcount, starts, col_classes = _popcount_classes(l)
         b = ufunc.reduceat(np.take(a, by_popcount, axis=1), starts, axis=1).tolist()
-    pick = max if maximize else min
     values = b[0] if not h else [
         pick(b[i][m - i] for i in range(max(0, m - l), min(h, m) + 1))
         for m in range(n + 1)
@@ -489,13 +575,13 @@ def _union_profile(
     s with I_k(s) + P_(k-1)(rest - s) = P_k(rest); so from the highest part
     down, each part takes its smallest witness over those sizes.
     """
-    pick = max if kind == "induced_max" else min
+    maximize = kind == "induced_max"
+    ufunc, pad = (np.maximum, staircase.NEG) if maximize else (np.minimum, -staircase.NEG)
     eu, ev = g.edge_arrays()
     parts, start = [], 0
     for end in ends:
         i, j = np.searchsorted(eu, (start, end)).tolist()
-        edges = zip((eu[i:j] - start).tolist(), (ev[i:j] - start).tolist())
-        part = Graph(end - start, edges)
+        part = Graph._unchecked(end - start, np.stack((eu[i:j], ev[i:j])) - start)
         parts.append((start, _enumerated_profile(part, kind, "full", with_witnesses)))
         start = end
     prefix = [(0,)]  # prefix[k][m]: P_k(m), the best m-set in parts below k
@@ -504,12 +590,16 @@ def _union_profile(
         """The sizes s of part k that leave m - s for the parts below."""
         return range(max(0, m + 1 - len(prefix[k])), min(m, parts[k][1].n) + 1)
 
-    for k, (_, p) in enumerate(parts):
-        vals, last = p.i_values, prefix[k]
-        prefix.append(tuple(
-            pick(vals[s] + last[m - s] for s in sizes(k, m))
-            for m in range(len(last) + p.n)
-        ))
+    for _, p in parts:
+        # skew[j, m] reads last[m - (p.n - j)] from behind p.n pads, so that
+        # row j adds the part's size s = p.n - j, and the pads where m - s
+        # is out of range lose every comparison
+        last, width = prefix[-1], len(prefix[-1]) + p.n
+        buf = np.full(width + p.n, pad, dtype=np.int64)
+        buf[p.n : width] = last
+        skew = np.ndarray((p.n + 1, width), np.int64, buf, 0, (8, 8))
+        steps = np.array(p.i_values[::-1], dtype=np.int64)[:, None] + skew
+        prefix.append(tuple(ufunc.reduce(steps, axis=0).tolist()))
     if not with_witnesses:
         return list(prefix[-1]), None
     masks = [[sum(1 << a + x for x in w) for w in p.witnesses] for a, p in parts]
@@ -631,7 +721,9 @@ def _rule_profile(g: Graph) -> Optional[Profile]:
     engine it names, for the lexicographic order of the factors' optimal
     orders or, on three or more factors where its counts miss the bound U,
     the standard block-lex order if its counts meet U (any order's counts
-    that meet U prove U exact); None if a factor has no proven nested solutions."""
+    that meet U prove U exact); None if a factor has no proven nested
+    solutions.  On two factors the answer is U under "sandwich" whatever
+    the counts, so none are taken."""
     Budget.check()  # a hit polls too
     key = ("induced_max", None, g.digest)
     hit = _PROFILE_CACHE.get(key)
@@ -641,17 +733,20 @@ def _rule_profile(g: Graph) -> Optional[Profile]:
         profiles, orders = zip(*(factor_profile_and_order(f) for f in g.factors))
     except (NoNestedSolutions, ChainSearchInconclusive):
         return None
-    prefix = staircase.product_prefix_counts(g.factors, orders)
-    bound = prefix_bound(g.factors, prefix, profiles)
-    if len(g.factors) > 2 and not np.array_equal(prefix, bound):
-        from .blockgeom import block_lex_prefix_counts, standard_collection  # imports solver
+    if len(g.factors) == 2:
+        # U, whatever an order's counts: `check_prefix_counts` on two factors
+        used, values = "sandwich", tuple(prefix_bound(g.factors, None, profiles).tolist())
+    else:
+        prefix = staircase.product_prefix_counts(g.factors, orders)
+        if not np.array_equal(prefix, prefix_bound(g.factors, prefix, profiles)):
+            from .blockgeom import block_lex_prefix_counts, standard_collection  # imports solver
 
-        dc = standard_collection(g.factors)
-        if dc.validate(g, check_block_optimality=False)[0]:
-            block_lex = block_lex_prefix_counts(g, dc)
-            if np.array_equal(block_lex, prefix_bound(g.factors, block_lex, profiles)):
-                prefix = block_lex
-    used, _, _, values = check_prefix_counts(g, prefix, profiles)
+            dc = standard_collection(g.factors)
+            if dc.validate(g, check_block_optimality=False)[0]:
+                block_lex = block_lex_prefix_counts(g, dc)
+                if np.array_equal(block_lex, prefix_bound(g.factors, block_lex, profiles)):
+                    prefix = block_lex
+        used, _, _, values = check_prefix_counts(g, prefix, profiles)
     prof = Profile("induced_max", values, None, used, g.digest)
     _PROFILE_CACHE[key] = prof
     return prof

@@ -331,6 +331,64 @@ def test_block_domination_orders_verified_optimal(pet2_setup):
     assert ok, diags
 
 
+def test_standard_collection_equals_the_checked_collection(monkeypatch):
+    """`standard_collection` is built without `__post_init__`'s checks, and
+    equals the collection those checks accept, on workload products."""
+    checked = DominationCollection.__post_init__
+    runs = []
+
+    def counting(self):
+        runs.append(self)
+        checked(self)
+
+    monkeypatch.setattr(DominationCollection, "__post_init__", counting)
+    for factors in (
+        [cycle(5), cycle(4), petersen()],
+        [petersen(), petersen()],
+        [clique(2), clique(3), clique(4)],
+    ):
+        runs.clear()
+        dc = standard_collection(factors)
+        assert not runs and not dc.validated
+        want = DominationCollection(dc.partitions, dict(dc.block_perms))
+        assert len(runs) == 1
+        assert dc == want and dc.to_json() == want.to_json()
+        assert dc.validate(cartesian_product(factors))[0]
+
+
+def test_malformed_collections_still_raise():
+    """Negative control of the unchecked builds: a malformed collection
+    given to the constructor or to `from_json` raises the same ValueError
+    as before, and so does a standard collection of no factor."""
+    parts = [
+        Partition.from_boundaries(TotalOrder.identity(k), list(range(1, k + 1)))
+        for k in (2, 3)
+    ]
+    cases = [
+        (parts, {(0,): (1, 0)}, None, r"block id \(0,\) has wrong arity"),
+        (parts, {(0, 3): (1, 0)}, None, r"block id \(0, 3\) out of range in factor 1"),
+        (parts, {(2, 0): (1, 0)}, None, r"block id \(2, 0\) out of range in factor 0"),
+        (parts, {(0, 0): (0, 0)}, None, r"bad permutation \(0, 0\) for block \(0, 0\)"),
+        (parts, {}, (1,), "bad default permutation"),
+        ([], {}, None, "need at least one factor partition"),
+    ]
+    for partitions, perms, default, message in cases:
+        with pytest.raises(ValueError, match=message):
+            DominationCollection(partitions, perms, default)
+        data = {
+            "partitions": [p.to_json() for p in partitions],
+            "block_perms": {
+                ",".join(str(j + 1) for j in bid): [x + 1 for x in perm]
+                for bid, perm in perms.items()
+            },
+            "default_perm": None if default is None else [x + 1 for x in default],
+        }
+        with pytest.raises(ValueError, match=message):
+            DominationCollection.from_json(data)
+    with pytest.raises(ValueError, match="need at least one factor partition"):
+        standard_collection([])
+
+
 def test_dc_json_roundtrip(pet2_setup):
     _, _, _, dc = pet2_setup
     data = dc.to_json()

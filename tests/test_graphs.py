@@ -42,6 +42,26 @@ def test_union_of_cliques():
     assert g.num_edges == 16  # 10 + 6
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=5), st.randoms(use_true_random=False))
+def test_union_equals_the_checked_graph(sizes, rnd):
+    """A union is built from its graphs' sorted edges without the input
+    checks; it equals the graph those checks build from the shifted
+    edges, digest included, with isolated vertices and edgeless parts."""
+    graphs = [
+        Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rnd.random() < 0.5])
+        for k in sizes
+    ]
+    edges, off = [], 0
+    for g in graphs:
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        off += g.n
+    want = Graph(off, edges)
+    got = disjoint_union(graphs)
+    assert got == want and got.digest == want.digest
+    assert got.adjacency_bitmasks() == want.adjacency_bitmasks()
+
+
 def test_cycle_requires_three():
     with pytest.raises(ValueError):
         cycle(2)

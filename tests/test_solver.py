@@ -304,7 +304,9 @@ def test_dp_subset_values_against_per_mask_count():
 
 def _ref_profile(n, val, maximize):
     """Per size m, the extremum over masks of popcount m and the smallest
-    mask that attains it."""
+    mask that attains it.  val is a table, or a small graph's bytes."""
+    if isinstance(val, bytes):
+        val = np.frombuffer(val, dtype=np.uint8)
     popcount = np.array([bin(x).count("1") for x in range(1 << n)])
     values, wits = [], []
     for m in range(n + 1):
@@ -368,38 +370,137 @@ def test_reduction_of_constant_values():
                 assert got[0] == [c] * (n + 1)
 
 
+def _counting_check(limit, polls):
+    """A Budget.check that records its polls and raises past limit."""
+
+    def check():
+        polls.append(None)
+        if limit is not None and len(polls) > limit:
+            raise BudgetExceeded("budget exceeded")
+
+    return staticmethod(check)
+
+
 def test_budget_out_inside_the_reduction_is_incomplete_and_not_cached(monkeypatch):
     """A budget that runs out at each poll after the DP's n polls, that is
     inside the reduction (witness lookups included), raises
-    BudgetExceeded, and nothing is cached."""
+    BudgetExceeded, and nothing is cached.  The graph is past
+    SMALL_MAX_N, so the numpy table is reduced."""
     from blocklex import solver
 
-    g = petersen()
-
-    def counting_check(limit, polls):
-        def check():
-            polls.append(None)
-            if limit is not None and len(polls) > limit:
-                raise BudgetExceeded("budget exceeded")
-
-        return staticmethod(check)
-
+    g = cycle(13)
+    assert g.n > solver.SMALL_MAX_N
     for profile in (exact_profile, theta_profile):
         total = []
         for witnesses in (False, True):
             polls = []
-            monkeypatch.setattr(Budget, "check", counting_check(None, polls))
+            monkeypatch.setattr(Budget, "check", _counting_check(None, polls))
             solver.clear_caches()
             profile(g, with_witnesses=witnesses)
             total.append(len(polls))
             for limit in range(g.n, len(polls)):
-                monkeypatch.setattr(Budget, "check", counting_check(limit, []))
+                monkeypatch.setattr(Budget, "check", _counting_check(limit, []))
                 solver.clear_caches()
                 with pytest.raises(BudgetExceeded, match="budget exceeded"):
                     profile(g, with_witnesses=witnesses)
                 assert solver._PROFILE_CACHE == {}
         # the row classes poll, and the witness lookups poll again
         assert g.n + 1 < total[0] < total[1]
+
+
+def test_budget_out_inside_the_small_path_is_incomplete_and_not_cached(monkeypatch):
+    """A graph of at most SMALL_MAX_N vertices polls once per vertex in
+    its DP; a budget that runs out at any poll raises BudgetExceeded, and
+    nothing is cached."""
+    from blocklex import solver
+
+    g = petersen()
+    assert g.n <= solver.SMALL_MAX_N
+    for profile in (exact_profile, theta_profile):
+        for witnesses in (False, True):
+            polls = []
+            monkeypatch.setattr(Budget, "check", _counting_check(None, polls))
+            solver.clear_caches()
+            profile(g, with_witnesses=witnesses)
+            assert len(polls) == g.n + 2  # the cache, the DP, the reduction
+            for limit in range(len(polls)):
+                monkeypatch.setattr(Budget, "check", _counting_check(limit, []))
+                solver.clear_caches()
+                with pytest.raises(BudgetExceeded, match="budget exceeded"):
+                    profile(g, with_witnesses=witnesses)
+                assert solver._PROFILE_CACHE == {}
+
+
+# -- the small-graph path --------------------------------------------------------
+
+
+def _small_cases():
+    """Every named atom of at most SMALL_MAX_N vertices, seeded random
+    graphs of 1..SMALL_MAX_N vertices, the edgeless graphs and one vertex."""
+    from blocklex import parse_graph_spec
+    from blocklex.solver import SMALL_MAX_N
+
+    k = SMALL_MAX_N
+    names = [f"K{n}" for n in range(1, k + 1)] + [f"P{n}" for n in range(1, k + 1)]
+    names += [f"C{n}" for n in range(3, k + 1)] + ["petersen"]
+    names += [f"K{a},{b}" for a in range(1, k) for b in range(a, k + 1 - a)]
+    cases = [(name, parse_graph_spec(name)) for name in names]
+    rng = np.random.default_rng(19)
+    cases += [
+        (f"random {n} #{i}", _random_graph(n, rng)) for n in range(1, k + 1) for i in range(4)
+    ]
+    cases += [(f"edgeless {n}", Graph(n, [])) for n in range(1, k + 1)]
+    assert any(g.n == 1 for _, g in cases) and any(g.n == k for _, g in cases)
+    return cases
+
+
+def _small_path_disagreements(reduce):
+    """The cases, kinds and witness requests where reduce(n, the small
+    path's bytes, maximize, with_witnesses) differs from the reduction of
+    the numpy table."""
+    from blocklex import solver
+
+    bad = []
+    for name, g in _small_cases():
+        for mode, maximize in (("induced", True), ("boundary", False)):
+            small = solver._dp_subset_values(g, mode)
+            assert isinstance(small, bytes)
+            table = solver._subset_dp(g.adjacency_bitmasks(), g.n, maximize)
+            assert list(small) == table.tolist(), (name, mode)
+            for witnesses in (False, True):
+                want = solver._profile_from_values(g.n, table, maximize, witnesses)
+                if reduce(g.n, small, maximize, witnesses) != want:
+                    bad.append((name, mode, witnesses))
+    return bad
+
+
+def test_small_path_equals_the_numpy_table_path():
+    """Values and smallest witnesses, in both kinds, with and without
+    witnesses."""
+    from blocklex.solver import _profile_from_values
+
+    assert _small_path_disagreements(_profile_from_values) == []
+
+
+def test_a_small_path_that_keeps_the_largest_attaining_mask_is_caught():
+    """Mutation check of the comparison above: a reduction that keeps the
+    largest mask attaining each size's extremum disagrees with the numpy
+    table path, though its values are right."""
+    from blocklex.solver import _profile_from_values, _size_classes
+
+    def largest_attaining(n, val, maximize, with_witnesses):
+        values, wits = _profile_from_values(n, val, maximize, False)
+        if not with_witnesses:
+            return values, None
+        wits = []
+        for (get, sets), best in zip(_size_classes(n), values):
+            fields = get(val)[:-1]
+            wits.append(sets[len(fields) - 1 - fields[::-1].index(best)])
+        return values, wits
+
+    bad = _small_path_disagreements(largest_attaining)
+    assert bad and all(witnesses for _, _, witnesses in bad)
+    assert ("P4", "induced", True) in bad
 
 
 # -- the streamed subset DP ----------------------------------------------------
@@ -470,16 +571,8 @@ def test_budget_out_inside_the_row_loop_is_incomplete_and_not_cached(monkeypatch
 
     g = cycle(22)
 
-    def counting_check(limit, polls):
-        def check():
-            polls.append(None)
-            if limit is not None and len(polls) > limit:
-                raise BudgetExceeded("budget exceeded")
-
-        return staticmethod(check)
-
     polls = []
-    monkeypatch.setattr(Budget, "check", counting_check(None, polls))
+    monkeypatch.setattr(Budget, "check", _counting_check(None, polls))
     solver.clear_caches()
     exact_profile(g)
     # the cache, the reduction and the base row's 16 vertices poll first;
@@ -487,7 +580,7 @@ def test_budget_out_inside_the_row_loop_is_incomplete_and_not_cached(monkeypatch
     base = 2 + 16
     assert len(polls) > base + 2 * ((1 << (g.n - 16)) - 1)
     for limit in range(base, len(polls), 7):
-        monkeypatch.setattr(Budget, "check", counting_check(limit, []))
+        monkeypatch.setattr(Budget, "check", _counting_check(limit, []))
         solver.clear_caches()
         with pytest.raises(BudgetExceeded, match="budget exceeded"):
             exact_profile(g)
@@ -629,7 +722,8 @@ def test_union_profiles_equal_the_streamed_dp(n):
 
 
 def _record_graphs(monkeypatch):
-    """The sizes of the graphs the solver builds from now on."""
+    """The sizes of the graphs the solver builds from now on, checked or
+    not."""
     from blocklex import solver
 
     built = []
@@ -638,6 +732,11 @@ def _record_graphs(monkeypatch):
         built.append(n)
         return Graph(n, *args, **kw)
 
+    def unchecked(n, *args, **kw):
+        built.append(n)
+        return Graph._unchecked(n, *args, **kw)
+
+    graph._unchecked = unchecked
     monkeypatch.setattr(solver, "Graph", graph)
     return built
 
@@ -658,6 +757,19 @@ def test_connected_graphs_build_no_part_graph(monkeypatch):
         _routed_profile(g, True)
         _routed_profile(g, False)
     assert built == []
+
+
+def test_a_union_builds_each_part_once(monkeypatch):
+    """Parts are built from slices of the union's sorted edges, one graph
+    each, and equal the graphs the union was made of."""
+    from blocklex import solver
+
+    parts = [cycle(5), path(4), clique(3)]
+    g = disjoint_union(parts)
+    built = _record_graphs(monkeypatch)
+    _routed_profile(g, True)
+    assert built == [5, 4, 3]
+    assert {key[2] for key in solver._PROFILE_CACHE} == {g.digest} | {p.digest for p in parts}
 
 
 def test_union_parts_are_cached_and_equal_parts_profiled_once(monkeypatch):
@@ -693,22 +805,14 @@ def test_budget_out_inside_a_part_caches_neither_it_nor_the_union(monkeypatch):
     k5, c12 = clique(5), cycle(12)
     g = disjoint_union([k5, c12])
 
-    def counting_check(limit, polls):
-        def check():
-            polls.append(None)
-            if limit is not None and len(polls) > limit:
-                raise BudgetExceeded("budget exceeded")
-
-        return staticmethod(check)
-
     for profile in (exact_profile, theta_profile):
         polls = []
-        monkeypatch.setattr(Budget, "check", counting_check(None, polls))
+        monkeypatch.setattr(Budget, "check", _counting_check(None, polls))
         solver.clear_caches()
         profile(g)
         assert {key[2] for key in solver._PROFILE_CACHE} == {g.digest, k5.digest, c12.digest}
         for limit in range(len(polls)):
-            monkeypatch.setattr(Budget, "check", counting_check(limit, []))
+            monkeypatch.setattr(Budget, "check", _counting_check(limit, []))
             solver.clear_caches()
             with pytest.raises(BudgetExceeded, match="budget exceeded"):
                 profile(g)
@@ -1021,6 +1125,42 @@ def test_order_rule_verdicts_equal_the_subset_dp():
     assert refuted
 
 
+@pytest.mark.parametrize(
+    "spec, block, engine",
+    [
+        ("C4xC5", (0, 0), "sandwich"),
+        ("K2xK3xK4", (0, 0, 0), "slab"),
+        ("K2^3xK3", (0, 0, 0, 0), "full"),
+    ],
+)
+def test_a_block_lex_order_with_one_block_reversed_is_refuted(spec, block, engine):
+    """Negative control of the order rule: the standard collection with
+    one block's domination permutation reversed still passes the
+    structural checks, and its block-lex order, which the subset DP shows
+    is not optimal, is refuted at the DP's first failing size, by each
+    exact engine in turn."""
+    from blocklex import parse_graph_spec, solver
+    from blocklex.blockgeom import (
+        DominationCollection,
+        block_lex_prefix_counts,
+        standard_collection,
+    )
+    from blocklex.solver import check_prefix_counts
+
+    g = parse_graph_spec(spec)
+    solver.clear_caches()
+    dc = standard_collection(g.factors)
+    perms = dict(dc.block_perms)
+    perms[block] = perms[block][::-1]
+    reversed_block = DominationCollection(dc.partitions, perms)
+    assert reversed_block.validate(g, check_block_optimality=False)[0]
+    prefix = block_lex_prefix_counts(g, reversed_block)
+    dp = exact_profile(g, "full", with_witnesses=False)
+    dp_fails = np.flatnonzero(prefix != dp.values_array())
+    assert dp_fails.size
+    assert check_prefix_counts(g, prefix) == (engine, False, int(dp_fails[0]), dp.i_values)
+
+
 def test_order_verify_reports_equal_the_subset_dp(capsys):
     """`order --verify` with no strategy gives the verdict and first failing
     size of `--strategy full`, on the named products of the pool."""
@@ -1036,6 +1176,33 @@ def test_order_verify_reports_equal_the_subset_dp(capsys):
                 assert code == (0 if result["verified_optimal"] else 2)
                 reports.append((result["verified_optimal"], result["first_failing_m"]))
             assert reports[0] == reports[1], argv
+
+
+def test_two_factor_profiles_take_no_prefix_counts(capsys, monkeypatch):
+    """On two factors the rule's answer is U under "sandwich" whatever an
+    order's counts, so `profile` takes none; its report is the one the
+    rule gives on the lexicographic counts.  Three factors still take
+    them."""
+    from blocklex import parse_graph_spec, solver, staircase
+    from blocklex.solver import check_prefix_counts
+
+    counts = staircase.product_prefix_counts
+    calls = []
+    monkeypatch.setattr(
+        staircase, "product_prefix_counts", lambda *args: calls.append(args) or counts(*args)
+    )
+    for spec in ("C3xC7", "P4xP5", "petersenxK2", "K4xK6"):
+        solver.clear_caches()
+        result = _cli_json(capsys, "profile", spec)
+        assert calls == [], spec
+        g = parse_graph_spec(spec)
+        orders = [factor_profile_and_order(f)[1] for f in g.factors]
+        used, _, _, values = check_prefix_counts(g, counts(g.factors, orders))
+        assert used == "sandwich"
+        assert (result["engine"], result["values"]) == (used, list(values))
+    solver.clear_caches()
+    _cli_json(capsys, "profile", "P3xP3xK2")
+    assert calls
 
 
 def test_block_lex_counts_one_edge_high_are_never_a_profile(monkeypatch):

@@ -9,8 +9,11 @@ the block starts.  Because segment start ranks increase with the segment
 index, the across-block comparison is just the lexicographic order of the
 per-factor segment indices.
 
-`block_lex_prefix_counts` reads the order's prefix counts from the factors
-in rank space, where a block is a box of rank intervals.
+Everything here reads `orders.rank_box`, the product's vertex ids laid out
+by factor ranks, where a block is a sub-box of rank intervals: block queries
+are slices of it and the block-lex order is a walk of it.
+`block_lex_prefix_counts` takes the same walk over flat rank indices, so
+the order's prefix counts come from the factors without a product.
 
 Block permutations are stored per full-product block; every subproduct
 inherits its block orders by restriction, which keeps the nested-subset
@@ -30,14 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .budget import SizeCapExceeded
-from .graphs import Graph, VertexSet, induced_subgraph, mixed_radix
-from .orders import (
-    TotalOrder,
-    _rank_matrix,
-    identity_perm,
-    order_by_keys,
-    restrict_perm,
-)
+from .graphs import Graph, VertexSet, induced_subgraph, integers
+from .orders import TotalOrder, identity_perm, rank_box, restrict_perm
 from .partitions import (
     FactorTable,
     Partition,
@@ -215,12 +212,14 @@ class DominationCollection:
     def from_json(cls, data: dict) -> "DominationCollection":
         parts = tuple(Partition.from_json(p) for p in data["partitions"])
         perms = {
-            tuple(int(t) - 1 for t in key.split(",")): tuple(x - 1 for x in perm)
+            tuple(int(t) - 1 for t in key.split(",")): tuple(
+                x - 1 for x in integers(perm, "block permutations")
+            )
             for key, perm in data.get("block_perms", {}).items()
         }
         default = data.get("default_perm")
         if default is not None:
-            default = tuple(x - 1 for x in default)
+            default = tuple(x - 1 for x in integers(default, "default permutation"))
         return cls(parts, perms, default)
 
     # -- validation ---------------------------------------------------------
@@ -351,105 +350,72 @@ def standard_collection(
 # -- geometric queries --------------------------------------------------------
 
 
-class _Geometry:
-    """Cached per-(graph, collection) vertex tables.
-
-    ranks[v, i] is the rank of v's i-th coordinate in the i-th factor
-    order, and block_index[v, i] the index of the segment holding it.  The
-    composite block index is the mixed-radix encoding of the segment index
-    tuple with factor 0 most significant, so composite order equals the
-    block order (lexicographic on starts).  within[v] lists v's ranks in
-    the significance order of its block's domination permutation."""
-
-    __slots__ = ("ranks", "block_index", "radix", "composite", "sizes", "within")
-
-    def __init__(self, g: Graph, dc: DominationCollection):
-        self.ranks = _rank_matrix(g, dc.factor_orders)
-        self.block_index = np.stack(
-            [
-                np.searchsorted(p.boundaries, self.ranks[:, i])
-                for i, p in enumerate(dc.partitions)
-            ],
-            axis=1,
-        )
-        self.radix = mixed_radix(dc.segment_counts)
-        self.composite = self.block_index @ self.radix
-        self.sizes = np.bincount(
-            self.composite, minlength=math.prod(dc.segment_counts)
-        )
-        perms = np.array([perm for _, perm in dc.block_items])
-        self.within = np.take_along_axis(self.ranks, perms[self.composite], axis=1)
-
-    def in_block(self, bid: BlockId) -> np.ndarray:
-        return self.composite == int(np.dot(bid, self.radix))
+def _rank_box(g: Graph, dc: DominationCollection) -> np.ndarray:
+    """`orders.rank_box` of g under the collection's factor orders, built
+    once per graph and collection."""
+    cache = dc.__dict__.setdefault("_box_cache", {})
+    box = cache.get(g.digest)
+    if box is None:
+        box = cache[g.digest] = rank_box(g, dc.factor_orders)
+    return box
 
 
-def _geometry(g: Graph, dc: DominationCollection) -> _Geometry:
-    cache = getattr(dc, "_geom_cache", None)
-    if cache is None:
-        cache = {}
-        dc._geom_cache = cache
-    geo = cache.get(g.digest)
-    if geo is None:
-        geo = _Geometry(g, dc)
-        cache[g.digest] = geo
-    return geo
+def _cuts(dc: DominationCollection) -> list[list[slice]]:
+    """Per factor, its segments as slices of a rank axis."""
+    return [[slice(a - 1, b) for a, b in p.segments] for p in dc.partitions]
+
+
+def _block_box(g: Graph, dc: DominationCollection, bid: BlockId) -> np.ndarray:
+    dc._check_block_id(tuple(bid))
+    cuts = _cuts(dc)
+    return _rank_box(g, dc)[tuple(cuts[i][j] for i, j in enumerate(bid))]
 
 
 def block_of(g: Graph, dc: DominationCollection, v: int) -> BlockId:
-    geo = _geometry(g, dc)
-    return tuple(int(x) for x in geo.block_index[v])
+    ranks = np.argwhere(_rank_box(g, dc) == v)[0] + 1
+    return tuple(
+        int(np.searchsorted(p.boundaries, r)) for p, r in zip(dc.partitions, ranks)
+    )
 
 
 def start_of(g: Graph, dc: DominationCollection, bid: BlockId) -> int:
-    dc._check_block_id(tuple(bid))
-    coords = [
-        dc.partitions[i].order.vertex_at(dc.partitions[i].segments[j][0])
-        for i, j in enumerate(bid)
-    ]
-    return g.vertex_id(coords)
+    return int(_block_box(g, dc, bid).flat[0])
 
 
-def _block_and_offsets(
-    g: Graph, dc: DominationCollection, bid: BlockId
-) -> tuple[np.ndarray, np.ndarray]:
-    """The block's vertex mask, and per vertex and factor whether the
-    coordinate's rank differs from the start rank of the block's segment."""
-    dc._check_block_id(tuple(bid))
-    geo = _geometry(g, dc)
-    starts = [p.segments[j][0] for p, j in zip(dc.partitions, bid)]
-    return geo.in_block(bid), geo.ranks != np.asarray(starts)
+def _bone_ids(box: np.ndarray, i: int) -> np.ndarray:
+    """A block box's entries along axis i, at the start of every other."""
+    return np.moveaxis(box, i, 0).reshape(box.shape[i], -1)[:, 0]
 
 
 def bone(g: Graph, dc: DominationCollection, bid: BlockId, i: int) -> VertexSet:
     """Segment i of the block crossed with the other coordinates pinned at
     the segment starts."""
-    inside, off = _block_and_offsets(g, dc, bid)
+    box = _block_box(g, dc, bid)
     if not 0 <= i < dc.d:
         raise ValueError("bone direction out of range")
-    off[:, i] = False
-    return VertexSet(inside & ~off.any(axis=1))
+    return VertexSet.from_ids(g.n, _bone_ids(box, i))
 
 
 def skeleton(g: Graph, dc: DominationCollection, bid: BlockId) -> VertexSet:
     """Union of the block's bones: its vertices with at most one coordinate
     off the segment starts."""
-    inside, off = _block_and_offsets(g, dc, bid)
-    return VertexSet(inside & (off.sum(axis=1) <= 1))
+    box = _block_box(g, dc, bid)
+    return VertexSet.from_ids(g.n, np.concatenate([_bone_ids(box, i) for i in range(dc.d)]))
 
 
 def block_vertices(g: Graph, dc: DominationCollection, bid: BlockId) -> VertexSet:
-    dc._check_block_id(tuple(bid))
-    return VertexSet(_geometry(g, dc).in_block(bid))
+    return VertexSet.from_ids(g.n, _block_box(g, dc, bid).ravel())
 
 
 def block_graph_and_order(
     g: Graph, dc: DominationCollection, bid: BlockId
 ) -> tuple[Graph, TotalOrder]:
     """Graph induced by a block together with its domination order."""
-    ids = block_vertices(g, dc, bid).ids()
+    box = _block_box(g, dc, bid)
+    ids = np.sort(box, axis=None)
     sub, _ = induced_subgraph(g, ids.tolist())
-    return sub, order_by_keys(_geometry(g, dc).within[ids])
+    walk = box.transpose(dc.perm_for(bid)).ravel()
+    return sub, TotalOrder.from_sequence(np.searchsorted(ids, walk))
 
 
 def stack(g: Graph, dc: DominationCollection, direction: int, anchor) -> VertexSet:
@@ -461,16 +427,16 @@ def stack(g: Graph, dc: DominationCollection, direction: int, anchor) -> VertexS
         g, dc, int(anchor)
     )
     dc._check_block_id(bid)
-    other = [k for k in range(dc.d) if k != direction]
-    rows = _geometry(g, dc).block_index[:, other]
-    return VertexSet(np.all(rows == np.asarray(bid)[other], axis=1))
+    cuts = _cuts(dc)
+    sub = tuple(slice(None) if i == direction else cuts[i][j] for i, j in enumerate(bid))
+    return VertexSet.from_ids(g.n, _rank_box(g, dc)[sub].ravel())
 
 
 def slice_vertices(g: Graph, dc: DominationCollection, q: int) -> VertexSet:
     """Union of the blocks whose first factor segment index is q (0-based)."""
     if not 0 <= q < dc.partitions[0].num_segments:
         raise ValueError("slice index out of range")
-    return VertexSet(_geometry(g, dc).block_index[:, 0] == q)
+    return VertexSet.from_ids(g.n, _rank_box(g, dc)[_cuts(dc)[0][q]].ravel())
 
 
 # -- block-lexicographic orders -----------------------------------------------
@@ -487,32 +453,36 @@ def _orderable_factors(gs: Graph | Sequence[Graph], dc: DominationCollection):
     return factors
 
 
+def _block_lex_walk(box: np.ndarray, dc: DominationCollection) -> np.ndarray:
+    """The entries of a box over the factors' ranks in block-lex order:
+    blocks in the lexicographic order of their segment indices, which is
+    that of their starts, each read in its permutation's significance
+    order."""
+    return np.concatenate(
+        [
+            box[sub].transpose(perm).ravel()
+            for sub, (_, perm) in zip(itertools.product(*_cuts(dc)), dc.block_items)
+        ]
+    )
+
+
 def block_lex_order(g: Graph, dc: DominationCollection) -> TotalOrder:
     """Within a block, the block's domination order; across blocks, the
     lexicographic order of block starts.  Requires a validated collection."""
     _orderable_factors(g, dc)
-    geo = _geometry(g, dc)
-    return order_by_keys(np.column_stack([geo.composite, geo.within]))
+    return TotalOrder.from_sequence(_block_lex_walk(_rank_box(g, dc), dc))
 
 
 def block_lex_prefix_counts(
     gs: Graph | Sequence[Graph], dc: DominationCollection
 ) -> np.ndarray:
     """Prefix counts of `block_lex_order` on the product of `gs` (the
-    factors or their product) by `staircase.product_prefix_counts`, with
-    the order's rank tuples listed in rank space: each block is a box of
-    rank intervals, read in its permutation's significance order.  No
-    product, geometry or order is built.  Requires a validated collection."""
+    factors or their product) by `staircase.product_prefix_counts`, from
+    the same walk as the order, taken over flat rank indices.  No product,
+    rank box or order is built.  Requires a validated collection."""
     factors = _orderable_factors(gs, dc)
     shape = [p.n for p in dc.partitions]
-    ids = np.arange(math.prod(shape)).reshape(shape)
-    cuts = [[slice(a - 1, b) for a, b in p.segments] for p in dc.partitions]
-    sequence = np.concatenate(
-        [
-            ids[box].transpose(perm).ravel()
-            for box, (_, perm) in zip(itertools.product(*cuts), dc.block_items)
-        ]
-    )
+    sequence = _block_lex_walk(np.arange(math.prod(shape)).reshape(shape), dc)
     tables = [factor_table(f, p) for f, p in zip(factors, dc.partitions)]
     return product_prefix_counts(tables, None, sequence)
 
@@ -570,9 +540,13 @@ def block_occupancy(
     g: Graph, dc: DominationCollection, a: VertexSet
 ) -> dict[BlockId, tuple[int, int]]:
     """Per block, in block order: (members of a inside, block size)."""
-    geo = _geometry(g, dc)
-    counts = np.bincount(geo.composite[a.mask], minlength=geo.sizes.shape[0])
-    return dict(zip(dc.block_ids(), zip(counts.tolist(), geo.sizes.tolist())))
+    box = _rank_box(g, dc)
+    # a's members and all vertices, each summed over the blocks' rank intervals
+    sums = np.stack([a.mask[box], np.ones(box.shape, dtype=bool)])
+    for i, p in enumerate(dc.partitions):
+        sums = np.add.reduceat(sums, [s - 1 for s, _ in p.segments], axis=i + 1, dtype=np.int64)
+    counts, sizes = sums.reshape(2, -1).tolist()
+    return dict(zip(dc.block_ids(), zip(counts, sizes)))
 
 
 def _stacks(dc: DominationCollection, direction: int) -> list[list[BlockId]]:

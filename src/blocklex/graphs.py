@@ -40,8 +40,23 @@ __all__ = [
     "induced_subgraph",
     "parse_graph_spec",
     "mixed_radix",
+    "integers",
     "split_ids",
 ]
+
+
+def integers(values: Iterable, what: str) -> list[int]:
+    """`values` as a list of ints.  Raises a ValueError naming `what` when
+    `values` is not a list or holds a non-integer: floats (1.0 included)
+    and bools read from JSON are refused, not truncated."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a list of integers, got {values!r}") from None
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return [int(v) for v in values]
 
 
 def mixed_radix(shape: Sequence[int]) -> np.ndarray:
@@ -69,9 +84,14 @@ class VertexSet:
         self._size = int(mask.sum())
 
     @classmethod
-    def from_ids(cls, n: int, ids: Iterable[int]) -> "VertexSet":
+    def from_ids(cls, n: int, ids: Iterable[int] | np.ndarray) -> "VertexSet":
         mask = np.zeros(n, dtype=bool)
-        ids = np.asarray(list(ids), dtype=np.int64)
+        if isinstance(ids, np.ndarray):
+            if ids.size and ids.dtype.kind not in "iu":
+                raise ValueError("vertex ids must be integers")
+        else:
+            ids = integers(ids, "vertex ids")
+        ids = np.asarray(ids, dtype=np.int64)
         if ids.size:
             if ids.min() < 0 or ids.max() >= n:
                 raise ValueError("vertex id out of range")

@@ -17,6 +17,7 @@ from .graphs import Graph, VertexSet, split_ids
 
 __all__ = [
     "TotalOrder",
+    "rank_box",
     "identity_perm",
     "colex_perm",
     "restrict_perm",
@@ -41,6 +42,9 @@ class TotalOrder:
             raise ValueError("ranks are not a bijection onto 1..n")
         inverse = np.empty(n, dtype=np.int64)
         inverse[ranks - 1] = np.arange(n, dtype=np.int64)
+        self._freeze(ranks, inverse)
+
+    def _freeze(self, ranks: np.ndarray, inverse: np.ndarray):
         ranks.setflags(write=False)
         inverse.setflags(write=False)
         self.ranks = ranks
@@ -51,12 +55,23 @@ class TotalOrder:
         return cls(np.arange(1, n + 1))
 
     @classmethod
-    def from_sequence(cls, vertices: Sequence[int]) -> "TotalOrder":
-        """Order with the given vertex sequence at ranks 1, 2, ..."""
-        vertices = list(vertices)
-        ranks = np.empty(len(vertices), dtype=np.int64)
-        ranks[vertices] = np.arange(1, len(vertices) + 1)
-        return cls(ranks)
+    def from_sequence(cls, vertices: Sequence[int] | np.ndarray) -> "TotalOrder":
+        """Order with the given vertex sequence at ranks 1, 2, ...; the
+        sequence must list each of 0..n-1 once."""
+        seq = np.asarray(vertices)
+        n = len(seq)
+        if n == 0:
+            raise ValueError("order on empty vertex set")
+        ranks = np.zeros(n, dtype=np.int64)
+        # read unsigned, a negative id is out of range too
+        if seq.ndim == 1 and seq.dtype.kind in "iu" and seq.astype(np.uint64).max() < n:
+            ranks[seq] = np.arange(1, n + 1)
+        # a repeated, missing or out-of-range id leaves some vertex at rank 0
+        if not ranks.all():
+            raise ValueError(f"sequence is not a permutation of 0..{n - 1}")
+        order = object.__new__(cls)
+        order._freeze(ranks, seq.astype(np.int64))
+        return order
 
     @property
     def n(self) -> int:
@@ -136,42 +151,35 @@ def restrict_perm(pi: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
 # -- induced orders on products ------------------------------------------------
 
 
-def _rank_matrix(g: Graph, factor_orders: Sequence[TotalOrder]) -> np.ndarray:
+def rank_box(g: Graph, factor_orders: Sequence[TotalOrder]) -> np.ndarray:
+    """The product's vertex ids laid out by factor ranks: entry
+    [r_0 - 1, ..., r_{d-1} - 1] is the vertex whose i-th coordinate has
+    rank r_i in factor_orders[i].  Every order on the product induced by
+    the factor orders is a walk of this box."""
     if g.factors is None:
         raise ValueError("induced orders require a product graph")
     d = len(g.factors)
     if len(factor_orders) != d:
         raise ValueError(f"expected {d} factor orders, got {len(factor_orders)}")
-    coords = g.coords()
-    cols = []
     for i, o in enumerate(factor_orders):
         if o.n != g.factors[i].n:
             raise ValueError(f"factor order {i} has wrong size")
-        cols.append(o.ranks[coords[:, i]])
-    return np.stack(cols, axis=1)
-
-
-def order_by_keys(keys: np.ndarray) -> TotalOrder:
-    """Order of the rows of an (n, k) key matrix, compared column 0 first.
-    The rows must be distinct."""
-    # np.lexsort sorts by the LAST key first; feed least significant first.
-    sorted_ids = np.lexsort(keys.T[::-1])
-    ranks = np.empty(keys.shape[0], dtype=np.int64)
-    ranks[sorted_ids] = np.arange(1, keys.shape[0] + 1)
-    return TotalOrder(ranks)
+    ids = np.arange(g.n).reshape(g.factor_shape)
+    return ids[np.ix_(*(o.inverse for o in factor_orders))]
 
 
 def domination_order(
     g: Graph, factor_orders: Sequence[TotalOrder], pi: Sequence[int]
 ) -> TotalOrder:
-    """Compare rank tuples coordinate pi[0] first, then pi[1], ...
+    """Compare rank tuples coordinate pi[0] first, then pi[1], ...: the
+    rank box read with axis pi[0] slowest.
 
     The identity permutation gives the lexicographic order; the reversed
     one gives the colexicographic order.
     """
-    keys = _rank_matrix(g, factor_orders)
-    pi = _check_perm(pi, keys.shape[1])
-    return order_by_keys(keys[:, pi])
+    box = rank_box(g, factor_orders)
+    pi = _check_perm(pi, box.ndim)
+    return TotalOrder.from_sequence(box.transpose(pi).ravel())
 
 
 def lex_order(g: Graph, factor_orders: Sequence[TotalOrder]) -> TotalOrder:

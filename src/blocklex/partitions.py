@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, integers
 from .orders import TotalOrder
 from .solver import DeltaSequence, Profile, delta_sequence, exact_profile
 from .staircase import rank_edge_tables
@@ -94,7 +94,9 @@ class Partition:
 
     @classmethod
     def from_json(cls, data: dict, kind: str = "custom") -> "Partition":
-        return cls.from_boundaries(TotalOrder(data["order"]), data["boundaries"], kind)
+        order = TotalOrder(integers(data["order"], "partition order ranks"))
+        ends = integers(data["boundaries"], "partition boundaries")
+        return cls.from_boundaries(order, ends, kind)
 
     @classmethod
     def from_boundaries(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import Budget, SizeCapExceeded
 from .graphs import Graph, VertexSet
-from .orders import TotalOrder
+from .orders import TotalOrder, rank_box
 
 __all__ = [
     "rank_edge_tables",
@@ -428,12 +428,12 @@ def _gen_struct(bound, t: int) -> Iterator:
 
 
 def _struct_cells(s, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """1-based rank tuples of the filled cells."""
+    """0-based rank tuples of the filled cells."""
     if isinstance(s, int):
-        for r in range(1, s + 1):
+        for r in range(s):
             yield prefix + (r,)
         return
-    for j, sub in enumerate(s, start=1):
+    for j, sub in enumerate(s):
         yield from _struct_cells(sub, prefix + (j,))
 
 
@@ -459,17 +459,10 @@ def enumerate_compressed(
     d = len(g.factors)
     if len(factor_orders) != d:
         raise ValueError("one order per factor required")
-    sizes = [f.n for f in g.factors]
-    radix = g.radix()
-    inv = [o.inverse for o in factor_orders]
-    for struct in enumerate_downsets(sizes, m):
-        ids = []
-        for cell in _struct_cells(struct):
-            vid = 0
-            for i, r in enumerate(cell):
-                vid += int(inv[i][r - 1]) * int(radix[i])
-            ids.append(vid)
-        yield VertexSet.from_ids(g.n, ids)
+    box = rank_box(g, factor_orders)
+    for struct in enumerate_downsets(box.shape, m):
+        cells = np.array(list(_struct_cells(struct)), dtype=np.int64).reshape(-1, d)
+        yield VertexSet.from_ids(g.n, box[tuple(cells.T)])
 
 
 def count_downsets(sizes: Sequence[int], m: int) -> int:

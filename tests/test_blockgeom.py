@@ -1,6 +1,7 @@
 """Blocks, bones, skeletons, stacks, slices, and the block-lexicographic
 orders built from domination collections."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -18,14 +19,17 @@ from blocklex import (
     bone,
     cartesian_product,
     clique,
+    count_downsets,
     cycle,
     delta_sequence,
     disjoint_union,
     domination_order,
+    enumerate_compressed,
     factor_profile_and_order,
     graph_power,
     is_consistent,
     lex_order,
+    path,
     petersen,
     skeleton,
     slice_vertices,
@@ -479,13 +483,60 @@ def _petersen_halves_case():
     return graph_power(pet, 3), uniform_collection([halves] * 3)
 
 
+def _random_case(seed):
+    """2-4 small factors under random factor orders, each partitioned at
+    random, atomically or into one segment.  Each (factor, segment) draws a
+    random priority and a block's permutation sorts its factors by them, so
+    the permutations vary by block and still restrict consistently."""
+    rng = np.random.default_rng(seed)
+    pool = [clique(2), clique(3), path(3), cycle(4), cycle(5)]
+    d = 2 + seed % 3
+    factors = [pool[int(x)] for x in rng.integers(0, len(pool) - 2 * (d == 4), size=d)]
+    parts, priority = [], []
+    for k, f in enumerate(factors):
+        order = TotalOrder.from_sequence(rng.permutation(f.n))
+        kind = (seed + k) % 3
+        if kind == 0:
+            inner = rng.choice(np.arange(1, f.n), size=int(rng.integers(0, f.n)), replace=False)
+            ends = sorted(inner.tolist()) + [f.n]
+        else:
+            ends = list(range(1, f.n + 1)) if kind == 1 else [f.n]
+        parts.append(Partition.from_boundaries(order, ends))
+        priority.append(rng.permutation(len(ends) * d))
+    perms = {
+        bid: tuple(sorted(range(d), key=lambda i: priority[i][bid[i]]))
+        for bid in itertools.product(*(range(p.num_segments) for p in parts))
+    }
+    return cartesian_product(factors), DominationCollection(parts, perms)
+
+
+def _ref_is_rank_downset(g, orders, a):
+    """Whether a is a downset of the product of the factor orders: each
+    member's rank tuple lowered by one in any coordinate stays in a."""
+    for v in a.ids().tolist():
+        coords = list(g.vertex_tuple(v))
+        for i, o in enumerate(orders):
+            r = o.rank(coords[i])
+            if r > 1:
+                lower = coords[:i] + [o.vertex_at(r - 1)] + coords[i + 1 :]
+                if g.vertex_id(lower) not in a:
+                    return False
+    return True
+
+
 @pytest.mark.parametrize(
-    "make", [_nonuniform_case, _atomic_case, _petersen_halves_case],
-    ids=["json_nonuniform", "atomic_k2k2k3", "petersen_halves_cube"],
+    "make",
+    [_nonuniform_case, _atomic_case, _petersen_halves_case]
+    + [functools.partial(_random_case, seed) for seed in range(9)],
+    ids=["json_nonuniform", "atomic_k2k2k3", "petersen_halves_cube"]
+    + [f"random_{seed}" for seed in range(9)],
 )
 def test_geometry_against_per_vertex_reference(make):
-    """Block queries and block-lex orders against literal per-vertex
-    constructions over segment ranks, on every block and direction."""
+    """Block queries, block occupancy and block-lex orders against literal
+    per-vertex constructions over segment ranks, on every block and
+    direction; domination orders, for every permutation, against sorting
+    by rank tuples; and the compressed sets of the factor orders as the
+    rank-space downsets, each listed once."""
     g, dc = make()
     ok, diags = dc.validate(g, check_block_optimality=False)
     assert ok, diags
@@ -522,6 +573,24 @@ def test_geometry_against_per_vertex_reference(make):
         ),
     )
     assert block_lex_order(g, dc) == TotalOrder.from_sequence(seq)
+    rng = np.random.default_rng(g.n)
+    for a in (VertexSet.empty(g.n), VertexSet(rng.random(g.n) < 0.4), VertexSet.full(g.n)):
+        assert block_occupancy(g, dc, a) == {
+            bid: (len(a & _ref_block(g, dc, bid)), len(_ref_block(g, dc, bid)))
+            for bid in dc.block_ids()
+        }
+    orders = dc.factor_orders
+    rank_keys = [
+        tuple(o.rank(c) for o, c in zip(orders, g.vertex_tuple(v))) for v in range(g.n)
+    ]
+    for pi in itertools.permutations(range(dc.d)):
+        seq = sorted(range(g.n), key=lambda v: [rank_keys[v][i] for i in pi])
+        assert domination_order(g, orders, pi) == TotalOrder.from_sequence(seq)
+    shape = [o.n for o in orders]
+    for m in sorted({0, 1, 2, 5, g.n - 1, g.n}):
+        sets = list(enumerate_compressed(g, orders, m))
+        assert len({a.ids().tobytes() for a in sets}) == len(sets) == count_downsets(shape, m)
+        assert all(len(a) == m and _ref_is_rank_downset(g, orders, a) for a in sets)
 
 
 def _ref_shared_bone_messages(g, dc, a):
@@ -987,9 +1056,11 @@ def test_rank_space_counts_need_line_consistent_orders():
 def test_certify_builds_one_product_and_no_geometry(capsys, monkeypatch):
     """Certifying a product (standard partitions with the crosscheck,
     atomic partitions, or a domination order) builds one product graph,
-    the one it parsed, and no block geometry: its pairs, blocks and
-    crosscheck are counted from the factors."""
+    the one it parsed, and no rank box: its pairs, blocks and crosscheck
+    are counted from the factors.  A crosscheck that revokes builds the
+    box once, for the order's initial segment."""
     from blocklex import Graph, blockgeom
+    from blocklex.certify import Certificate, crosscheck
     from blocklex.cli import main
 
     products = []
@@ -1000,11 +1071,15 @@ def test_certify_builds_one_product_and_no_geometry(capsys, monkeypatch):
             products.append(n)
         real(self, n, pairs, factors)
 
-    def no_geometry(*args):
-        raise AssertionError("a block geometry was built")
+    boxes = []
+    real_box = blockgeom.rank_box
+
+    def counting_box(g, factor_orders):
+        boxes.append(g.n)
+        return real_box(g, factor_orders)
 
     monkeypatch.setattr(Graph, "_set", counting)
-    monkeypatch.setattr(blockgeom, "_Geometry", no_geometry)
+    monkeypatch.setattr(blockgeom, "rank_box", counting_box)
     for argv in (
         ("P4xK3xC5",),
         ("C5xK3xK2xC4",),
@@ -1015,6 +1090,14 @@ def test_certify_builds_one_product_and_no_geometry(capsys, monkeypatch):
         assert main(["certify", *argv, "--format", "json"]) == 0
         assert len(products) == 1, (argv, products)
     capsys.readouterr()
+    assert boxes == []
+    gs = [cycle(6)] * 3
+    g = cartesian_product(gs)
+    dc = standard_collection(gs)
+    dc.validate(g, check_block_optimality=False)
+    cert = crosscheck(Certificate("certified", {}, "", "", [], None), g, dc)
+    assert cert.revoked
+    assert boxes == [216]
 
 
 def test_block_classes_are_decided_once_per_collection_family(monkeypatch):

@@ -721,6 +721,37 @@ def test_a_collection_that_does_not_fit_exits_64(capsys, tmp_path):
     assert run(capsys, "order", "K3xK2", "--bl", str(tmp_path / "bad.json"))[0] == 64
 
 
+def test_a_block_permutation_of_floats_exits_64(capsys, tmp_path):
+    from blocklex import parse_graph_spec, standard_collection
+
+    data = standard_collection(parse_graph_spec("K2xK3").factors).to_json()
+    data["block_perms"] = {key: [1.0, 2.0] for key in data["block_perms"]}
+    path = tmp_path / "dc.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "order", "K2xK3", "--bl", str(path))
+    assert (code, out) == (64, "")
+    assert err == "error: block permutations must be integers, got 1.0\n"
+
+
+def test_a_partition_order_of_floats_exits_64(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"order": [1.0, 2.5, 3], "boundaries": [3]}))
+    code, out, err = run(capsys, "partition", "K3", "--file", str(path))
+    assert (code, out) == (64, "")
+    assert err == "error: partition order ranks must be integers, got 1.0\n"
+    path.write_text(json.dumps({"order": [1, 2, 3], "boundaries": [3]}))
+    assert run(capsys, "partition", "K3", "--file", str(path))[0] == 0
+
+
+def test_a_set_of_floats_and_bools_exits_64(capsys):
+    code, out, err = run(capsys, "compress", "K2xK3", "--set", "[0.9, 2.5, true]")
+    assert (code, out) == (64, "")
+    assert err == "error: vertex ids must be integers, got 0.9\n"
+    assert run(capsys, "compress", "K2xK3", "--set", "[0, true]")[0] == 64
+    assert run(capsys, "compress", "K2xK3", "--set", "5")[:2] == (64, "")
+    assert run(capsys, "compress", "K2xK3", "--set", "[]")[0] == 0
+
+
 def test_a_standard_collection_that_fails_validation_exits_2(capsys, monkeypatch):
     from blocklex import DominationCollection, cli
 

@@ -144,13 +144,12 @@ def test_block_lex_against_comparator_reference():
     ok, _ = dc.validate(g)
     assert ok
     fast = block_lex_order(g, dc)
-    from blocklex.blockgeom import _geometry, start_of
+    from blocklex.blockgeom import block_of, start_of
 
-    geo = _geometry(g, dc)
     coords = g.coords()
 
     def key(v):
-        bid = tuple(int(x) for x in geo.block_index[v])
+        bid = block_of(g, dc, v)
         start = start_of(g, dc, bid)
         start_ranks = tuple(
             dc.partitions[i].order.rank(int(coords[start, i])) for i in range(2)

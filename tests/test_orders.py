@@ -1,6 +1,7 @@
 """Total orders: initial segments, lexicographic and domination orders,
 reversal, and consistency with subproduct orders."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,30 @@ from blocklex import (
 def test_bijection_required():
     with pytest.raises(ValueError):
         TotalOrder([1, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [[0, 0, 2], [0, 1, -1], [0, 1, 3], [0.0, 1.0, 2.0], [True, False], np.array([2, 2, 0])],
+    ids=["repeated", "negative", "out_of_range", "floats", "bools", "repeated_array"],
+)
+def test_from_sequence_requires_a_permutation(seq):
+    """A sequence that does not list 0..n-1 once each is refused, also
+    right after a freed array of the same size that would have filled the
+    ranks it leaves unset."""
+    np.array([5, 1, 7], dtype=np.int64)
+    with pytest.raises(ValueError):
+        TotalOrder.from_sequence(seq)
+
+
+def test_from_sequence_takes_lists_and_arrays():
+    by_list = TotalOrder.from_sequence([2, 0, 1])
+    assert by_list.sequence() == [2, 0, 1]
+    assert by_list.ranks.tolist() == [2, 3, 1]
+    assert TotalOrder.from_sequence(np.array([2, 0, 1])) == by_list
+    assert TotalOrder.from_sequence(np.array([2, 0, 1], dtype=np.uint8)) == by_list
+    with pytest.raises(ValueError):
+        TotalOrder.from_sequence([])
 
 
 @settings(max_examples=40, deadline=None)

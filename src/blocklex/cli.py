@@ -77,6 +77,9 @@ class HypothesisFailed(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # on the top-level parser: each subcommand's name to its parser
+    subcommands: dict[str, _Parser]
+
     def error(self, message):
         raise UsageError(message)
 
@@ -110,11 +113,12 @@ def _dumps(obj) -> str:
 
 def _encode(obj, nl: str, out: list[str]) -> None:
     """Append obj's encoding at the indentation `nl` (a newline and the
-    current indent) to out.  Strings and ints are encoded in C, and a list
-    of only ints or only strings in one join; floats, dicts with a non-str
-    key and every other type go to `json.dumps`, which gives the same
-    bytes or raises the same error."""
-    if isinstance(obj, str):
+    current indent) to out.  Exact strs and ints are encoded in C, and a
+    list of only ints or only strs in one join; floats, subclasses, dicts
+    with a key that is not a str and every other type go to `json.dumps`,
+    which gives the same bytes or raises the same error."""
+    t = type(obj)
+    if t is str:
         out.append(_encode_str(obj))
     elif obj is None:
         out.append("null")
@@ -122,9 +126,9 @@ def _encode(obj, nl: str, out: list[str]) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, int):
+    elif t is int:
         out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif t is list or t is tuple:
         if not obj:
             out.append("[]")
             return
@@ -142,7 +146,7 @@ def _encode(obj, nl: str, out: list[str]) -> None:
                     out.append(sep)
                 _encode(item, inner, out)
         out.append(nl + "]")
-    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+    elif t is dict and all(type(k) is str for k in obj):
         if not obj:
             out.append("{}")
             return
@@ -512,6 +516,7 @@ def _build_parser() -> _Parser:
     rest of the process: parsing reads it and leaves it unchanged."""
     parser = _Parser(prog="blocklex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     def common(p: _Parser, handler, default_fmt: str = "text"):
         p.set_defaults(handler=handler)
@@ -586,9 +591,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
+    # the top-level parser would hand all of argv after a subcommand's name
+    # to that subcommand's parser, so that parser takes it directly; the
+    # top-level parser parses only help, an empty argv and unknown names
+    sub = parser.subcommands.get(argv[0]) if argv else None
     try:
-        cfg = parser.parse_args(argv)
+        if sub is None:
+            cfg = parser.parse_args(argv)
+        else:
+            cfg = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         if cfg.budget <= 0:
             raise UsageError("budget must be positive")
         # a command's output must not depend on commands run before it

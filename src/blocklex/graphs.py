@@ -203,7 +203,8 @@ class Graph:
     @classmethod
     def _unchecked(cls, n: int, pairs: np.ndarray, factors=None) -> "Graph":
         """A graph from a fresh (2, E) array of edges u < v sorted by (u, v),
-        built from other graphs' edges, so it skips the constructor's checks."""
+        built by the named families or from other graphs' edges, so it skips
+        the constructor's checks."""
         g = cls.__new__(cls)
         g._set(n, pairs, factors)
         return g
@@ -326,11 +327,11 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        (n,) = integers([data["n"]], "graph sizes")
+        edges = [integers(e, "edge ends") for e in data["edges"]]
         g = cls(n, edges)
         if "factors" in data and data["factors"]:
-            shape = [int(x) for x in data["factors"]]
+            shape = integers(data["factors"], "factor sizes")
             prod = 1
             for s in shape:
                 prod *= s
@@ -397,33 +398,38 @@ def _extract_factors(g: Graph, shape: list[int]) -> list[Graph]:
 def clique(n: int) -> Graph:
     if n < 1:
         raise ValueError("clique needs n >= 1")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    u = [i for i in range(n) for _ in range(i + 1, n)]
+    v = [j for i in range(n) for j in range(i + 1, n)]
+    return Graph._unchecked(n, np.array((u, v), dtype=np.int64))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._unchecked(n, np.array((range(n - 1), range(1, n)), dtype=np.int64))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    # the path's edges, with the closing edge (0, n-1) second in (u, v) order
+    pairs = np.array(([0, 0, *range(1, n - 1)], [1, n - 1, *range(2, n)]), dtype=np.int64)
+    return Graph._unchecked(n, pairs)
 
 
 def petersen() -> Graph:
     """Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- 5+i."""
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + ((i + 2) % 5)) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    return Graph(10, edges)
+    # its 15 edges u < v in (u, v) order
+    u = [0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 5, 6, 6, 7]
+    v = [1, 4, 5, 2, 6, 3, 7, 4, 8, 9, 7, 8, 8, 9, 9]
+    return Graph._unchecked(10, np.array((u, v), dtype=np.int64))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("complete bipartite needs both sides >= 1")
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    u = [i for i in range(a) for _ in range(b)]
+    return Graph._unchecked(a + b, np.array((u, [*range(a, a + b)] * a), dtype=np.int64))
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -562,6 +568,8 @@ _NAME_RE = re.compile(r"^(K(?P<kn>\d+)|P(?P<pn>\d+)|C(?P<cn>\d+)|K(?P<ba>\d+),(?
 
 
 def _split_top(text: str, sep: str) -> list[str]:
+    if "(" not in text and ")" not in text:
+        return text.split(sep)
     parts, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":

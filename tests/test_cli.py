@@ -449,12 +449,87 @@ def test_parser_reuse_leaks_nothing_between_commands(capsys):
 
 
 def test_import_does_not_build_the_parser():
+    """Importing blocklex.cli builds neither the parser nor any
+    subcommand's parser."""
     proc = _fresh_interpreter(
         "-c",
-        "import blocklex.cli as c; print(c._build_parser.cache_info().currsize)",
+        "import argparse, gc, blocklex.cli as c; "
+        "print(c._build_parser.cache_info().currsize, "
+        "sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects()))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "0 0\n"
+
+
+DISPATCH_ARGVS = [
+    ("graph", "K2"),
+    ("profile", "C5", "--format", "json"),
+    ("partition", "K2xK3"),
+    ("order", "K2xK3", "--lex", "--verify"),
+    ("compress", "K2xK3", "--set", "[0,4]"),
+    ("certify", "K2^3", "--no-crosscheck"),
+    ("explore", "path_clique", "--max-vertices", "8"),
+    ("graph", "-h"),
+    ("profile", "--help"),
+    ("partition", "-h"),
+    ("order", "K2xK3", "-h"),
+    ("compress", "-h"),
+    ("certify", "-h"),
+    ("explore", "-h"),
+    ("graph",),
+    ("explore",),
+    ("profile", "C5", "--nope"),
+    ("graph", "K2", "K3"),
+    ("graph", "K2", "--format", "xml"),
+    ("profile", "C5", "--strategy", "nope"),
+    ("explore", "nope"),
+    ("profile", "C5", "--budget", "0"),
+    ("profile", "C5", "--form", "json"),
+    ("graph", "--", "K2"),
+    (),
+    ("frobnicate", "K2"),
+    ("Graph", "K2"),
+    ("-h",),
+    ("--help",),
+    ("--format", "json", "graph", "K2"),
+]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr), with a SystemExit's code in place of
+    the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_subcommand_dispatch_matches_the_top_level_parser(capsys, monkeypatch):
+    """An argv that names a subcommand goes straight to that subcommand's
+    parser; every argv gives what the top-level parser alone gives."""
+    from blocklex import cli
+
+    parser = cli._build_parser()
+    top_level = []
+    parse_args = parser.parse_args
+
+    def counted(args):
+        top_level.append(args)
+        return parse_args(args)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    direct = [_outcome(capsys, argv) for argv in DISPATCH_ARGVS]
+    undispatched = [list(a) for a in DISPATCH_ARGVS if not a or a[0] not in parser.subcommands]
+    assert top_level == undispatched
+    monkeypatch.setattr(parser, "subcommands", {})
+    whole = [_outcome(capsys, argv) for argv in DISPATCH_ARGVS]
+    assert top_level == undispatched + [list(a) for a in DISPATCH_ARGVS]
+    assert [r[0] for r in direct[:7]] == [0] * 7
+    assert {r[0] for r in direct[7:14]} == {("SystemExit", 0)}
+    for argv, a, b in zip(DISPATCH_ARGVS, direct, whole):
+        assert a == b, argv
 
 
 UNION_ARGVS = [
@@ -493,9 +568,48 @@ def test_union_reports_match_the_table_dp(capsys, monkeypatch):
         assert a == b, argv
 
 
-def test_malformed_union_and_power_specs_exit_64(capsys):
-    for spec in ("union(K5", "K5^", "union(K5,)"):
-        assert run(capsys, "graph", spec)[0] == 64, spec
+MALFORMED_SPECS = {
+    "union(K5": "unbalanced parentheses in 'union(K5'",
+    "K5)": "unbalanced parentheses in 'K5)'",
+    "K5^": "invalid literal for int() with base 10: ''",
+    "K5^0": "power needs k >= 1",
+    "K5^x": "empty product term in 'K5^x'",
+    "union(K5,)": "empty graph spec",
+    "union()": "empty graph spec",
+    "K2x": "empty product term in 'K2x'",
+    "xK2": "empty product term in 'xK2'",
+    "": "empty graph spec",
+    "C2": "cycle needs n >= 3",
+    "P0": "path needs n >= 1",
+    "K0": "clique needs n >= 1",
+    "Q9": "cannot parse graph name 'Q9'",
+    "K3,": "cannot parse graph name 'K3,'",
+}
+
+
+def test_malformed_specs_exit_64_with_their_messages(capsys):
+    for spec, message in MALFORMED_SPECS.items():
+        assert run(capsys, "graph", spec) == (64, "", f"error: {message}\n"), spec
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2.7, "edges": [[0, 1.9]]},
+        {"n": 2, "edges": [[0, 1.0]]},
+        {"n": 2.0, "edges": [[0, 1]]},
+        {"n": True, "edges": []},
+        {"n": 2, "edges": [[False, True]]},
+        {"n": 4, "edges": [[0, 1], [2, 3], [0, 2], [1, 3]], "factors": [2.0, 2]},
+        {"n": 4, "edges": [[0, 1], [2, 3], [0, 2], [1, 3]], "factors": [True, 4]},
+    ],
+)
+def test_graph_json_with_floats_or_bools_exits_64(capsys, tmp_path, data):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "graph", f"@{f}")
+    assert (code, out) == (64, "")
+    assert "must be integers" in err
 
 
 RULE_ARGVS = [

@@ -31,6 +31,45 @@ def test_petersen_shape():
     assert g.regular_degree() == 3
 
 
+def _defining_edges():
+    """Each named family next to the validating constructor's graph on
+    the family's defining edge list."""
+    for n in range(1, 31):
+        yield clique(n), Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        yield path(n), Graph(n, [(i, i + 1) for i in range(n - 1)])
+        if n >= 3:
+            yield cycle(n), Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    for a in range(1, 7):
+        for b in range(1, 7):
+            edges = [(i, a + j) for i in range(a) for j in range(b)]
+            yield complete_bipartite(a, b), Graph(a + b, edges)
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + ((i + 2) % 5)) for i in range(5)]
+    edges += [(i, 5 + i) for i in range(5)]
+    yield petersen(), Graph(10, edges)
+
+
+def _same_graph(g, h):
+    arrays = g.edge_arrays() + h.edge_arrays()
+    return (
+        g.n == h.n
+        and g.edges() == h.edges()
+        and g.digest == h.digest
+        and all(a.dtype == np.int64 and not a.flags.writeable for a in arrays)
+    )
+
+
+def test_named_families_equal_their_checked_edge_lists():
+    pairs = list(_defining_edges())
+    assert len(pairs) == 30 + 30 + 28 + 36 + 1
+    for g, h in pairs:
+        assert _same_graph(g, h), h
+    # negative control: the cycle's edges as listed, not sorted u < v
+    n = 7
+    listed = np.array([(i, (i + 1) % n) for i in range(n)], dtype=np.int64).T.copy()
+    assert not _same_graph(Graph._unchecked(n, listed), cycle(n))
+
+
 def test_clique_single_vertex():
     g = clique(1)
     assert g.n == 1 and g.num_edges == 0

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .budget import SizeCapExceeded
-from .graphs import Graph, VertexSet, induced_subgraph, integers
+from .graphs import Graph, VertexSet, induced_subgraph, integers, json_fields
 from .orders import TotalOrder, identity_perm, rank_box, restrict_perm
 from .partitions import (
     FactorTable,
@@ -210,7 +210,8 @@ class DominationCollection:
 
     @classmethod
     def from_json(cls, data: dict) -> "DominationCollection":
-        parts = tuple(Partition.from_json(p) for p in data["partitions"])
+        (parts,) = json_fields(data, "a block collection", "partitions")
+        parts = tuple(Partition.from_json(p) for p in parts)
         perms = {
             tuple(int(t) - 1 for t in key.split(",")): tuple(
                 x - 1 for x in integers(perm, "block permutations")

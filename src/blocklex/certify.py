@@ -77,12 +77,11 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _digest(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    return hashlib.sha256(_ENCODER.encode(obj).encode()).hexdigest()
 
 
 @dataclass
@@ -314,21 +313,24 @@ def certify(
             ok, diags = validate_regular_domination_collection(prod_graph, dc)
             target = "middle factors and corner blocks"
             yield "regular_domination_collection", target, ok, {"diagnostics": diags}
-            # (e) pairwise two-factor optimality, every distinct pair decided
-            # before the first is reported
-            pairs = list(itertools.combinations(range(d), 2))
-            pair_dcs = {(i, j): dc.restricted((i, j)) for i, j in pairs}
-            keys = {(i, j): _pair_key(gs[i], gs[j], pair_dcs[(i, j)]) for i, j in pairs}
-            unique: dict[tuple, tuple[int, int]] = {}
-            for (i, j), key in keys.items():
-                unique.setdefault(key, (i, j))
-            transcripts = {k: verify_pair(*ij, pair_dcs[ij]) for k, ij in unique.items()}
-            for i, j in pairs:
-                detail = dict(transcripts[keys[(i, j)]])
-                if unique[keys[(i, j)]] != (i, j):
-                    detail["reused_transcript"] = True
-                name = f"pairwise_bl2_optimal_{i + 1}_{j + 1}"
-                yield name, f"factors ({i + 1},{j + 1})", detail["optimal"], detail
+            # (e) pairwise two-factor optimality, decided in report order up to
+            # the first failure; a pair reuses the transcript of an earlier pair
+            # with its key.  An inconclusive certificate reports no pair.
+            transcripts: dict[tuple, dict] = {}
+            reported = len(hyps)
+            try:
+                for i, j in itertools.combinations(range(d), 2):
+                    pair_dc = dc.restricted((i, j))
+                    key = _pair_key(gs[i], gs[j], pair_dc)
+                    if key in transcripts:
+                        detail = dict(transcripts[key], reused_transcript=True)
+                    else:
+                        detail = transcripts[key] = verify_pair(i, j, pair_dc)
+                    name = f"pairwise_bl2_optimal_{i + 1}_{j + 1}"
+                    yield name, f"factors ({i + 1},{j + 1})", detail["optimal"], detail
+            except (SizeCapExceeded, BudgetExceeded):
+                del hyps[reported:]
+                raise
 
         for h in hypotheses():
             hyps.append(Hypothesis(*h))

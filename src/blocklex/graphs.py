@@ -41,6 +41,7 @@ __all__ = [
     "parse_graph_spec",
     "mixed_radix",
     "integers",
+    "json_fields",
     "split_ids",
 ]
 
@@ -57,6 +58,15 @@ def integers(values: Iterable, what: str) -> list[int]:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{what} must be integers, got {v!r}")
     return [int(v) for v in values]
+
+
+def json_fields(data, what: str, *keys: str) -> list:
+    """`data[k]` for each of `keys`; a ValueError names `what` otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    if missing := [k for k in keys if k not in data]:
+        raise ValueError(f"{what} has no {missing[0]!r} key")
+    return [data[k] for k in keys]
 
 
 def mixed_radix(shape: Sequence[int]) -> np.ndarray:
@@ -327,8 +337,9 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        (n,) = integers([data["n"]], "graph sizes")
-        edges = [integers(e, "edge ends") for e in data["edges"]]
+        n, edges = json_fields(data, "a graph", "n", "edges")
+        (n,) = integers([n], "graph sizes")
+        edges = [integers(e, "edge ends") for e in edges]
         g = cls(n, edges)
         if "factors" in data and data["factors"]:
             shape = integers(data["factors"], "factor sizes")
@@ -350,7 +361,8 @@ class Graph:
         payload written out directly."""
         if self._digest is None:
             eu, ev = self._edges
-            pairs = np.column_stack((eu, ev)).ravel().tolist()
+            pairs = [0] * (2 * len(eu))
+            pairs[::2], pairs[1::2] = eu.tolist(), ev.tolist()
             payload = '{"edges":[' + ("[%d,%d]," * len(eu))[:-1] % tuple(pairs) + "]"
             if self.factors is not None:
                 payload += ',"factors":[' + ",".join(map(str, self.factor_shape)) + "]"

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, integers
+from .graphs import Graph, integers, json_fields
 from .orders import TotalOrder
 from .solver import DeltaSequence, Profile, delta_sequence, exact_profile
 from .staircase import rank_edge_tables
@@ -94,8 +94,9 @@ class Partition:
 
     @classmethod
     def from_json(cls, data: dict, kind: str = "custom") -> "Partition":
-        order = TotalOrder(integers(data["order"], "partition order ranks"))
-        ends = integers(data["boundaries"], "partition boundaries")
+        ranks, ends = json_fields(data, "a partition", "order", "boundaries")
+        order = TotalOrder(integers(ranks, "partition order ranks"))
+        ends = integers(ends, "partition boundaries")
         return cls.from_boundaries(order, ends, kind)
 
     @classmethod

@@ -126,6 +126,7 @@ def stacked_profile(
     sizes = np.arange(rows, dtype=np.int64)
     inner = np.array(inner_profile[:rows], dtype=np.int64)
     inner[0] = 0  # an empty segment gains nothing
+    gains = np.multiply.outer(level_L[1 : n_levels + 1], sizes) + inner
     # Cells no stack reaches start at NEG, and over all levels gain at most
     # what one stack gains, far below 2^39: they stay below NEG // 2, which
     # the mask at the end relies on.  New rows a..b-1 read only old rows
@@ -133,9 +134,8 @@ def stacked_profile(
     # SKEW_CHUNK cells.
     step = max(1, SKEW_CHUNK // width)
     G = np.empty((min(rows, step), width), dtype=np.int64)
-    for i in range(n_levels, 0, -1):
+    for gain in gains[::-1]:
         Budget.check()
-        gain = inner + int(level_L[i]) * sizes
         for a in range(0, rows, step):
             b = min(a + step, rows)
             chunk = G[: b - a]
@@ -143,9 +143,7 @@ def stacked_profile(
             if a:
                 np.maximum(chunk[0], H[a - 1], out=chunk[0])
             np.maximum.accumulate(chunk, axis=0, out=H[a:b])
-    out = H[rows - 1].copy()
-    out[out < NEG // 2] = NEG
-    return out
+    return np.where(H[-1] < NEG // 2, NEG, H[-1])
 
 
 # sandwich bounds by (ordered, factor profiles), and the stacked steps they

@@ -125,6 +125,121 @@ def test_pair_key_groups_pairs_as_their_json_does():
     assert _pair_key(k3, k3, one) != _pair_key(k3, k3, two)
 
 
+@pytest.mark.parametrize(
+    "spec, style, status, reused, reported",
+    [
+        ("C4^3", "standard", "certified", ["1_3", "2_3"], 3),
+        ("C4^3", "atomic", "certified", ["1_3", "2_3"], 3),
+        ("K2xK2xK3xK3", "standard", "certified", ["1_4", "2_3", "2_4"], 6),
+        ("K3xK2xK3xK2", "standard", "certified", ["1_4", "3_4"], 6),
+        ("K3xK2xK3xK2", "atomic", "hypothesis_failed", [], 1),
+        ("C5xC4xC5xC4", "standard", "hypothesis_failed", ["1_4"], 4),
+        ("K2xC4xK2xC4", "atomic", "certified", ["1_4", "3_4"], 6),
+    ],
+)
+def test_reused_transcripts_mark_the_pairs_an_earlier_pair_decided(
+    spec, style, status, reused, reported
+):
+    """Products with equal factors: the status, the pairs reported and the
+    pairs marked `reused_transcript`, as recorded when every pair was
+    decided before the first was reported."""
+    from blocklex import parse_graph_spec
+
+    cert = certify(parse_graph_spec(spec), style, crosscheck=False)
+    pairs = [h for h in cert.hypotheses if h.name.startswith("pairwise_bl2_optimal_")]
+    marked = [h.name[-3:] for h in pairs if h.detail.get("reused_transcript")]
+    assert (cert.status, marked, len(pairs)) == (status, reused, reported)
+
+
+def _pair_calls(monkeypatch, decided=None):
+    """The `block_lex_prefix_counts` calls certify makes on factor pairs,
+    as their factor counts; past `decided` of them, each raises
+    SizeCapExceeded."""
+    import importlib
+
+    from blocklex import SizeCapExceeded
+
+    certify_module = importlib.import_module("blocklex.certify")
+    real, calls = certify_module.block_lex_prefix_counts, []
+
+    def counting(gs, dc):
+        if isinstance(gs, list):
+            calls.append(len(gs))
+            if decided is not None and len(calls) > decided:
+                raise SizeCapExceeded("pair past the cap")
+        return real(gs, dc)
+
+    monkeypatch.setattr(certify_module, "block_lex_prefix_counts", counting)
+    return calls
+
+
+def test_certify_stops_at_the_first_failing_pair(monkeypatch, capsys):
+    """C4 x C5 x K3 fails at pair (1,2): that pair is the only one decided,
+    and the report is the pinned one of `certify_bytes.json`."""
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from blocklex import cli
+    from blocklex.solver import clear_caches
+
+    calls = _pair_calls(monkeypatch)
+    clear_caches()
+    code = cli.main(["certify", "C4xC5xK3", "--partitions", "standard", "--format", "json"])
+    out = capsys.readouterr().out
+    result = json.loads(out)["result"]
+    assert (code, result["status"], calls) == (2, "hypothesis_failed", [2])
+    assert result["hypotheses"][-1]["name"] == "pairwise_bl2_optimal_1_2"
+    pinned = json.loads(Path(__file__).with_name("certify_bytes.json").read_text())
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert [code, digest] == pinned["standard:C4xC5xK3"]
+
+
+def test_a_pair_past_a_cap_after_a_failing_pair_is_never_decided(monkeypatch, capsys):
+    """With every pair after the first past a cap: a product whose first
+    pair fails reports that failure (exit 2), and one whose first pair
+    passes could not tell (exit 3), reporting hypotheses (a)-(d) alone."""
+    import json
+
+    from blocklex import cli
+
+    calls = _pair_calls(monkeypatch, decided=1)
+    cert = certify([cycle(4), cycle(5), clique(3)], "standard")
+    assert (cert.status, cert.exit_code(), cert.failing) == (
+        "hypothesis_failed", 2, "pairwise_bl2_optimal_1_2"
+    )
+    assert cert.crosschecks == [] and calls == [2]
+    calls.clear()
+    code = cli.main(["certify", "C5xC4xC3", "--format", "json"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (code, result["status"], calls) == (3, "inconclusive", [2, 2])
+    assert result["crosschecks"] == [{"note": "pair past the cap"}]
+    assert result["hypotheses"][-1]["name"] == "regular_domination_collection"
+    assert all(h["verified"] for h in result["hypotheses"])
+
+
+def test_digests_are_the_sha256_of_the_compact_sorted_json():
+    """`_digest` on int lists, the empty one included, and on a collection's
+    and partitions' JSON equals the digest of `json.dumps`."""
+    import hashlib
+    import json
+
+    from blocklex import parse_graph_spec
+    from blocklex.certify import _digest, resolve_partitions
+
+    def reference(obj):
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    int_lists = [[], [0], [0, 1, 3, 6], [-2, 7, 10**15]]
+    gs = list(parse_graph_spec("petersenxC4xK2").factors)
+    jsons = [standard_collection(gs).to_json(), *int_lists]
+    for style in ("standard", "atomic"):
+        jsons.append([p.to_json() for p in resolve_partitions(gs, style)])
+    for obj in jsons:
+        assert _digest(obj) == reference(obj), obj
+
+
 def test_certify_domination_ascending():
     cert = certify_domination([clique(2), clique(3), clique(4)], (0, 1, 2))
     assert cert.status == "certified"

@@ -612,6 +612,28 @@ def test_graph_json_with_floats_or_bools_exits_64(capsys, tmp_path, data):
     assert "must be integers" in err
 
 
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["graph", "@{f}"], {"edges": []}, "a graph has no 'n' key"),
+        (["graph", "@{f}"], [1, 2], "a graph must be a JSON object, got [1, 2]"),
+        (["partition", "K2", "--file", "{f}"], {"order": [1, 2]},
+         "a partition has no 'boundaries' key"),
+        (["order", "K2xK2", "--bl", "{f}"], {}, "a block collection has no 'partitions' key"),
+        (["certify", "K2xK2xK2", "--partitions", "{f}"], {},
+         "a block collection has no 'partitions' key"),
+        (["order", "K2xK2", "--bl", "{f}"], {"partitions": [3]},
+         "a partition must be a JSON object, got 3"),
+    ],
+    ids=["graph-no-n", "graph-list", "partition", "order", "certify", "order-partition-3"],
+)
+def test_json_without_a_key_or_not_an_object_exits_64(capsys, tmp_path, argv, data, message):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(data))
+    argv = [a.format(f=f) for a in argv]
+    assert run(capsys, *argv) == (64, "", f"error: {message}\n")
+
+
 RULE_ARGVS = [
     ("profile", "P3xC7", "--format", "json"),
     ("profile", "C3xC7"),

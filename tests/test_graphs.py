@@ -332,6 +332,32 @@ def test_digest_is_the_sha256_of_the_compact_sorted_json():
         assert g.digest == hashlib.sha256(payload.encode()).hexdigest(), g
 
 
+def test_digests_are_pinned():
+    """Certificates and reports carry these digests: the named families,
+    a product, a union and a graph with no edges keep them."""
+    pinned = [
+        (clique(5), "117f7fbbece0a2e73ef54c9c3164d50af1d84ae19dc142ecc64f3e4fbe3704c0"),
+        (path(6), "bb45046e13efd6180cba12ca064b52adf0d8c995f3c865077562312f231ddb7d"),
+        (cycle(7), "c7c27ac9932bc666319af45943787fcae63725b1299959d5f8b548dce80925ba"),
+        (
+            complete_bipartite(2, 3),
+            "70480fb4deaf2219c97c11417597a1032c87ea8b51d11244ebc0826b88f1c528",
+        ),
+        (petersen(), "6e59c2165cb2020c96ba061588a8314b8033de2ddc316ad690e86d05808cd05e"),
+        (
+            cartesian_product([cycle(4), path(3)]),
+            "470b93d3b6ea284d46c81d5ca5647d4fe518dc9d61c095e5391fadc993cef890",
+        ),
+        (
+            disjoint_union([cycle(3), path(2)]),
+            "1830ade45befbd87705f61b37a1dd16cde30c9dbb364bb214d660529c703df9e",
+        ),
+        (Graph(4, []), "f035ac23eff5de4f997813d6be7d093ec82bf40ca736c82f986ce14dac77ecb7"),
+    ]
+    for g, digest in pinned:
+        assert g.digest == digest, g
+
+
 def test_adjacency_bitmasks_are_built_once_from_the_edges():
     graphs = [clique(1), clique(5), path(4), cycle(5), petersen(), complete_bipartite(3, 3)]
     graphs += [

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklex import (
     Budget,
@@ -134,6 +136,30 @@ def test_stacked_profile_matches_the_row_by_row_program(monkeypatch, chunk):
         got = staircase.stacked_profile(level, inner, n_levels, n_inner, m_max)
         want = _stacked_reference(level, inner, n_levels, n_inner, m_max)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_stacked_profile_is_the_best_non_increasing_stack(n_levels, n_inner, data):
+    """Brute force over every stack c_1 >= ... >= c_n_levels of segment
+    sizes 0..n_inner, per total size up to a random m_max: in one chunk (the
+    default) and in chunks of one row or a few cells."""
+    level = data.draw(st.lists(st.integers(0, 4), min_size=n_levels + 1, max_size=n_levels + 1))
+    steps = data.draw(st.lists(st.integers(0, 4), min_size=n_inner, max_size=n_inner))
+    inner = list(itertools.accumulate([0] + steps))
+    total = n_levels * n_inner
+    m_max = data.draw(st.none() | st.integers(0, total + 2))
+    top = total if m_max is None else min(m_max, total)
+    want = [staircase.NEG] * (top + 1)
+    for c in itertools.combinations_with_replacement(range(n_inner, -1, -1), n_levels):
+        if sum(c) <= top:
+            edges = sum(inner[t] + level[i] * t for i, t in enumerate(c, start=1))
+            want[sum(c)] = max(want[sum(c)], edges)
+    for chunk in (staircase.SKEW_CHUNK, 1, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(staircase, "SKEW_CHUNK", chunk)
+            got = staircase.stacked_profile(np.array(level), inner, n_levels, n_inner, m_max)
+        assert got.dtype == np.int64 and got.tolist() == want, chunk
 
 
 def test_bound_is_memoized_until_the_caches_are_cleared():
@@ -391,6 +417,12 @@ def test_bound_past_the_cell_cap_is_refused_before_it_is_built():
         with pytest.raises(SizeCapExceeded, match="beyond the cap"):
             sandwich_bound([values] * 5)
         peak = tracemalloc.get_traced_memory()[1]
+        # called directly on 5,000 levels of 5,000, whose gain rows alone
+        # would take 0.2 GB
+        tracemalloc.reset_peak()
+        with pytest.raises(SizeCapExceeded, match="beyond the cap"):
+            staircase.stacked_profile(np.ones(5001, np.int64), np.arange(5001), 5000, 5000)
+        peak = max(peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert peak < staircase.STACK_CELL_CAP  # bytes: an eighth of the table

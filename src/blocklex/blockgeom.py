@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .budget import SizeCapExceeded
-from .graphs import Graph, VertexSet, induced_subgraph, integers, json_fields
+from .graphs import Graph, VertexSet, induced_subgraph, integers, json_fields, json_typed
 from .orders import TotalOrder, identity_perm, rank_box, restrict_perm
 from .partitions import (
     FactorTable,
@@ -211,12 +211,14 @@ class DominationCollection:
     @classmethod
     def from_json(cls, data: dict) -> "DominationCollection":
         (parts,) = json_fields(data, "a block collection", "partitions")
+        parts = json_typed(parts, list, "a block collection's 'partitions'")
         parts = tuple(Partition.from_json(p) for p in parts)
+        perms = json_typed(data.get("block_perms", {}), dict, "a block collection's 'block_perms'")
         perms = {
             tuple(int(t) - 1 for t in key.split(",")): tuple(
                 x - 1 for x in integers(perm, "block permutations")
             )
-            for key, perm in data.get("block_perms", {}).items()
+            for key, perm in perms.items()
         }
         default = data.get("default_perm")
         if default is not None:

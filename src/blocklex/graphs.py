@@ -60,10 +60,16 @@ def integers(values: Iterable, what: str) -> list[int]:
     return [int(v) for v in values]
 
 
+def json_typed(value, kind: type, what: str):
+    """`value` if it is a `kind`, list or dict; a ValueError names `what` otherwise."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"{what} must be a JSON {'list' if kind is list else 'object'}, got {value!r}")
+
+
 def json_fields(data, what: str, *keys: str) -> list:
     """`data[k]` for each of `keys`; a ValueError names `what` otherwise."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    json_typed(data, dict, what)
     if missing := [k for k in keys if k not in data]:
         raise ValueError(f"{what} has no {missing[0]!r} key")
     return [data[k] for k in keys]
@@ -339,7 +345,7 @@ class Graph:
     def from_json(cls, data: dict) -> "Graph":
         n, edges = json_fields(data, "a graph", "n", "edges")
         (n,) = integers([n], "graph sizes")
-        edges = [integers(e, "edge ends") for e in edges]
+        edges = [integers(e, "edge ends") for e in json_typed(edges, list, "a graph's 'edges'")]
         g = cls(n, edges)
         if "factors" in data and data["factors"]:
             shape = integers(data["factors"], "factor sizes")

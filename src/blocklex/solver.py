@@ -6,12 +6,13 @@ else in the package is validated against.  It runs a subset dynamic
 program over all 2^n membership words (edge counts extend one vertex at a
 time), so it is exact and practical up to FULL_ENUM_CAP vertices.  A graph
 that splits into id intervals no edge joins, such as a disjoint union, is
-profiled from its parts by max-plus (min-plus for the boundary)
-convolution, with the same smallest witnesses.  Products
-of at most three factors with nested solutions can instead be profiled
-through the rank-space downset oracle, whose limits are the factors' (each
-profiled by the subset DP, so at most FULL_ENUM_CAP vertices) and, on three
-factors, the slab DP's table (`staircase.STACK_CELL_CAP` cells).
+profiled from its parts, read off its adjacency bitmasks and memoized
+within the call, by max-plus (min-plus for the boundary) convolution, with
+the same smallest witnesses.  Products of at most three factors with
+nested solutions can instead be profiled through the rank-space downset
+oracle, whose limits are the factors' (each profiled by the subset DP, so
+at most FULL_ENUM_CAP vertices) and, on three factors, the slab DP's table
+(`staircase.STACK_CELL_CAP` cells).
 `check_order` is the one rule that decides whether an order on a product
 is optimal, through `check_prefix_counts`: the sandwich bound first, then
 an exact engine chosen by the number of factors.  Pairs, block classes,
@@ -252,17 +253,17 @@ def _small_subset_values(adj: Sequence[int], n: int, induced: bool) -> bytes:
     return acc.to_bytes(1 << n, "little")
 
 
-def _dp_subset_values(g: Graph, mode: str) -> np.ndarray | bytes:
-    """val[mask] for every membership word: by highest-bit slice doubling,
-    or, on graphs of at most SMALL_MAX_N vertices, as the bytes of
-    `_small_subset_values`.
+def _dp_subset_values(adj: Sequence[int], n: int, mode: str) -> np.ndarray | bytes:
+    """val[mask] for every membership word of the graph of n vertices with
+    adjacency bitmasks adj: by highest-bit slice doubling, or, on graphs of
+    at most SMALL_MAX_N vertices, as the bytes of `_small_subset_values`.
 
     mode "induced": number of edges inside the set.
     mode "boundary": number of edges leaving the set.
     """
-    if g.n <= SMALL_MAX_N:
-        return _small_subset_values(g.adjacency_bitmasks(), g.n, mode == "induced")
-    return _subset_dp(g.adjacency_bitmasks(), g.n, mode == "induced")
+    if n <= SMALL_MAX_N:
+        return _small_subset_values(adj, n, mode == "induced")
+    return _subset_dp(adj, n, mode == "induced")
 
 
 class _SubsetRows:
@@ -277,11 +278,11 @@ class _SubsetRows:
     stands in for the table.
     """
 
-    def __init__(self, g: Graph, mode: str):
-        self.adj = g.adjacency_bitmasks()
+    def __init__(self, adj: Sequence[int], n: int, mode: str):
+        self.adj = adj
         self.induced = mode == "induced"
         self.step = 1 if self.induced else -2
-        self.h = g.n - ROW_BITS
+        self.h = n - ROW_BITS
 
     @functools.cached_property
     def base_and_gains(self) -> tuple[np.ndarray, np.ndarray]:
@@ -560,11 +561,12 @@ def _split_ends(adj: Sequence[int]) -> list[int]:
 
 
 def _union_profile(
-    g: Graph, ends: list[int], kind: str, with_witnesses: bool
+    adj: Sequence[int], kind: str, with_witnesses: bool
 ) -> tuple[list[int], Optional[list[tuple[int, ...]]]]:
-    """The profile of g from those of its parts, the id intervals that end
-    at ends, which no edge joins.  Each part, a slice of the sorted edge
-    arrays, is profiled and cached on its own (`_enumerated_profile`).
+    """The profile of the graph with adjacency bitmasks adj from those of
+    its one or more parts, the id intervals no edge joins (`_split_ends`),
+    each read off adj and profiled by the subset DP (streamed from
+    STREAM_MIN_N vertices); equal parts share a memo local to this call.
 
     An extremal m-set is a union of extremal sets of the parts, so the
     values are the prefix convolutions P_k = P_(k-1) (+) I_k of the parts'
@@ -576,45 +578,48 @@ def _union_profile(
     down, each part takes its smallest witness over those sizes.
     """
     maximize = kind == "induced_max"
-    ufunc, pad = (np.maximum, staircase.NEG) if maximize else (np.minimum, -staircase.NEG)
-    eu, ev = g.edge_arrays()
-    parts, start = [], 0
-    for end in ends:
-        i, j = np.searchsorted(eu, (start, end)).tolist()
-        part = Graph._unchecked(end - start, np.stack((eu[i:j], ev[i:j])) - start)
-        parts.append((start, _enumerated_profile(part, kind, "full", with_witnesses)))
+    memo = {}  # a part's bitmasks: its values and witnesses
+    parts, start = [], 0  # (first id, values, witnesses) of each part
+    for end in _split_ends(adj):
+        part = tuple(x >> start for x in adj[start:end])
+        if part not in memo:
+            table = _SubsetRows if len(part) >= STREAM_MIN_N else _dp_subset_values
+            val = table(part, len(part), "induced" if maximize else "boundary")
+            memo[part] = _profile_from_values(len(part), val, maximize, with_witnesses)
+        parts.append((start, *memo[part]))
         start = end
+    if len(parts) == 1:
+        return memo[part]
+    ufunc, pad = (np.maximum, staircase.NEG) if maximize else (np.minimum, -staircase.NEG)
     prefix = [(0,)]  # prefix[k][m]: P_k(m), the best m-set in parts below k
-
-    def sizes(k: int, m: int) -> range:
-        """The sizes s of part k that leave m - s for the parts below."""
-        return range(max(0, m + 1 - len(prefix[k])), min(m, parts[k][1].n) + 1)
-
-    for _, p in parts:
-        # skew[j, m] reads last[m - (p.n - j)] from behind p.n pads, so that
-        # row j adds the part's size s = p.n - j, and the pads where m - s
-        # is out of range lose every comparison
-        last, width = prefix[-1], len(prefix[-1]) + p.n
-        buf = np.full(width + p.n, pad, dtype=np.int64)
-        buf[p.n : width] = last
-        skew = np.ndarray((p.n + 1, width), np.int64, buf, 0, (8, 8))
-        steps = np.array(p.i_values[::-1], dtype=np.int64)[:, None] + skew
+    for _, vals, _ in parts:
+        # skew[j, m] reads last[m - (size - j)] from behind size pads, so
+        # that row j adds the part's size s = size - j, and the pads where
+        # m - s is out of range lose every comparison
+        last, size = prefix[-1], len(vals) - 1
+        width = len(last) + size
+        buf = np.full(width + size, pad, dtype=np.int64)
+        buf[size:width] = last
+        skew = np.ndarray((size + 1, width), np.int64, buf, 0, (8, 8))
+        steps = np.array(vals[::-1], dtype=np.int64)[:, None] + skew
         prefix.append(tuple(ufunc.reduce(steps, axis=0).tolist()))
     if not with_witnesses:
         return list(prefix[-1]), None
-    masks = [[sum(1 << a + x for x in w) for w in p.witnesses] for a, p in parts]
+    masks = [[sum(1 << a + x for x in w) for w in ws] for a, _, ws in parts]
     wits = []
-    for m in range(g.n + 1):
+    for m in range(len(adj) + 1):
         rest, mask = m, 0
         for k in reversed(range(len(parts))):
-            vals, last, best = parts[k][1].i_values, prefix[k], prefix[k + 1][rest]
+            vals, last, best = parts[k][1], prefix[k], prefix[k + 1][rest]
+            # the sizes s of part k that leave rest - s for the parts below
+            sizes = range(max(0, rest + 1 - len(last)), min(rest, len(vals) - 1) + 1)
             s = min(
-                (s for s in sizes(k, rest) if vals[s] + last[rest - s] == best),
+                (s for s in sizes if vals[s] + last[rest - s] == best),
                 key=masks[k].__getitem__,
             )
             mask |= masks[k][s]
             rest -= s
-        wits.append(tuple(x for x in range(g.n) if mask >> x & 1))
+        wits.append(tuple(x for x in range(len(adj)) if mask >> x & 1))
     return list(prefix[-1]), wits
 
 
@@ -634,7 +639,7 @@ def _enumerated_profile(
     """Profile by subset enumeration ("full": the DP, "bnb": branch and
     bound), from the cache when an entry answers the request.  Under
     "full" a graph that splits into id intervals no edge joins is profiled
-    from those parts (`_union_profile`), each through this function."""
+    from those parts (`_union_profile`), which enter no cache."""
     Budget.check()  # a hit polls too
     key = (kind, strategy, g.digest)
     hit = _PROFILE_CACHE.get(key)
@@ -644,17 +649,8 @@ def _enumerated_profile(
         return replace(hit, witnesses=None)
     if strategy == "bnb":
         values, wits = _bnb_profile(g)
-    elif len(ends := _split_ends(g.adjacency_bitmasks())) > 1:
-        values, wits = _union_profile(g, ends, kind, with_witnesses)
     else:
-        mode = "induced" if kind == "induced_max" else "boundary"
-        if g.n < STREAM_MIN_N:
-            val = _dp_subset_values(g, mode)
-        else:
-            val = _SubsetRows(g, mode)
-        values, wits = _profile_from_values(
-            g.n, val, kind == "induced_max", with_witnesses
-        )
+        values, wits = _union_profile(g.adjacency_bitmasks(), kind, with_witnesses)
     prof = Profile(
         kind,
         tuple(values),
@@ -746,7 +742,17 @@ def _rule_profile(g: Graph) -> Optional[Profile]:
                 block_lex = block_lex_prefix_counts(g, dc)
                 if np.array_equal(block_lex, prefix_bound(g.factors, block_lex, profiles)):
                     prefix = block_lex
-        used, _, _, values = check_prefix_counts(g, prefix, profiles)
+        try:
+            used, _, _, values = check_prefix_counts(g, prefix, profiles)
+        except SizeCapExceeded:
+            if len(g.factors) == 3:
+                raise  # the slab DP's own cap, which names no order
+            raise SizeCapExceeded(
+                f"no exact engine profiles the product of {g.n} vertices and "
+                f"{len(g.factors)} factors: no order the profile rule tries meets the "
+                f"sandwich bound, the subset DP takes up to {FULL_ENUM_CAP} vertices "
+                "and the slab DP products of up to three factors"
+            ) from None
     prof = Profile("induced_max", values, None, used, g.digest)
     _PROFILE_CACHE[key] = prof
     return prof

@@ -612,6 +612,9 @@ def test_graph_json_with_floats_or_bools_exits_64(capsys, tmp_path, data):
     assert "must be integers" in err
 
 
+K2_PARTITION = {"order": [1, 2], "boundaries": [2]}
+
+
 @pytest.mark.parametrize(
     "argv, data, message",
     [
@@ -624,8 +627,16 @@ def test_graph_json_with_floats_or_bools_exits_64(capsys, tmp_path, data):
          "a block collection has no 'partitions' key"),
         (["order", "K2xK2", "--bl", "{f}"], {"partitions": [3]},
          "a partition must be a JSON object, got 3"),
+        (["graph", "@{f}"], {"n": 2, "edges": 5}, "a graph's 'edges' must be a JSON list, got 5"),
+        (["order", "K2xK2", "--bl", "{f}"], {"partitions": [K2_PARTITION] * 2, "block_perms": [1]},
+         "a block collection's 'block_perms' must be a JSON object, got [1]"),
+        (["order", "K2xK2", "--bl", "{f}"], {"partitions": 5},
+         "a block collection's 'partitions' must be a JSON list, got 5"),
     ],
-    ids=["graph-no-n", "graph-list", "partition", "order", "certify", "order-partition-3"],
+    ids=[
+        "graph-no-n", "graph-list", "partition", "order", "certify", "order-partition-3",
+        "graph-edges-5", "order-block-perms-list", "order-partitions-5",
+    ],
 )
 def test_json_without_a_key_or_not_an_object_exits_64(capsys, tmp_path, argv, data, message):
     f = tmp_path / "in.json"

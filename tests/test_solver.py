@@ -294,8 +294,8 @@ def test_dp_subset_values_against_per_mask_count():
     from blocklex.solver import _dp_subset_values
 
     for g, edges in _dp_cases():
-        induced = _dp_subset_values(g, "induced")
-        boundary = _dp_subset_values(g, "boundary")
+        induced = _dp_subset_values(g.adjacency_bitmasks(), g.n, "induced")
+        boundary = _dp_subset_values(g.adjacency_bitmasks(), g.n, "boundary")
         for mask in range(1 << g.n):
             inside = [(mask >> u & 1) + (mask >> v & 1) for u, v in edges]
             assert induced[mask] == inside.count(2), (g.n, mask)
@@ -328,7 +328,7 @@ def test_profile_from_values_against_smallest_extremal_mask():
     wide = [(_random_graph(n, rng), None) for n in (13, 14, 15, 16) for _ in range(2)]
     for g, _ in [*_dp_cases(), *wide]:
         for mode, maximize in (("induced", True), ("boundary", False)):
-            val = _dp_subset_values(g, mode)
+            val = _dp_subset_values(g.adjacency_bitmasks(), g.n, mode)
             got = _profile_from_values(g.n, val, maximize, True)
             assert got == _ref_profile(g.n, val, maximize)
             assert _profile_from_values(g.n, val, maximize, False) == (got[0], None)
@@ -349,7 +349,7 @@ def test_reduction_when_every_set_ties(n):
 
     g = Graph(n, [])
     for mode, maximize in (("induced", True), ("boundary", False)):
-        val = _dp_subset_values(g, mode)
+        val = _dp_subset_values(g.adjacency_bitmasks(), g.n, mode)
         assert not val.any()
         got = _profile_from_values(n, val, maximize, True)
         assert got == _ref_profile(n, val, maximize)
@@ -463,7 +463,7 @@ def _small_path_disagreements(reduce):
     bad = []
     for name, g in _small_cases():
         for mode, maximize in (("induced", True), ("boundary", False)):
-            small = solver._dp_subset_values(g, mode)
+            small = solver._dp_subset_values(g.adjacency_bitmasks(), g.n, mode)
             assert isinstance(small, bytes)
             table = solver._subset_dp(g.adjacency_bitmasks(), g.n, maximize)
             assert list(small) == table.tolist(), (name, mode)
@@ -510,7 +510,7 @@ def _table_profile(g, maximize, with_witnesses=True):
     """The full-table result: the reduction of the whole 2^n table."""
     from blocklex.solver import _dp_subset_values, _profile_from_values
 
-    val = _dp_subset_values(g, "induced" if maximize else "boundary")
+    val = _dp_subset_values(g.adjacency_bitmasks(), g.n, "induced" if maximize else "boundary")
     return _profile_from_values(g.n, val, maximize, with_witnesses)
 
 
@@ -520,7 +520,7 @@ def _streamed_profile(g, maximize, with_witnesses=True):
     from blocklex.solver import STREAM_MIN_N, _profile_from_values, _SubsetRows
 
     assert g.n >= STREAM_MIN_N
-    rows = _SubsetRows(g, "induced" if maximize else "boundary")
+    rows = _SubsetRows(g.adjacency_bitmasks(), g.n, "induced" if maximize else "boundary")
     return _profile_from_values(g.n, rows, maximize, with_witnesses)
 
 
@@ -759,28 +759,30 @@ def test_connected_graphs_build_no_part_graph(monkeypatch):
     assert built == []
 
 
-def test_a_union_builds_each_part_once(monkeypatch):
-    """Parts are built from slices of the union's sorted edges, one graph
-    each, and equal the graphs the union was made of."""
+def test_a_union_builds_no_part_graph(monkeypatch):
+    """Parts are read off the union's adjacency bitmasks: no graph is
+    built for them, and only the union enters the cache."""
     from blocklex import solver
 
-    parts = [cycle(5), path(4), clique(3)]
-    g = disjoint_union(parts)
+    g = disjoint_union([cycle(5), path(4), clique(3)])
     built = _record_graphs(monkeypatch)
-    _routed_profile(g, True)
-    assert built == [5, 4, 3]
-    assert {key[2] for key in solver._PROFILE_CACHE} == {g.digest} | {p.digest for p in parts}
+    for maximize in (True, False):
+        assert _routed_profile(g, maximize) == _table_profile(g, maximize)
+        assert built == []
+        assert {key[2] for key in solver._PROFILE_CACHE} == {g.digest}
 
 
-def test_union_parts_are_cached_and_equal_parts_profiled_once(monkeypatch):
+def test_equal_parts_are_profiled_once_and_only_the_union_is_cached(monkeypatch):
+    """One DP per distinct part, told apart by its bitmasks, not its size
+    (P4 and K4); the cache holds the union alone."""
     from blocklex import solver
 
     dp_sizes = []
     dp = solver._dp_subset_values
 
-    def counting_dp(g, mode):
-        dp_sizes.append(g.n)
-        return dp(g, mode)
+    def counting_dp(adj, n, mode):
+        dp_sizes.append(n)
+        return dp(adj, n, mode)
 
     monkeypatch.setattr(solver, "_dp_subset_values", counting_dp)
     k5 = clique(5)
@@ -788,35 +790,71 @@ def test_union_parts_are_cached_and_equal_parts_profiled_once(monkeypatch):
     solver.clear_caches()
     prof = exact_profile(g)
     assert dp_sizes == [5]
-    assert set(solver._PROFILE_CACHE) == {
-        ("induced_max", "full", g.digest),
-        ("induced_max", "full", k5.digest),
-    }
+    assert set(solver._PROFILE_CACHE) == {("induced_max", "full", g.digest)}
     assert prof.i_values == (0, 0, 1, 3, 6, 10, 10, 11, 13, 16, 20)
     assert prof.strategy == "full" and prof.witnesses[6] == (0, 1, 2, 3, 4, 5)
+    g = disjoint_union([k5, path(4), k5, clique(4), path(4)])
+    want = _table_profile(g, True)
+    dp_sizes.clear()
+    assert _routed_profile(g, True) == want
+    assert dp_sizes == [5, 4, 4]
+    assert set(solver._PROFILE_CACHE) == {("induced_max", "full", g.digest)}
 
 
-def test_budget_out_inside_a_part_caches_neither_it_nor_the_union(monkeypatch):
-    """A budget that runs out at any poll raises BudgetExceeded; the union
-    and the part it ran out in stay out of the cache, and only a part
-    that finished first stays in."""
+def test_budget_out_inside_a_union_caches_nothing(monkeypatch):
+    """A budget that runs out at any poll, in either part's DP or
+    reduction, raises BudgetExceeded and leaves the cache empty."""
     from blocklex import solver
 
-    k5, c12 = clique(5), cycle(12)
-    g = disjoint_union([k5, c12])
+    g = disjoint_union([clique(5), cycle(12)])
 
     for profile in (exact_profile, theta_profile):
         polls = []
         monkeypatch.setattr(Budget, "check", _counting_check(None, polls))
         solver.clear_caches()
         profile(g)
-        assert {key[2] for key in solver._PROFILE_CACHE} == {g.digest, k5.digest, c12.digest}
+        assert {key[2] for key in solver._PROFILE_CACHE} == {g.digest}
         for limit in range(len(polls)):
             monkeypatch.setattr(Budget, "check", _counting_check(limit, []))
             solver.clear_caches()
             with pytest.raises(BudgetExceeded, match="budget exceeded"):
                 profile(g)
-            assert {key[2] for key in solver._PROFILE_CACHE} <= {k5.digest}
+            assert solver._PROFILE_CACHE == {}
+
+
+def _connected_graph(n, rng):
+    """A path on 0..n-1 with seeded random chords."""
+    chords = [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.3]
+    return Graph(n, [(u, u + 1) for u in range(n - 1)] + chords)
+
+
+def _union_cases():
+    """Seeded unions: repeated parts, isolated vertices, parts past
+    SMALL_MAX_N, P4 beside K4, and a part of STREAM_MIN_N vertices."""
+    from blocklex.solver import SMALL_MAX_N, STREAM_MIN_N
+
+    rng = np.random.default_rng(25)
+    dot, k4, p4 = Graph(1, []), clique(4), path(4)
+    big = _connected_graph(SMALL_MAX_N + 1, rng)
+    yield disjoint_union([p4, k4])
+    yield disjoint_union([k4, p4, k4, dot, p4, dot, dot])
+    yield disjoint_union([big, dot, big])
+    yield disjoint_union([cycle(STREAM_MIN_N), clique(2)])
+    for _ in range(4):
+        parts = [_connected_graph(int(rng.integers(1, 6)), rng) for _ in range(3)]
+        picks = rng.integers(0, 3, int(rng.integers(2, 5))).tolist()
+        yield disjoint_union([parts[i] for i in picks] + [dot] * int(rng.integers(0, 3)))
+
+
+def test_union_profiles_equal_the_whole_table_dp():
+    """Values and smallest witnesses in both kinds equal the subset DP on
+    the whole union's table."""
+    from blocklex import solver
+
+    for g in _union_cases():
+        assert len(solver._split_ends(g.adjacency_bitmasks())) > 1
+        for maximize in (True, False):
+            assert _routed_profile(g, maximize) == _table_profile(g, maximize), g.n
 
 
 def test_bnb_profiles_a_union_as_a_whole(monkeypatch):
@@ -888,6 +926,29 @@ def test_clear_caches_empties_both_caches():
     assert _PROFILE_CACHE and _FACTOR_CACHE
     clear_caches()
     assert _PROFILE_CACHE == {} and _FACTOR_CACHE == {}
+
+
+def test_clear_caches_empties_every_module_memo():
+    """Every command starts as cold as a fresh process: after a union
+    profile, a product profile and a certificate, `clear_caches` leaves no
+    module-level dict of the solver or the staircase filled."""
+    from blocklex import certify, parse_graph_spec, solver, staircase
+
+    def memos():
+        return {
+            f"{m.__name__}.{name}": len(value)
+            for m in (solver, staircase)
+            for name, value in vars(m).items()
+            if isinstance(value, dict) and not name.startswith("__")
+        }
+
+    exact_profile(parse_graph_spec("union(K3,C5,P8,C4)"))
+    exact_profile(parse_graph_spec("K3xC4xP3"), with_witnesses=False)
+    certify([clique(2), cycle(4), clique(3)], "standard")
+    filled = memos()
+    assert "blocklex.solver._PROFILE_CACHE" in filled and all(filled.values())
+    solver.clear_caches()
+    assert set(memos().values()) == {0}
 
 
 def test_cached_profile_does_not_hide_an_expired_cli_budget(capsys):
@@ -967,7 +1028,7 @@ def test_full_requests_run_the_dp_after_a_rule_answer(monkeypatch):
     calls = []
     dp = solver._dp_subset_values
     monkeypatch.setattr(
-        solver, "_dp_subset_values", lambda g, mode: calls.append(g.n) or dp(g, mode)
+        solver, "_dp_subset_values", lambda adj, n, mode: calls.append(n) or dp(adj, n, mode)
     )
     for spec in ("P3xC7", "K2xK3xK3"):
         g = parse_graph_spec(spec)
@@ -1077,6 +1138,29 @@ def test_rule_profiles_products_past_the_dp_cap(capsys):
     orders = [TotalOrder.identity(2)] * 12
     assert prof.strategy == "sandwich"
     assert list(prof.i_values) == prefix_edge_counts(g, lex_order(g, orders)).tolist()
+
+
+def test_a_product_no_engine_takes_is_refused_by_its_size(capsys):
+    """P4^4: no order the profile rule tries meets the bound, and no exact
+    engine takes 256 vertices on four factors.  `profile` names the
+    product; `order --verify` keeps the message of `check_prefix_counts`,
+    which certificates and explorer reports copy."""
+    from blocklex.cli import main
+
+    engines = (
+        "the subset DP takes up to 24 vertices and the slab DP products of up to three factors\n"
+    )
+    assert main(["profile", "P4^4"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: no exact engine profiles the product of 256 vertices and 4 factors: "
+        "no order the profile rule tries meets the sandwich bound, " + engines,
+    )
+    assert main(["order", "P4^4", "--lex", "--verify"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: the order misses the sandwich bound on 256 vertices and 4 factors: " + engines,
+    )
 
 
 # -- one order rule behind `profile` and `order --verify` -----------------------

@@ -28,7 +28,7 @@ from .graphs import (
     petersen,
     subproduct,
 )
-from .budget import Budget, BudgetExceeded, SizeCapExceeded
+from .budget import Budget, BudgetExceeded, Inconclusive, SizeCapExceeded
 from .orders import (
     TotalOrder,
     colex_perm,

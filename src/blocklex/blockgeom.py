@@ -355,12 +355,9 @@ def standard_collection(
 
 def _rank_box(g: Graph, dc: DominationCollection) -> np.ndarray:
     """`orders.rank_box` of g under the collection's factor orders, built
-    once per graph and collection."""
-    cache = dc.__dict__.setdefault("_box_cache", {})
-    box = cache.get(g.digest)
-    if box is None:
-        box = cache[g.digest] = rank_box(g, dc.factor_orders)
-    return box
+    anew on each call: no command queries one collection often enough for a
+    memo to pay."""
+    return rank_box(g, dc.factor_orders)
 
 
 def _cuts(dc: DominationCollection) -> list[list[slice]]:

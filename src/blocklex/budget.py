@@ -5,6 +5,8 @@ engine polls it with `Budget.check()`, which raises `BudgetExceeded` once
 it has passed.  Only the callers that make a report catch it, and turn it
 into an inconclusive answer; engines never turn it into data.  An engine
 asked for more than its size cap raises `SizeCapExceeded` the same way.
+Both are an `Inconclusive`: the answer could not be told, and nothing was
+refuted.
 """
 
 from __future__ import annotations
@@ -12,14 +14,18 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-__all__ = ["Budget", "BudgetExceeded", "SizeCapExceeded"]
+__all__ = ["Budget", "BudgetExceeded", "Inconclusive", "SizeCapExceeded"]
 
 
-class BudgetExceeded(Exception):
+class Inconclusive(Exception):
+    """The answer could not be told: a budget or a size cap ran out."""
+
+
+class BudgetExceeded(Inconclusive):
     """The deadline passed before the answer was known."""
 
 
-class SizeCapExceeded(ValueError):
+class SizeCapExceeded(Inconclusive):
     """Raised when an exact strategy is asked to handle too many vertices."""
 
 

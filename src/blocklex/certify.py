@@ -39,7 +39,7 @@ from .blockgeom import (
     uniform_collection,
     validate_regular_domination_collection,
 )
-from .budget import BudgetExceeded, SizeCapExceeded
+from .budget import BudgetExceeded, Inconclusive, SizeCapExceeded
 from .graphs import Graph, cartesian_product, clique, path, petersen, cycle
 from .orders import TotalOrder
 from .partitions import (
@@ -195,8 +195,8 @@ def _pair_key(g: Graph, h: Graph, pair_dc: DominationCollection) -> tuple:
 
 def resolve_partitions(gs: Sequence[Graph], partitions, shared=None) -> list[Partition]:
     """Accept "standard", "atomic", or an explicit list.  Equal factors get
-    one standard or atomic partition, which keeps the factor's table with
-    the profile it was built from (`factor_table`, with `shared`)."""
+    one standard or atomic partition, which keeps the factor's table
+    (`factor_table`, with `shared`)."""
     if partitions not in (None, "standard", "atomic"):
         return list(partitions)
     out: dict[str, Partition] = {}
@@ -208,7 +208,7 @@ def resolve_partitions(gs: Sequence[Graph], partitions, shared=None) -> list[Par
             else:
                 p = standard_monotonic_partition(delta_sequence(prof, order))
             out[g.digest] = p
-            factor_table(g, p, shared, prof)
+            factor_table(g, p, shared)
     return [out[g.digest] for g in gs]
 
 
@@ -328,7 +328,7 @@ def certify(
                         detail = transcripts[key] = verify_pair(i, j, pair_dc)
                     name = f"pairwise_bl2_optimal_{i + 1}_{j + 1}"
                     yield name, f"factors ({i + 1},{j + 1})", detail["optimal"], detail
-            except (SizeCapExceeded, BudgetExceeded):
+            except Inconclusive:
                 del hyps[reported:]
                 raise
 
@@ -341,7 +341,7 @@ def certify(
             # the keyword shadows the module's function
             cert = globals()["crosscheck"](cert, prod_graph, dc)
         return cert
-    except (SizeCapExceeded, BudgetExceeded) as e:
+    except Inconclusive as e:
         inconclusive_note = str(e)
         return make("inconclusive")
 
@@ -402,7 +402,7 @@ def certify_domination(
             if not ok:
                 status = "hypothesis_failed"
                 break
-    except (SizeCapExceeded, BudgetExceeded) as e:
+    except Inconclusive as e:
         status, note = "inconclusive", str(e)
     concl = None
     if status == "certified":
@@ -666,7 +666,7 @@ def explore_conjecture(
                 _, o = factor_profile_and_order(g)
                 prefix = product_prefix_counts([g] * d, [o] * d)
                 _, ok, bad, _ = check_prefix_counts([g] * d, prefix)
-            except (SizeCapExceeded, BudgetExceeded) as e:
+            except Inconclusive as e:
                 instances.append(
                     Instance(lex_name, g.n**d, "INCONCLUSIVE", {"reason": str(e)})
                 )
@@ -725,7 +725,7 @@ def explore_conjecture(
                             {"standard_block_lex_optimal": ok, "first_failing_m": bad},
                         )
                     )
-                except (ValueError, BudgetExceeded) as e:
+                except (ValueError, Inconclusive) as e:
                     instances.append(
                         Instance(name, g.n, "INCONCLUSIVE", {"reason": str(e)})
                     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .blockgeom import DominationCollection, block_lex_order, standard_collection
-from .budget import Budget, BudgetExceeded, SizeCapExceeded
+from .budget import Budget, BudgetExceeded, Inconclusive, SizeCapExceeded
 from .certify import certify, certify_domination, explore_conjecture
 from .compression import (
     OrderFamily,
@@ -614,10 +614,10 @@ def main(argv=None) -> int:
     except (NoNestedSolutions, HypothesisFailed) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (BudgetExceeded, SizeCapExceeded) as e:  # could not tell
+    except Inconclusive as e:  # could not tell
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

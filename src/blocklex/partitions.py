@@ -127,26 +127,19 @@ class FactorTable:
     """A graph under an order (the identity when no partition is given)
     and what the local-global hypotheses read about it, each built once:
     the back-degree tables (W, L) of `rank_edge_tables` and, on first use,
-    its exact profile ("full", without witnesses, unless given), the delta
-    sequence (`delta[r - 1]` = delta(r)) and, under a partition p, one
-    table per segment graph (`segments`).  Tables that share the dict
-    `shared` share the tables of equal segment graphs, keyed by size and
-    edges, and each graph's profile, keyed by digest."""
+    its exact profile ("full", without witnesses, from the profile cache),
+    the delta sequence (`delta[r - 1]` = delta(r)) and, under a partition
+    p, one table per segment graph (`segments`).  Tables that share the
+    dict `shared` share the tables of equal segment graphs, keyed by size
+    and edges."""
 
-    def __init__(self, g: Graph, p: Optional[Partition] = None, profile=None, shared=None):
+    def __init__(self, g: Graph, p: Optional[Partition] = None, shared=None):
         self.g, self.p, self.shared = g, p, shared
         self.W, self.L = rank_edge_tables(g, None if p is None else p.order)
-        if profile is not None:
-            self.profile = profile
-            if shared is not None:
-                shared.setdefault(g.digest, profile)
 
     @functools.cached_property
     def profile(self) -> Profile:
-        shared = {} if self.shared is None else self.shared
-        if self.g.digest not in shared:
-            shared[self.g.digest] = exact_profile(self.g, "full", with_witnesses=False)
-        return shared[self.g.digest]
+        return exact_profile(self.g, "full", with_witnesses=False)
 
     @functools.cached_property
     def delta(self) -> tuple[int, ...]:
@@ -178,13 +171,13 @@ class FactorTable:
         return tuple(out)
 
 
-def factor_table(g: Graph, p: Partition, shared=None, profile=None) -> FactorTable:
+def factor_table(g: Graph, p: Partition, shared=None) -> FactorTable:
     """The `FactorTable` of g under p, built once and kept on p by g's
-    digest; `shared` and `profile` only serve its first build."""
+    digest; `shared` only serves its first build."""
     tables = p.__dict__.setdefault("_tables", {})
     t = tables.get(g.digest)
     if t is None:
-        t = tables[g.digest] = FactorTable(g, p, profile, shared)
+        t = tables[g.digest] = FactorTable(g, p, shared)
     return t
 
 

@@ -639,7 +639,13 @@ def _enumerated_profile(
     """Profile by subset enumeration ("full": the DP, "bnb": branch and
     bound), from the cache when an entry answers the request.  Under
     "full" a graph that splits into id intervals no edge joins is profiled
-    from those parts (`_union_profile`), which enter no cache."""
+    from those parts (`_union_profile`), which enter no cache.  A graph
+    past FULL_ENUM_CAP vertices raises SizeCapExceeded, in one wording for
+    every engine and kind."""
+    if g.n > FULL_ENUM_CAP:
+        raise SizeCapExceeded(
+            f"{g.n} vertices exceed the full-enumeration cap of {FULL_ENUM_CAP}"
+        )
     Budget.check()  # a hit polls too
     key = (kind, strategy, g.digest)
     hit = _PROFILE_CACHE.get(key)
@@ -693,10 +699,6 @@ def exact_profile(
             return prof
         strategy = "full"
     if strategy in ("full", "bnb"):
-        if g.n > FULL_ENUM_CAP:
-            raise SizeCapExceeded(
-                f"{g.n} vertices exceed the {strategy} cap of {FULL_ENUM_CAP}"
-            )
         return _enumerated_profile(g, "induced_max", strategy, with_witnesses)
     # compressed oracle
     if g.factors is None:
@@ -761,10 +763,6 @@ def _rule_profile(g: Graph) -> Optional[Profile]:
 def theta_profile(g: Graph, *, with_witnesses: bool = True) -> Profile:
     """Minimum boundary-edge counts per size, by the subset DP, or from the
     parts of a disjoint union of id intervals by min-plus convolution."""
-    if g.n > FULL_ENUM_CAP:
-        raise SizeCapExceeded(
-            f"{g.n} vertices exceed the full-enumeration cap of {FULL_ENUM_CAP}"
-        )
     return _enumerated_profile(g, "boundary_min", "full", with_witnesses)
 
 
@@ -934,19 +932,19 @@ def find_nested_chain(
 
 # -- per-factor cache ----------------------------------------------------------
 
-_FACTOR_CACHE: dict[str, tuple[Profile, TotalOrder]] = {}
+# each factor's optimal order by digest; its profile is in _PROFILE_CACHE
+_FACTOR_CACHE: dict[str, TotalOrder] = {}
 
 
 def factor_profile_and_order(g: Graph) -> tuple[Profile, TotalOrder]:
     """Full-enumeration profile plus a deterministic optimal order for a
-    small graph, cached by content digest.  Raises NoNestedSolutions if the
-    graph has none, and ChainSearchInconclusive if the chain search stops
-    at its node cap first."""
+    small graph, the order cached by content digest.  Raises
+    NoNestedSolutions if the graph has none, and ChainSearchInconclusive if
+    the chain search stops at its node cap first."""
     Budget.check()  # a hit polls too
-    key = g.digest
-    hit = _FACTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
+    order = _FACTOR_CACHE.get(g.digest)
+    if order is not None:  # and its profile is in the profile cache
+        return _enumerated_profile(g, "induced_max", "full", False), order
     prof = exact_profile(g, "full", with_witnesses=False)
     res = find_nested_chain(g, prof)
     if res.status == "not_isoperimetric":
@@ -958,14 +956,13 @@ def factor_profile_and_order(g: Graph) -> tuple[Profile, TotalOrder]:
             f"chain search for nested solutions is {res.status}: it stopped "
             f"at its node cap after {res.explored} nodes"
         )
-    _FACTOR_CACHE[key] = (prof, res.order)
+    _FACTOR_CACHE[g.digest] = res.order
     return prof, res.order
 
 
 def clear_caches():
-    """Empty the profile cache, the per-factor cache and the memos of
-    `staircase.sandwich_bound`, its bounds and its stacked steps."""
+    """Empty the profile cache, the per-factor order cache and the memo of
+    `staircase.sandwich_bound`'s stacked steps."""
     _PROFILE_CACHE.clear()
     _FACTOR_CACHE.clear()
-    staircase._BOUND_CACHE.clear()
     staircase._STEP_CACHE.clear()

@@ -146,9 +146,8 @@ def stacked_profile(
     return np.where(H[-1] < NEG // 2, NEG, H[-1])
 
 
-# sandwich bounds by (ordered, factor profiles), and the stacked steps they
-# take by (outer profile, inner bound); emptied by solver.clear_caches
-_BOUND_CACHE: dict[tuple, np.ndarray] = {}
+# stacked steps by (outer profile, inner bound), which the ordered bound and
+# the minimum over outer choices share; emptied by solver.clear_caches
 _STEP_CACHE: dict[tuple, np.ndarray] = {}
 
 
@@ -187,10 +186,10 @@ def sandwich_bound(
     order optimal, and U is then the exact profile; counts below U prove
     nothing, since the bound can be loose.
 
-    Bounds are memoized, and so is each stacked step, by its outer profile
-    and the values of the inner bound it stacks, so the ordered bound and
-    the minimum over outer choices share the steps they have in common.
-    Both memos last until `solver.clear_caches()`.  A product too
+    Each stacked step is memoized by its outer profile and the values of
+    the inner bound it stacks, so the ordered bound and the minimum over
+    outer choices share the steps they have in common.  The memo lasts
+    until `solver.clear_caches()`.  A product too
     large for `stacked_profile`'s STACK_CELL_CAP raises `SizeCapExceeded`.
     """
     # a one-vertex factor leaves the product unchanged
@@ -208,24 +207,16 @@ def _bound(profs: tuple[tuple[int, ...], ...], ordered: bool) -> np.ndarray:
     on two factors, where every outer choice gives it, the minimum over the
     distinct outer choices (`profs` sorted) otherwise."""
     Budget.check()
-    key = (ordered, profs)
-    hit = _BOUND_CACHE.get(key)
-    if hit is not None:
-        return hit
     if len(profs) == 1:
-        out = np.asarray(profs[0], dtype=np.int64)
-    else:
-        outer = [0] if ordered or len(profs) == 2 else [
-            k for k in range(len(profs)) if k == 0 or profs[k] != profs[k - 1]
-        ]
-        steps = [
-            _step(profs[k], _bound(profs[:k] + profs[k + 1 :], ordered))
-            for k in outer
-        ]
-        out = steps[0] if len(steps) == 1 else np.minimum.reduce(steps)
-    out.setflags(write=False)
-    _BOUND_CACHE[key] = out
-    return out
+        return np.asarray(profs[0], dtype=np.int64)
+    outer = [0] if ordered or len(profs) == 2 else [
+        k for k in range(len(profs)) if k == 0 or profs[k] != profs[k - 1]
+    ]
+    steps = [
+        _step(profs[k], _bound(profs[:k] + profs[k + 1 :], ordered))
+        for k in outer
+    ]
+    return steps[0] if len(steps) == 1 else np.minimum.reduce(steps)
 
 
 def _step(outer: tuple[int, ...], inner: np.ndarray) -> np.ndarray:

@@ -531,8 +531,10 @@ def test_expired_budget_makes_certificates_inconclusive():
 def test_one_certify_command_builds_each_table_once(spec, style, monkeypatch, capsys):
     """Within one `certify` command, no (graph, order) pair is tabled twice
     by `rank_edge_tables`, no segment graph is built twice and no profile
-    is looked up twice: every hypothesis reads the per-factor tables.  The
-    domination certificate takes the factors in reverse significance."""
+    is computed twice (by `solver._union_profile`, the subset DP behind
+    every cached profile): every hypothesis reads the per-factor tables and
+    the profile cache.  The domination certificate takes the factors in
+    reverse significance."""
     import collections
     import sys
 
@@ -554,8 +556,8 @@ def test_one_certify_command_builds_each_table_once(spec, style, monkeypatch, ca
 
     counting("rank_edge_tables", staircase, lambda g, order=None: (
         "tabled", g.digest, None if order is None else tuple(order.ranks.tolist())))
-    counting("exact_profile", solver, lambda g, strategy=None, **kw: (
-        "looked up", g.digest, strategy, kw.get("with_witnesses", True)))
+    counting("_union_profile", solver, lambda adj, kind, with_witnesses: (
+        "profiled", tuple(adj), kind))
 
     class CountingGraph(partitions.Graph):
         def __init__(self, n, edges):
@@ -570,7 +572,7 @@ def test_one_certify_command_builds_each_table_once(spec, style, monkeypatch, ca
     code = cli.main(["certify", spec, *how, "--format", "json"])
     assert code in (0, 2) and capsys.readouterr().out
     assert counts and max(counts.values()) == 1, counts.most_common(3)
-    assert {key[0] for key in counts} >= {"tabled", "looked up"}
+    assert {key[0] for key in counts} >= {"tabled", "profiled"}
 
 
 def test_explore_report_roundtrip():

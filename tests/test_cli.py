@@ -259,7 +259,13 @@ def test_parse_error_exit_64(capsys):
 
 def test_size_and_cell_caps_exit_3(capsys):
     """A size or cell cap is "could not tell" (exit 3), with no engine
-    named or an explicit one, never a usage error."""
+    named or an explicit one, never a usage error: `SizeCapExceeded` is an
+    `Inconclusive`, as `BudgetExceeded` is, and not a `ValueError`."""
+    from blocklex import BudgetExceeded, Inconclusive, SizeCapExceeded
+
+    assert not issubclass(SizeCapExceeded, ValueError)
+    assert issubclass(SizeCapExceeded, Inconclusive)
+    assert issubclass(BudgetExceeded, Inconclusive)
     for argv in (
         ["profile", "K25"],
         ["profile", "P30"],
@@ -277,6 +283,18 @@ def test_size_and_cell_caps_exit_3(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 3, argv
         assert "up to three factors" in err
+
+
+def test_the_enumeration_cap_has_one_wording(capsys):
+    """Every refusal of a graph past the subset engines' cap, by either
+    engine and for either kind of profile, names the cap in one phrase."""
+    for argv, n in (
+        (["profile", "C5xC6", "--theta"], 30),
+        (["profile", "petersen^3", "--witnesses"], 1000),
+        (["profile", "K25", "--strategy", "bnb"], 25),
+    ):
+        err = f"error: {n} vertices exceed the full-enumeration cap of 24\n"
+        assert run(capsys, *argv) == (3, "", err), argv
 
 
 def test_compressed_strategy_past_200_vertices_exits_0(capsys):

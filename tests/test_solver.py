@@ -931,13 +931,23 @@ def test_clear_caches_empties_both_caches():
 def test_clear_caches_empties_every_module_memo():
     """Every command starts as cold as a fresh process: after a union
     profile, a product profile and a certificate, `clear_caches` leaves no
-    module-level dict of the solver or the staircase filled."""
-    from blocklex import certify, parse_graph_spec, solver, staircase
+    module-level dict of any blocklex module filled.  So every such dict
+    is a memo these calls fill, and `clear_caches` empties it."""
+    import importlib
+    import pkgutil
+
+    import blocklex
+    from blocklex import certify, parse_graph_spec, solver
+
+    modules = [blocklex] + [
+        importlib.import_module(f"blocklex.{m.name}")
+        for m in pkgutil.iter_modules(blocklex.__path__)
+    ]
 
     def memos():
         return {
             f"{m.__name__}.{name}": len(value)
-            for m in (solver, staircase)
+            for m in modules
             for name, value in vars(m).items()
             if isinstance(value, dict) and not name.startswith("__")
         }

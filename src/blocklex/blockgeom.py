@@ -60,6 +60,7 @@ __all__ = [
     "skeleton",
     "stack",
     "slice_vertices",
+    "block_lex_walk",
     "block_lex_order",
     "block_lex_prefix_counts",
     "standard_block_lex_order",
@@ -453,7 +454,7 @@ def _orderable_factors(gs: Graph | Sequence[Graph], dc: DominationCollection):
     return factors
 
 
-def _block_lex_walk(box: np.ndarray, dc: DominationCollection) -> np.ndarray:
+def block_lex_walk(box: np.ndarray, dc: DominationCollection) -> np.ndarray:
     """The entries of a box over the factors' ranks in block-lex order:
     blocks in the lexicographic order of their segment indices, which is
     that of their starts, each read in its permutation's significance
@@ -470,7 +471,7 @@ def block_lex_order(g: Graph, dc: DominationCollection) -> TotalOrder:
     """Within a block, the block's domination order; across blocks, the
     lexicographic order of block starts.  Requires a validated collection."""
     _orderable_factors(g, dc)
-    return TotalOrder.from_sequence(_block_lex_walk(_rank_box(g, dc), dc))
+    return TotalOrder.from_sequence(block_lex_walk(_rank_box(g, dc), dc))
 
 
 def block_lex_prefix_counts(
@@ -482,7 +483,7 @@ def block_lex_prefix_counts(
     rank box or order is built.  Requires a validated collection."""
     factors = _orderable_factors(gs, dc)
     shape = [p.n for p in dc.partitions]
-    sequence = _block_lex_walk(np.arange(math.prod(shape)).reshape(shape), dc)
+    sequence = block_lex_walk(np.arange(math.prod(shape)).reshape(shape), dc)
     tables = [factor_table(f, p) for f, p in zip(factors, dc.partitions)]
     return product_prefix_counts(tables, None, sequence)
 

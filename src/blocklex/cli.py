@@ -377,7 +377,7 @@ def _cmd_compress(cfg: argparse.Namespace) -> int:
         family = OrderFamily.lexicographic(g, orders)
     inputs = {"spec": cfg.spec, "graph_digest": g.digest, "family": family.kind}
 
-    if cfg.laws:
+    if cfg.laws is not None:
         return _compress_laws(cfg, g, family, inputs)
 
     raw = cfg.set_arg
@@ -427,6 +427,8 @@ def _compress_laws(cfg: argparse.Namespace, g: Graph, family: OrderFamily, input
     """Seeded randomized compression-law check; violations are dumped as
     JSON so counterexamples are preserved."""
     n_samples = cfg.laws
+    if n_samples < 1:
+        raise UsageError(f"--laws needs at least 1 sample, got {n_samples}")
     rng = np.random.default_rng(cfg.seed)
     violations = []
     d = len(g.factors)
@@ -561,7 +563,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--set", dest="set_arg", default=None, help="JSON id list or @file")
     p.add_argument("--once", default=None, help="1-based factor indices, comma-separated")
     p.add_argument("--fixpoint", action="store_true")
-    p.add_argument("--check", action="store_true")
     p.add_argument("--weight", action="store_true")
     p.add_argument("--laws", type=int, default=None, help="run N seeded law checks")
     p.add_argument("--family", choices=["lex", "sbl"], default="lex")

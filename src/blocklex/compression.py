@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockgeom import DominationCollection, block_lex_order, block_occupancy
+from .blockgeom import DominationCollection, block_lex_walk, block_occupancy
 from .budget import Budget
-from .graphs import Graph, VertexSet, split_ids, subproduct
-from .orders import TotalOrder, lex_order
+from .graphs import Graph, VertexSet, cut_columns
+from .orders import TotalOrder, order_box, rank_box
 from .solver import DeltaSequence
 
 __all__ = [
@@ -52,27 +52,28 @@ class OrderFamily:
 
     The lexicographic family is induced by per-factor orders; the
     block-lexicographic family by a validated domination collection (each
-    subproduct order is built from the restricted collection).
+    subproduct order is the block-lex walk of the restricted collection).
+    Each subset's order is kept as one id box: the subset's
+    `graphs.cut_columns` with its rows in the order's walk of the
+    subproduct's ids, so entry [p, c] is the vertex at place p of cut c.
     """
 
-    def __init__(self, g: Graph, kind: str, factor_orders=None, collection=None):
+    def __init__(self, g: Graph, kind: str, factor_orders=(), collection=None):
         if g.factors is None:
             raise ValueError("order families live on product graphs")
+        self._orders = tuple(factor_orders)
+        if kind != "custom" and tuple(o.n for o in self._orders) != g.factor_shape:
+            raise ValueError("one order per factor required, of the factor's size")
         self.g = g
         self.kind = kind
-        self._orders = factor_orders
         self._dc = collection
-        # per subset: (subproduct, its order, each vertex's rank in that
-        # order, each vertex's cut id, number of cuts)
-        self._cache: dict[tuple[int, ...], tuple] = {}
+        self._boxes: dict[tuple[int, ...], np.ndarray] = {}
 
     @classmethod
     def lexicographic(
         cls, g: Graph, factor_orders: Sequence[TotalOrder]
     ) -> "OrderFamily":
-        if len(factor_orders) != len(g.factors):
-            raise ValueError("one order per factor required")
-        return cls(g, "lex", factor_orders=tuple(factor_orders))
+        return cls(g, "lex", factor_orders)
 
     @classmethod
     def block_lexicographic(
@@ -80,7 +81,7 @@ class OrderFamily:
     ) -> "OrderFamily":
         if not dc.validated:
             raise ValueError("collection must pass validate() first")
-        return cls(g, "block_lex", collection=dc)
+        return cls(g, "block_lex", dc.factor_orders, dc)
 
     @classmethod
     def custom(
@@ -91,48 +92,37 @@ class OrderFamily:
         violate the common-global-order hypothesis."""
         fam = cls(g, "custom")
         for s, order in orders_by_subset.items():
-            key = tuple(sorted(set(int(i) for i in s)))
-            sub = subproduct(g, key)
-            if order.n != sub.n:
-                raise ValueError(f"order for subset {key} has wrong size")
-            fam._store(key, sub, order)
+            fam._box(s, order.inverse)
         return fam
 
     @property
     def d(self) -> int:
         return len(self.g.factors)
 
-    @property
-    def factor_orders(self) -> tuple[TotalOrder, ...]:
-        if self.kind == "lex":
-            return self._orders
-        return self._dc.factor_orders
-
-    def _store(self, key: tuple[int, ...], sub: Graph, order: TotalOrder) -> tuple:
-        sub_id, cut_id, ncuts = split_ids(self.g, key)
-        entry = (sub, order, order.ranks[sub_id], cut_id, ncuts)
-        self._cache[key] = entry
-        return entry
-
-    def _entry(self, s: Sequence[int]) -> tuple:
+    def _box(self, s: Sequence[int], walk: np.ndarray | None = None) -> np.ndarray:
+        """The id box of subset s, from the family's own walk on s or, for
+        a custom order, from `walk` (its subproduct ids by rank)."""
         key = tuple(sorted(set(int(i) for i in s)))
         if not key:
             raise ValueError("empty factor subset")
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if self.kind == "custom":
-            raise ValueError(f"no order supplied for factor subset {key}")
-        sub = subproduct(self.g, key)
-        if self.kind == "lex":
-            order = lex_order(sub, [self._orders[i] for i in key])
-        else:
-            sub_dc = self._dc.restricted(key)
-            order = block_lex_order(sub, sub_dc)
-        return self._store(key, sub, order)
-
-    def order_for(self, s: Sequence[int]) -> tuple[Graph, TotalOrder]:
-        return self._entry(s)[:2]
+        if key[0] < 0 or key[-1] >= self.d:
+            raise ValueError("factor subset out of range")
+        if walk is None:
+            box = self._boxes.get(key)
+            if box is not None:
+                return box
+            if self.kind == "custom":
+                raise ValueError(f"no order supplied for factor subset {key}")
+            ranks = order_box([self._orders[i] for i in key])
+            if self.kind == "lex":
+                walk = ranks.ravel()
+            else:
+                walk = block_lex_walk(ranks, self._dc.restricted(key))
+        cuts = cut_columns(self.g, key)
+        if len(walk) != cuts.shape[0]:
+            raise ValueError(f"order for subset {key} has wrong size")
+        box = self._boxes[key] = cuts[walk]
+        return box
 
 
 def _ensure_family(g: Graph, orders) -> OrderFamily:
@@ -165,13 +155,12 @@ def compress_once(g: Graph, a, s: Sequence[int], orders) -> VertexSet:
     """
     Budget.check()
     family = _ensure_family(g, orders)
-    key = tuple(sorted(set(int(i) for i in s)))
-    if any(i < 0 or i >= family.d for i in key):
-        raise ValueError("factor subset out of range")
+    box = family._box(s)
     a = a if isinstance(a, VertexSet) else VertexSet.from_ids(g.n, a)
-    _, _, sub_rank, cut_id, ncuts = family._entry(key)
-    counts = np.bincount(cut_id[a.mask], minlength=ncuts)
-    return VertexSet(sub_rank <= counts[cut_id])
+    counts = a.mask[box].sum(axis=0)
+    out = np.empty(g.n, dtype=bool)
+    out[box] = np.arange(box.shape[0])[:, None] < counts
+    return VertexSet(out)
 
 
 def compress_to_fixpoint(
@@ -248,14 +237,15 @@ def vertex_weight_table(g: Graph, deltas: Sequence[DeltaSequence]) -> np.ndarray
         raise ValueError("weights live on product graphs")
     if len(deltas) != len(g.factors):
         raise ValueError("one delta-sequence per factor required")
-    coords = g.coords()
-    w = np.zeros(g.n, dtype=np.int64)
-    for i, d in enumerate(deltas):
+    w = np.zeros((), dtype=np.int64)
+    for d in deltas:
         if d.source_order is None:
             raise ValueError("delta-sequence must carry its source order")
-        vals = np.asarray(d.values, dtype=np.int64)
-        w += vals[d.source_order.ranks[coords[:, i]] - 1]
-    return w
+        w = np.add.outer(w, np.asarray(d.values, dtype=np.int64))
+    # w is laid out by ranks, as the rank box is
+    table = np.empty(g.n, dtype=np.int64)
+    table[rank_box(g, [d.source_order for d in deltas])] = w
+    return table
 
 
 def weight(g: Graph, a, deltas: Sequence[DeltaSequence]) -> int:

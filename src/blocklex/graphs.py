@@ -35,6 +35,7 @@ __all__ = [
     "graph_power",
     "subproduct",
     "permute_factors",
+    "cut_columns",
     "induced_edges",
     "boundary_edges",
     "induced_subgraph",
@@ -42,7 +43,6 @@ __all__ = [
     "mixed_radix",
     "integers",
     "json_fields",
-    "split_ids",
 ]
 
 
@@ -516,21 +516,20 @@ def permute_factors(g: Graph, pi: Sequence[int]) -> tuple[Graph, np.ndarray]:
     if sorted(pi) != list(range(d)):
         raise ValueError("pi is not a permutation of the factor indices")
     h = cartesian_product([g.factors[i] for i in pi])
-    new_coords = g.coords()[:, pi]
-    psi = new_coords @ h.radix()
+    # h's id box with its axes in g's factor order: entry [c_0, ..., c_{d-1}]
+    # is the id in h of the vertex with coordinates c in g
+    psi = np.arange(g.n).reshape(h.factor_shape).transpose(np.argsort(pi)).ravel()
     return h, psi
 
 
-def split_ids(g: Graph, s: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Split the vertex ids of a product over the sorted factor subset s:
-    (each vertex's id in the subproduct over s, the id of its cut, i.e. of
-    its coordinates outside s, and the number of cuts)."""
+def cut_columns(g: Graph, s: Sequence[int]) -> np.ndarray:
+    """The product's id box with the axes of the sorted factor subset s
+    moved to the front, as one column per cut (an assignment of the
+    coordinates outside s): entry [p, c] is the vertex of cut c whose
+    coordinates on s have id p in the subproduct over s."""
     shape = g.factor_shape
-    comp = [i for i in range(len(shape)) if i not in s]
-    coords = g.coords()
-    sub_id = coords[:, list(s)] @ mixed_radix([shape[i] for i in s])
-    cut_id = coords[:, comp] @ mixed_radix([shape[i] for i in comp])
-    return sub_id, cut_id, math.prod(shape[i] for i in comp)
+    ids = np.arange(g.n).reshape(shape)
+    return np.moveaxis(ids, s, range(len(s))).reshape(math.prod(shape[i] for i in s), -1)
 
 
 # -- edge functionals --------------------------------------------------------

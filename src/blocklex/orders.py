@@ -9,15 +9,17 @@ significance lists (which coordinate is compared first).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, split_ids
+from .graphs import Graph, VertexSet, cut_columns
 
 __all__ = [
     "TotalOrder",
     "rank_box",
+    "order_box",
     "identity_perm",
     "colex_perm",
     "restrict_perm",
@@ -158,13 +160,17 @@ def rank_box(g: Graph, factor_orders: Sequence[TotalOrder]) -> np.ndarray:
     the factor orders is a walk of this box."""
     if g.factors is None:
         raise ValueError("induced orders require a product graph")
-    d = len(g.factors)
-    if len(factor_orders) != d:
-        raise ValueError(f"expected {d} factor orders, got {len(factor_orders)}")
-    for i, o in enumerate(factor_orders):
-        if o.n != g.factors[i].n:
-            raise ValueError(f"factor order {i} has wrong size")
-    ids = np.arange(g.n).reshape(g.factor_shape)
+    if tuple(o.n for o in factor_orders) != g.factor_shape:
+        raise ValueError(f"factor orders do not fit factors of sizes {g.factor_shape}")
+    return order_box(factor_orders)
+
+
+def order_box(factor_orders: Sequence[TotalOrder]) -> np.ndarray:
+    """`rank_box` of the product the factor orders are on, without its
+    graph: the product's ids (factor 0 most significant) laid out by
+    ranks."""
+    shape = tuple(o.n for o in factor_orders)
+    ids = np.arange(math.prod(shape)).reshape(shape)
     return ids[np.ix_(*(o.inverse for o in factor_orders))]
 
 
@@ -198,20 +204,16 @@ def is_consistent(
     same comparison of their projections.
 
     Checked exhaustively: within every assignment of the complement
-    coordinates, sorting by big rank must sort the projected small ranks
-    increasingly.
+    coordinates, listing the vertices in the small order must list their
+    big ranks increasingly.
     """
     if g.factors is None:
         raise ValueError("consistency requires a product graph")
-    d = len(g.factors)
     s_sorted = sorted(set(int(i) for i in s))
-    if not s_sorted or s_sorted[0] < 0 or s_sorted[-1] >= d:
+    if not s_sorted or s_sorted[0] < 0 or s_sorted[-1] >= len(g.factors):
         raise ValueError("bad factor index set")
-    sub_id, cut_id, _ = split_ids(g, s_sorted)
-    small_rank = o_small.ranks[sub_id]
-    order_in_cut = np.lexsort((o_big.ranks, cut_id))
-    sorted_keys = cut_id[order_in_cut]
-    sorted_small = small_rank[order_in_cut]
-    same_cut = sorted_keys[1:] == sorted_keys[:-1]
-    rising = sorted_small[1:] > sorted_small[:-1]
-    return bool(np.all(rising | ~same_cut))
+    cuts = cut_columns(g, s_sorted)
+    if o_big.n != g.n or o_small.n != cuts.shape[0]:
+        raise ValueError("orders do not fit the product and the subproduct")
+    big = o_big.ranks[cuts[o_small.inverse]]
+    return bool(np.all(big[1:] > big[:-1]))

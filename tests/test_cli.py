@@ -120,12 +120,14 @@ def test_compress_once(capsys):
 
 def test_compress_check_predicates(capsys):
     code, out, _ = run(
-        capsys, "compress", "K2xK3", "--set", "[0,1,3]", "--check", "--format", "json"
+        capsys, "compress", "K2xK3", "--set", "[0,1,3]", "--format", "json"
     )
     assert code == 0
     res = json.loads(out)["result"]
     assert res["compressed"] is True
     assert res["strongly_compressed"] is True
+    # the predicates run when no operation is named; there is no flag for them
+    assert run(capsys, "compress", "K2xK3", "--set", "[0,1,3]", "--check")[0] == 64
 
 
 def test_compress_weight(capsys):
@@ -146,6 +148,13 @@ def test_compress_laws_seeded(capsys):
     assert data["result"]["ok"] is True
     assert data["seed"] == 3
     assert "seed: 3" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_compress_laws_needs_a_positive_count(capsys, n):
+    code, out, err = run(capsys, "compress", "K2^3", "--laws", n, "--format", "json")
+    assert (code, out) == (64, "")
+    assert "--laws" in err and "--set" not in err
 
 
 def test_certify_exit_codes(capsys):
@@ -239,7 +248,7 @@ def test_order_from_collection_file(capsys, tmp_path):
 
 def test_compress_check_sbl_family(capsys):
     code, out, _ = run(
-        capsys, "compress", "petersenxK2", "--set", "[0,1,2]", "--check",
+        capsys, "compress", "petersenxK2", "--set", "[0,1,2]",
         "--family", "sbl", "--format", "json",
     )
     assert code == 0

@@ -25,6 +25,7 @@ from blocklex import (
     induced_edges,
     is_block_compressed,
     is_compressed,
+    is_consistent,
     is_slice_compressed,
     is_strongly_compressed,
     lex_order,
@@ -36,7 +37,11 @@ from blocklex import (
     uniform_collection,
     weight,
 )
-from blocklex.compression import CompressionDidNotStabilize, singleton_schedule
+from blocklex.compression import (
+    CompressionDidNotStabilize,
+    singleton_schedule,
+    vertex_weight_table,
+)
 from blocklex.partitions import atomic_partition
 from blocklex.staircase import staircase_scan_2d
 
@@ -152,6 +157,20 @@ def test_inconsistent_schedule_hits_cap(square):
         compress_to_fixpoint(g, anti, ((0,), (0, 1)), fam)
 
 
+def test_family_orders_must_fit_the_product():
+    """Walks are read off the orders alone, so orders of the factors'
+    sizes in the wrong places must be refused, not compressed with."""
+    g = cartesian_product([clique(2), clique(3)])
+    o2, o3 = TotalOrder.identity(2), TotalOrder.identity(3)
+    for orders in ([o3, o2], [o2], [o2, o3, o2]):
+        with pytest.raises(ValueError):
+            OrderFamily.lexicographic(g, orders)
+    with pytest.raises(ValueError):
+        OrderFamily.custom(g, {(0,): o3})
+    with pytest.raises(ValueError):
+        is_consistent(g, TotalOrder.identity(7), o2, (0,))
+
+
 def test_strongly_compress_properties():
     g = cartesian_product([clique(2), clique(2), clique(3)])
     fam, _ = lex_family(g)
@@ -202,6 +221,25 @@ def test_weight_equals_induced_on_compressed_sets():
         for m in range(g.n + 1):
             for a in enumerate_compressed(g, orders, m):
                 assert weight(g, a, deltas) == induced_edges(g, a)
+
+
+def test_weight_table_reads_factor_ranks():
+    """A literal per-vertex reference under reversed factor orders, where
+    a vertex's coordinates are not its ranks: each coordinate contributes
+    its factor's delta at the coordinate's rank."""
+    g = cartesian_product([path(4), cycle(5), clique(3)])
+    deltas = [
+        delta_sequence(prof, reverse_order(o))
+        for prof, o in map(factor_profile_and_order, g.factors)
+    ]
+    want = [
+        sum(
+            d.at_rank(d.source_order.rank(c))
+            for d, c in zip(deltas, g.vertex_tuple(v))
+        )
+        for v in range(g.n)
+    ]
+    assert vertex_weight_table(g, deltas).tolist() == want
 
 
 def test_weight_difference_identity():

@@ -28,6 +28,7 @@ from blocklex import (
     lex_order,
     path,
     petersen,
+    reverse_order,
     subproduct,
     theta_profile,
 )
@@ -73,49 +74,71 @@ def test_theta_witnesses_achieve_minima():
 
 
 def test_compress_once_against_reference():
-    """The vectorized compression against a literal per-cut rebuild."""
-    g = cartesian_product([clique(2), cycle(5), clique(3)])
+    """The vectorized compression against a literal per-cut rebuild, for
+    lex families on optimal and on reversed factor orders, a block-lex
+    family and a custom family.  Each reference subset order is built on
+    its own subproduct graph."""
+    g = cartesian_product([path(4), cycle(5), clique(3)])
     orders = [factor_profile_and_order(f)[1] for f in g.factors]
-    fam = OrderFamily.lexicographic(g, orders)
-    coords = g.coords()
+    reversed_orders = [reverse_order(o) for o in orders]
+    dc = standard_collection(g.factors)
+    assert dc.validate(g)[0]
+    subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     rng = np.random.default_rng(31)
-    subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-    for _ in range(40):
-        ids = rng.choice(g.n, size=rng.integers(0, g.n + 1), replace=False)
-        a = VertexSet.from_ids(g.n, ids)
-        s = subsets[rng.integers(len(subsets))]
-        fast = compress_once(g, a, s, fam)
-        # reference: group vertices by the complement coordinates, sort each
-        # cut by the subproduct order, refill prefixes of the same sizes
-        sub, sub_order = fam.order_for(s)
-        comp = [i for i in range(3) if i not in s]
-        cuts: dict[tuple, list[int]] = {}
-        for v in range(g.n):
-            cuts.setdefault(tuple(coords[v, comp]), []).append(v)
-        want = set()
-        sub_radix = np.ones(len(s), dtype=np.int64)
-        for i in range(len(s) - 2, -1, -1):
-            sub_radix[i] = sub_radix[i + 1] * g.factor_shape[s[i + 1]]
-        for cut in cuts.values():
-            members = [v for v in cut if v in a]
-            ranked = sorted(
-                cut, key=lambda v: sub_order.rank(int(coords[v, s] @ sub_radix))
-            )
-            want.update(ranked[: len(members)])
-        assert set(fast.ids().tolist()) == want
+    custom = {
+        s: TotalOrder(rng.permutation(subproduct(g, s).n) + 1) for s in subsets
+    }
+    families = [
+        (OrderFamily.lexicographic(g, orders),
+         lambda s: lex_order(subproduct(g, s), [orders[i] for i in s])),
+        (OrderFamily.lexicographic(g, reversed_orders),
+         lambda s: lex_order(subproduct(g, s), [reversed_orders[i] for i in s])),
+        (OrderFamily.block_lexicographic(g, dc),
+         lambda s: block_lex_order(subproduct(g, s), dc.restricted(s))),
+        (OrderFamily.custom(g, custom), custom.__getitem__),
+    ]
+    coords = g.coords()
+    for fam, reference_order in families:
+        for _ in range(40):
+            ids = rng.choice(g.n, size=rng.integers(0, g.n + 1), replace=False)
+            a = VertexSet.from_ids(g.n, ids)
+            s = subsets[rng.integers(len(subsets))]
+            fast = compress_once(g, a, s, fam)
+            # reference: group vertices by the complement coordinates, sort
+            # each cut by the subproduct order, refill prefixes of the same
+            # sizes
+            sub_order = reference_order(s)
+            comp = [i for i in range(3) if i not in s]
+            cuts: dict[tuple, list[int]] = {}
+            for v in range(g.n):
+                cuts.setdefault(tuple(coords[v, comp]), []).append(v)
+            want = set()
+            sub_radix = np.ones(len(s), dtype=np.int64)
+            for i in range(len(s) - 2, -1, -1):
+                sub_radix[i] = sub_radix[i + 1] * g.factor_shape[s[i + 1]]
+            for cut in cuts.values():
+                members = [v for v in cut if v in a]
+                ranked = sorted(
+                    cut, key=lambda v: sub_order.rank(int(coords[v, s] @ sub_radix))
+                )
+                want.update(ranked[: len(members)])
+            assert set(fast.ids().tolist()) == want, (fam.kind, s)
 
 
 def test_consistency_against_pairwise_reference():
-    g = cartesian_product([clique(2), clique(3), clique(2)])
-    orders = [TotalOrder.identity(f.n) for f in g.factors]
+    """The K3 orders are 3-cycles, not their own inverses, so a small
+    order read by rank instead of by place fails the consistent cases."""
+    g = cartesian_product([clique(2), clique(3), clique(3)])
+    orders = [TotalOrder.identity(2), TotalOrder([2, 3, 1]), TotalOrder([3, 1, 2])]
+    rng = np.random.default_rng(13)
     big = lex_order(g, orders)
     coords = g.coords()
-    rng = np.random.default_rng(13)
+    verdicts = set()
     for s in [(0,), (1,), (0, 2), (1, 2)]:
         sub = subproduct(g, s)
-        for trial in range(3):
-            perm = rng.permutation(sub.n) + 1
-            small = TotalOrder(perm)
+        smalls = [lex_order(sub, [orders[i] for i in s])]
+        smalls += [TotalOrder(rng.permutation(sub.n) + 1) for _ in range(2)]
+        for small in smalls:
             fast = is_consistent(g, big, small, s)
             slow = True
             comp = [i for i in range(3) if i not in s]
@@ -134,6 +157,8 @@ def test_consistency_against_pairwise_reference():
                         if small.rank(pu) >= small.rank(pv):
                             slow = False
             assert fast == slow
+            verdicts.add(fast)
+    assert verdicts == {True, False}
 
 
 def test_block_lex_against_comparator_reference():

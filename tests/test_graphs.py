@@ -1,5 +1,7 @@
 """Graph constructors, Cartesian products, and the edge functionals."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,13 @@ def test_permute_factors_swap_preserves_counts():
         b = VertexSet.from_ids(h.n, psi[a.mask])
         assert induced_edges(g, a) == induced_edges(h, b)
         assert boundary_edges(g, a) == boundary_edges(h, b)
+
+
+def test_permute_factors_map_is_the_gathered_coordinates():
+    g = cartesian_product([clique(2), path(3), cycle(4), cycle(5)])
+    for pi in itertools.permutations(range(4)):
+        h, psi = permute_factors(g, pi)
+        assert np.array_equal(psi, g.coords()[:, pi] @ h.radix())
 
 
 def test_permute_equal_factors_same_graph():

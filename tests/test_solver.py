@@ -961,6 +961,27 @@ def test_clear_caches_empties_every_module_memo():
     assert set(memos().values()) == {0}
 
 
+def test_every_exported_name_resolves():
+    """No module's `__all__` names a helper that is gone."""
+    import importlib
+    import pkgutil
+
+    import blocklex
+
+    modules = [blocklex] + [
+        importlib.import_module(f"blocklex.{m.name}")
+        for m in pkgutil.iter_modules(blocklex.__path__)
+    ]
+    stale = [
+        f"{m.__name__}.{name}"
+        for m in modules
+        for name in getattr(m, "__all__", ())
+        if not hasattr(m, name)
+    ]
+    assert stale == []
+    assert sum(len(getattr(m, "__all__", ())) for m in modules) > 100
+
+
 def test_cached_profile_does_not_hide_an_expired_cli_budget(capsys):
     from blocklex.cli import main
 

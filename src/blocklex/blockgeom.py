@@ -537,33 +537,37 @@ def validate_regular_domination_collection(
 # -- occupancy and the structural implications of strong compression ----------
 
 
+def _starts(dc: DominationCollection) -> list[list[int]]:
+    """Per factor, its segments' first places on a rank axis."""
+    return [[s - 1 for s, _ in p.segments] for p in dc.partitions]
+
+
+def _occupancy(mask: np.ndarray, dc: DominationCollection) -> tuple[np.ndarray, np.ndarray]:
+    """`block_occupancy` of a set's mask laid out by ranks, as the rank box is."""
+    sums = np.stack([mask, np.ones(mask.shape, dtype=bool)])
+    for i, starts in enumerate(_starts(dc)):
+        sums = np.add.reduceat(sums, starts, axis=i + 1, dtype=np.int64)
+    return sums[0], sums[1]
+
+
 def block_occupancy(
     g: Graph, dc: DominationCollection, a: VertexSet
-) -> dict[BlockId, tuple[int, int]]:
-    """Per block, in block order: (members of a inside, block size)."""
-    box = _rank_box(g, dc)
-    # a's members and all vertices, each summed over the blocks' rank intervals
-    sums = np.stack([a.mask[box], np.ones(box.shape, dtype=bool)])
-    for i, p in enumerate(dc.partitions):
-        sums = np.add.reduceat(sums, [s - 1 for s, _ in p.segments], axis=i + 1, dtype=np.int64)
-    counts, sizes = sums.reshape(2, -1).tolist()
-    return dict(zip(dc.block_ids(), zip(counts, sizes)))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two int64 grids shaped `dc.segment_counts`: entry [bid] of the first
+    is the number of a's members in block bid, of the second its size."""
+    return _occupancy(a.mask[_rank_box(g, dc)], dc)
 
 
-def _stacks(dc: DominationCollection, direction: int) -> list[list[BlockId]]:
-    counts = dc.segment_counts
-    other = [i for i in range(dc.d) if i != direction]
-    stacks = []
-    for fixed in itertools.product(*(range(counts[i]) for i in other)):
-        blocks = []
-        for j in range(counts[direction]):
-            bid = [0] * dc.d
-            for pos, i in enumerate(other):
-                bid[i] = fixed[pos]
-            bid[direction] = j
-            blocks.append(tuple(bid))
-        stacks.append(blocks)
-    return stacks
+def _bones_inside(mask: np.ndarray, dc: DominationCollection) -> np.ndarray:
+    """Bool grid shaped `dc.segment_counts + (d,)` over a set's mask laid out
+    by ranks: entry [bid + (i,)] is whether `bone(bid, i)` lies in the set."""
+    starts = _starts(dc)
+    bones = []
+    for i in range(dc.d):
+        # axis i whole, every other axis at its segment starts
+        axes = (range(mask.shape[k]) if k == i else s for k, s in enumerate(starts))
+        bones.append(np.logical_and.reduceat(mask[np.ix_(*axes)], starts[i], axis=i))
+    return np.stack(bones, axis=-1)
 
 
 def check_skeleton_containment(
@@ -572,16 +576,20 @@ def check_skeleton_containment(
     """For consecutive blocks B1 < B2 of any stack: if a touches B2 then
     B1's skeleton lies inside a.  Violations are returned (empty when the
     implication holds; expected to hold for strongly compressed sets)."""
-    occ = block_occupancy(g, dc, a)
+    mask = a.mask[_rank_box(g, dc)]
+    touched = _occupancy(mask, dc)[0] > 0
+    skeleton_inside = _bones_inside(mask, dc).all(-1)
     out = []
-    for direction in range(dc.d):
-        for blocks in _stacks(dc, direction):
-            for b1, b2 in zip(blocks, blocks[1:]):
-                if occ[b2][0] > 0 and not skeleton(g, dc, b1).issubset(a):
-                    out.append(
-                        f"stack dir {direction}: {b2} touched but skeleton of {b1} "
-                        "not contained"
-                    )
+    for i in range(dc.d):
+        # stacks in direction i as rows, in block order: block j + 1 touched
+        # while block j's skeleton is not inside
+        t, s = (np.moveaxis(grid, i, -1) for grid in (touched, skeleton_inside))
+        bad = t[..., 1:] & ~s[..., :-1]
+        for *fixed, j in np.argwhere(bad).tolist():
+            b1, b2 = (tuple(fixed[:i] + [k] + fixed[i:]) for k in (j, j + 1))
+            out.append(
+                f"stack dir {i}: {b2} touched but skeleton of {b1} not contained"
+            )
     return out
 
 
@@ -590,27 +598,20 @@ def check_shared_bone_containment(
 ) -> list[str]:
     """For blocks B1 < B2 sharing the i-th bone (same i-th segment): if
     bone(B2, i) lies inside a then all of B1 does."""
-    out = []
+    mask = a.mask[_rank_box(g, dc)]
+    inside, size = _occupancy(mask, dc)
+    bones = _bones_inside(mask, dc).reshape(-1, dc.d)
     blocks = dc.block_ids()
-    occ = block_occupancy(g, dc, a)
-    bone_inside: dict[tuple[BlockId, int], bool] = {}
-    for x, b1 in enumerate(blocks):
-        c, s = occ[b1]
-        if c == s:
-            continue
-        for b2 in blocks[x + 1 :]:
-            for i in range(dc.d):
-                if b1[i] != b2[i]:
-                    continue
-                inside = bone_inside.get((b2, i))
-                if inside is None:
-                    inside = bone(g, dc, b2, i).issubset(a)
-                    bone_inside[(b2, i)] = inside
-                if inside:
-                    out.append(
-                        f"blocks {b1} < {b2} share bone {i}; bone of {b2} "
-                        f"inside but {b1} not fully contained"
-                    )
+    ids = np.array(blocks)
+    out = []
+    for x in np.flatnonzero(inside.ravel() != size.ravel()).tolist():
+        b1 = blocks[x]
+        for y, i in np.argwhere(bones[x + 1 :] & (ids[x + 1 :] == ids[x])).tolist():
+            b2 = blocks[x + 1 + y]
+            out.append(
+                f"blocks {b1} < {b2} share bone {i}; bone of {b2} "
+                f"inside but {b1} not fully contained"
+            )
     return out
 
 
@@ -619,20 +620,19 @@ def check_slice_block_consecutive(
 ) -> list[str]:
     """Within a slice: a not-fully-contained block below a touched block
     must be its immediate predecessor in the slice's block order."""
-    occ = block_occupancy(g, dc, a)
+    inside, size = block_occupancy(g, dc, a)
+    nslices = dc.segment_counts[0]
+    inside, size = inside.reshape(nslices, -1), size.reshape(nslices, -1)
+    rest = list(itertools.product(*map(range, dc.segment_counts[1:])))
     out = []
-    for q in range(dc.partitions[0].num_segments):
-        blocks = [bid for bid in dc.block_ids() if bid[0] == q]
-        for x, b1 in enumerate(blocks):
-            c1, s1 = occ[b1]
-            if c1 == s1:
-                continue
-            for y in range(x + 1, len(blocks)):
-                b2 = blocks[y]
-                if occ[b2][0] > 0 and y != x + 1:
-                    out.append(
-                        f"slice {q}: {b1} partial, {b2} touched, not consecutive"
-                    )
+    for q in range(nslices):
+        touched = np.flatnonzero(inside[q] > 0)
+        for x in np.flatnonzero(inside[q] != size[q]).tolist():
+            for y in touched[touched > x + 1].tolist():
+                out.append(
+                    f"slice {q}: {(q, *rest[x])} partial, {(q, *rest[y])} touched, "
+                    "not consecutive"
+                )
     return out
 
 
@@ -644,45 +644,21 @@ def check_consecutive_slices(
     compressed; callers gate on that): only the first stack of the later
     slice is touched, all but the last stack of the earlier slice are full,
     and the two slices are adjacent."""
-    occ = block_occupancy(g, dc, a)
+    inside, size = block_occupancy(g, dc, a)
+    counts = dc.segment_counts
+    # per slice, its stacks in the last direction, one per row, ordered by
+    # their first block; a one-factor slice is one stack of one block
+    shape = (counts[0], -1, counts[-1] if dc.d > 1 else 1)
+    inside, size = inside.reshape(shape), size.reshape(shape)
+    stack_touched, stack_full = (inside > 0).any(-1), (inside == size).all(-1)
+    keys = list(itertools.product(*map(range, counts[1:-1])))
     out = []
-    nslices = dc.partitions[0].num_segments
-    d = dc.d
-
-    def slice_blocks(q):
-        return [bid for bid in dc.block_ids() if bid[0] == q]
-
-    def stacks_in_slice(q):
-        # stacks in the last direction within slice q, ordered by their
-        # first block
-        groups: dict[tuple, list[BlockId]] = {}
-        for bid in slice_blocks(q):
-            groups.setdefault(bid[: d - 1], []).append(bid)
-        return [groups[k] for k in sorted(groups)]
-
-    def full(bids):
-        return all(occ[b][0] == occ[b][1] for b in bids)
-
-    def touched(bids):
-        return any(occ[b][0] > 0 for b in bids)
-
-    for p in range(nslices):
-        for q in range(p + 1, nslices):
-            sp = slice_blocks(p)
-            sq = slice_blocks(q)
-            if touched(sq) and not full(sp):
-                if q != p + 1:
-                    out.append(f"slices {p} and {q}: not consecutive")
-                stacks_q = stacks_in_slice(q)
-                for st in stacks_q[1:]:
-                    if touched(st):
-                        out.append(
-                            f"slice {q}: stack {st[0][: d - 1]} beyond the first is touched"
-                        )
-                stacks_p = stacks_in_slice(p)
-                for st in stacks_p[:-1]:
-                    if not full(st):
-                        out.append(
-                            f"slice {p}: stack {st[0][: d - 1]} before the last is not full"
-                        )
+    for p, q in itertools.combinations(range(counts[0]), 2):
+        if stack_touched[q].any() and not stack_full[p].all():
+            if q != p + 1:
+                out.append(f"slices {p} and {q}: not consecutive")
+            for k in np.flatnonzero(stack_touched[q, 1:]).tolist():
+                out.append(f"slice {q}: stack {(q, *keys[k + 1])} beyond the first is touched")
+            for k in np.flatnonzero(~stack_full[p, :-1]).tolist():
+                out.append(f"slice {p}: stack {(p, *keys[k])} before the last is not full")
     return out

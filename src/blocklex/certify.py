@@ -698,6 +698,8 @@ def explore_conjecture(
             "k2": int(params.get("k2", 0)),
             "c3": int(params.get("c3", 0)),
         }
+        if min(dims.values()) < 0:
+            raise ValueError(f"factor counts must not be negative, got {dims}")
         factors: list[Graph] = []
         factors += [cycle(5)] * dims["c5"]
         factors += [petersen()] * dims["petersen"]

@@ -296,14 +296,25 @@ def _cmd_partition(cfg: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
+def _check_fit(dc: DominationCollection, g: Graph) -> None:
+    """A usage error unless dc has one partition per factor of g, each of
+    that factor's size."""
+    shape = tuple(p.n for p in dc.partitions)
+    if g.factor_shape != shape:
+        raise UsageError(
+            f"a collection over factor sizes {list(shape)} does not fit a graph "
+            f"with factor sizes {list(g.factor_shape or (g.n,))}"
+        )
+
+
 def _validated(dc: DominationCollection, g: Graph, what: str) -> DominationCollection:
-    """dc, once it passes `validate` on g.  Failing is a usage error for a
-    collection that does not fit g's factors, else a failed hypothesis."""
+    """dc, once it passes `validate` on g.  A collection that does not fit
+    g's factors is a usage error; one that fails validation, a failed
+    hypothesis."""
+    _check_fit(dc, g)
     ok, diags = dc.validate(g)
     if not ok:
-        fits = g.factors is not None and [f.n for f in g.factors] == [p.n for p in dc.partitions]
-        error = HypothesisFailed if fits else UsageError
-        raise error(f"{what} collection failed validation: " + "; ".join(diags))
+        raise HypothesisFailed(f"{what} collection failed validation: " + "; ".join(diags))
     return dc
 
 
@@ -436,16 +447,15 @@ def _compress_laws(cfg: argparse.Namespace, g: Graph, family: OrderFamily, input
         size = int(rng.integers(0, g.n + 1))
         ids = rng.choice(g.n, size=size, replace=False)
         a = VertexSet.from_ids(g.n, ids)
-        for i in range(d):
-            out = compress_once(g, a, (i,), family)
+        compressed = [compress_once(g, a, (i,), family) for i in range(d)]
+        for i, out in enumerate(compressed):
             if len(out) != len(a):
                 violations.append({"law": "size", "factor": i + 1, "set": a.ids().tolist()})
             if induced_edges(g, out) < induced_edges(g, a):
                 violations.append({"law": "induced_non_decrease", "factor": i + 1, "set": a.ids().tolist()})
         sub_ids = rng.choice(g.n, size=size // 2 if size else 0, replace=False)
         b = VertexSet.from_ids(g.n, [i for i in sub_ids if i in a])
-        for i in range(d):
-            ca = compress_once(g, a, (i,), family)
+        for i, ca in enumerate(compressed):
             cb = compress_once(g, b, (i,), family)
             if not cb.issubset(ca):
                 violations.append({"law": "monotone", "factor": i + 1, "set": a.ids().tolist(), "subset": b.ids().tolist()})
@@ -474,6 +484,7 @@ def _cmd_certify(cfg: argparse.Namespace) -> int:
             parts, dc = style, None
         else:
             dc = DominationCollection.from_json(_load_json_arg("@" + style))
+            _check_fit(dc, g)
             parts = list(dc.partitions)
         cert = certify(g, parts, dc, crosscheck=not cfg.no_crosscheck)
     result = cert.to_json()
@@ -603,7 +614,7 @@ def main(argv=None) -> int:
             cfg = parser.parse_args(argv)
         else:
             cfg = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if cfg.budget <= 0:
+        if not cfg.budget > 0:
             raise UsageError("budget must be positive")
         # a command's output must not depend on commands run before it
         clear_caches()

@@ -259,29 +259,23 @@ def weight(g: Graph, a, deltas: Sequence[DeltaSequence]) -> int:
 # -- block and slice compression ------------------------------------------------
 
 
+def _full_before_last_touched(g: Graph, dc: DominationCollection, a, rows: int) -> bool:
+    """Whether, with the blocks in block order cut into `rows` equal rows,
+    every block before its row's last touched block is full."""
+    a = a if isinstance(a, VertexSet) else VertexSet.from_ids(g.n, a)
+    inside, size = (grid.reshape(rows, -1) for grid in block_occupancy(g, dc, a))
+    touched = inside > 0
+    # a block before its row's last touched one has a touched block after it
+    before_last = np.cumsum(touched[:, ::-1], axis=1)[:, ::-1] > touched
+    return bool(np.all(inside[before_last] == size[before_last]))
+
+
 def is_block_compressed(g: Graph, dc: DominationCollection, a) -> bool:
     """Every block before the last touched block (in the block order) is
     fully contained."""
-    a = a if isinstance(a, VertexSet) else VertexSet.from_ids(g.n, a)
-    occ = block_occupancy(g, dc, a)
-    blocks = list(occ)
-    touched = [i for i, b in enumerate(blocks) if occ[b][0] > 0]
-    if not touched:
-        return True
-    last = touched[-1]
-    return all(occ[blocks[i]][0] == occ[blocks[i]][1] for i in range(last))
+    return _full_before_last_touched(g, dc, a, 1)
 
 
 def is_slice_compressed(g: Graph, dc: DominationCollection, a) -> bool:
     """The block-compression condition holds inside every slice."""
-    a = a if isinstance(a, VertexSet) else VertexSet.from_ids(g.n, a)
-    occ = block_occupancy(g, dc, a)
-    for q in range(dc.partitions[0].num_segments):
-        blocks = [b for b in occ if b[0] == q]
-        touched = [i for i, b in enumerate(blocks) if occ[b][0] > 0]
-        if not touched:
-            continue
-        last = touched[-1]
-        if not all(occ[blocks[i]][0] == occ[blocks[i]][1] for i in range(last)):
-            return False
-    return True
+    return _full_before_last_touched(g, dc, a, dc.segment_counts[0])

@@ -2,7 +2,11 @@
 orders built from domination collections."""
 
 import functools
+import inspect
 import itertools
+import json
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -27,7 +31,9 @@ from blocklex import (
     enumerate_compressed,
     factor_profile_and_order,
     graph_power,
+    is_block_compressed,
     is_consistent,
+    is_slice_compressed,
     lex_order,
     path,
     petersen,
@@ -39,18 +45,21 @@ from blocklex import (
     standard_collection,
     standard_monotonic_partition,
     start_of,
+    strongly_compress,
     subproduct,
     uniform_collection,
     validate_regular_domination_collection,
 )
+from blocklex import blockgeom
 from blocklex.blockgeom import (
     block_graph_and_order,
+    block_lex_walk,
     block_occupancy,
     block_vertices,
     check_shared_bone_containment,
 )
 from blocklex.graphs import VertexSet, induced_subgraph
-from blocklex.orders import restrict_perm
+from blocklex.orders import rank_box, restrict_perm
 
 
 def atomic_dc(g):
@@ -575,7 +584,9 @@ def test_geometry_against_per_vertex_reference(make):
     assert block_lex_order(g, dc) == TotalOrder.from_sequence(seq)
     rng = np.random.default_rng(g.n)
     for a in (VertexSet.empty(g.n), VertexSet(rng.random(g.n) < 0.4), VertexSet.full(g.n)):
-        assert block_occupancy(g, dc, a) == {
+        inside, size = block_occupancy(g, dc, a)
+        assert inside.shape == size.shape == dc.segment_counts
+        assert {bid: (inside[bid], size[bid]) for bid in dc.block_ids()} == {
             bid: (len(a & _ref_block(g, dc, bid)), len(_ref_block(g, dc, bid)))
             for bid in dc.block_ids()
         }
@@ -593,25 +604,225 @@ def test_geometry_against_per_vertex_reference(make):
         assert all(len(a) == m and _ref_is_rank_downset(g, orders, a) for a in sets)
 
 
-def _ref_shared_bone_messages(g, dc, a):
-    """check_shared_bone_containment by its literal definition: every
-    B1 < B2 sharing segment i, bone(B2, i) inside a, B1 not full."""
-    occ = block_occupancy(g, dc, a)
-    blocks = dc.block_ids()
+def _ref_checks(g, dc, sets):
+    """Per set: the four structural checkers' messages and the block and
+    slice compression verdicts, by their literal per-block definitions over
+    `bone`, `skeleton`, `stack` and `slice_vertices`, each block's members
+    counted on its own VertexSet."""
+    d, blocks = dc.d, dc.block_ids()
+    members = {b: _ref_block(g, dc, b) for b in blocks}
+
+    def within(region):
+        return [b for b in blocks if members[b].issubset(region)]
+
+    # stacks in direction i, one per anchor block first in it, in block order
+    stacks = [[within(stack(g, dc, i, b)) for b in blocks if b[i] == 0] for i in range(d)]
+    slices = [within(slice_vertices(g, dc, q)) for q in range(dc.segment_counts[0])]
+    # each slice's blocks grouped by their stack in the last direction
+    slice_stacks = []
+    for sl in slices:
+        groups: dict[bytes, list] = {}
+        for b in sl:
+            groups.setdefault(stack(g, dc, d - 1, b).ids().tobytes(), []).append(b)
+        slice_stacks.append(list(groups.values()))
+    skeletons = {b: skeleton(g, dc, b) for b in blocks}
+    bones = {(b, i): bone(g, dc, b, i) for b in blocks for i in range(d)}
     out = []
-    for x, b1 in enumerate(blocks):
-        for b2 in blocks[x + 1 :]:
-            for i in range(dc.d):
-                if (
-                    b1[i] == b2[i]
-                    and bone(g, dc, b2, i).issubset(a)
-                    and occ[b1][0] != occ[b1][1]
-                ):
-                    out.append(
-                        f"blocks {b1} < {b2} share bone {i}; bone of {b2} "
-                        f"inside but {b1} not fully contained"
-                    )
+    for a in sets:
+        occ = {b: (len(a & s), len(s)) for b, s in members.items()}
+
+        def full(bs):
+            return all(occ[b][0] == occ[b][1] for b in bs)
+
+        def touched(bs):
+            return any(occ[b][0] > 0 for b in bs)
+
+        def filled(bs):  # every block before the last touched one is full
+            last = max((x for x, b in enumerate(bs) if touched([b])), default=0)
+            return full(bs[:last])
+
+        skel = [
+            f"stack dir {i}: {b2} touched but skeleton of {b1} not contained"
+            for i in range(d)
+            for st in stacks[i]
+            for b1, b2 in zip(st, st[1:])
+            if touched([b2]) and not skeletons[b1].issubset(a)
+        ]
+        shared = [
+            f"blocks {b1} < {b2} share bone {i}; bone of {b2} inside but {b1} "
+            "not fully contained"
+            for x, b1 in enumerate(blocks)
+            for b2 in blocks[x + 1 :]
+            for i in range(d)
+            if b1[i] == b2[i] and bones[b2, i].issubset(a) and not full([b1])
+        ]
+        in_slice = [
+            f"slice {q}: {b1} partial, {b2} touched, not consecutive"
+            for q, sl in enumerate(slices)
+            for x, b1 in enumerate(sl)
+            for b2 in sl[x + 2 :]
+            if not full([b1]) and touched([b2])
+        ]
+        across = []
+        for p, q in itertools.combinations(range(len(slices)), 2):
+            if touched(slices[q]) and not full(slices[p]):
+                if q != p + 1:
+                    across.append(f"slices {p} and {q}: not consecutive")
+                across += [
+                    f"slice {q}: stack {st[0][:-1]} beyond the first is touched"
+                    for st in slice_stacks[q][1:]
+                    if touched(st)
+                ]
+                across += [
+                    f"slice {p}: stack {st[0][:-1]} before the last is not full"
+                    for st in slice_stacks[p][:-1]
+                    if not full(st)
+                ]
+        out.append((skel, shared, in_slice, across, filled(blocks), all(map(filled, slices))))
     return out
+
+
+def _checks(g, dc, sets, geom=blockgeom):
+    """What `_ref_checks` computes, by the library (its checkers from `geom`)."""
+    return [
+        (
+            geom.check_skeleton_containment(g, dc, a),
+            geom.check_shared_bone_containment(g, dc, a),
+            geom.check_slice_block_consecutive(g, dc, a),
+            geom.check_consecutive_slices(g, dc, a),
+            is_block_compressed(g, dc, a),
+            is_slice_compressed(g, dc, a),
+        )
+        for a in sets
+    ]
+
+
+def _reference_sets(g, dc):
+    """The empty and the full set, and per draw: a random set, its strong
+    compression (in the block-lex family where the collection validates,
+    else in the lex family of its factor orders), an initial segment of the
+    block-lex walk, and a union of whole blocks and bones."""
+    rng = np.random.default_rng(g.n + dc.d)
+    blocks = dc.block_ids()
+    ok, _ = dc.validate(g, check_block_optimality=False)
+    family = dc if ok else list(dc.factor_orders)
+    walk = block_lex_walk(rank_box(g, dc.factor_orders), dc)
+    sets = [VertexSet.empty(g.n), VertexSet.full(g.n)]
+    for _ in range(4):
+        a = VertexSet(rng.random(g.n) < rng.random())
+        sets.append(a)
+        if dc.d > 1:
+            sets.append(strongly_compress(g, a, family))
+        sets.append(VertexSet.from_ids(g.n, walk[: int(rng.integers(g.n + 1))]))
+        union = VertexSet.empty(g.n)
+        for k in rng.choice(len(blocks), size=min(2, len(blocks)), replace=False):
+            union = union | _ref_block(g, dc, blocks[k])
+            b = blocks[int(rng.integers(len(blocks)))]
+            union = union | bone(g, dc, b, int(rng.integers(dc.d)))
+        sets.append(union)
+    return sets
+
+
+def _uniform_case(factors, bounds, perm):
+    g = cartesian_product(factors)
+    orders = [factor_profile_and_order(f)[1] for f in factors]
+    parts = [
+        atomic_partition(o) if b is None else Partition.from_boundaries(o, b)
+        for o, b in zip(orders, bounds)
+    ]
+    return g, uniform_collection(parts, perm)
+
+
+def _standard_case(factors):
+    g = cartesian_product(factors)
+    return g, standard_collection(g.factors)
+
+
+def _json_random_case(seed):
+    g, dc = _random_case(seed)
+    return g, DominationCollection.from_json(json.loads(json.dumps(dc.to_json())))
+
+
+REFERENCE_CASES = {
+    "uniform_p5_atomic": lambda: _uniform_case([path(5)], [None], (0,)),
+    "uniform_c4c5": lambda: _uniform_case([cycle(4), cycle(5)], [[1, 4], [2, 3, 5]], (1, 0)),
+    "uniform_k2k2k3_atomic": lambda: _uniform_case(
+        [clique(2), clique(2), clique(3)], [None] * 3, (2, 0, 1)
+    ),
+    "uniform_k2x4_atomic": lambda: _uniform_case([clique(2)] * 4, [None] * 4, (3, 1, 0, 2)),
+    "standard_c6": lambda: _standard_case([cycle(6)]),
+    "standard_petersen_square": lambda: _standard_case([petersen(), petersen()]),
+    "standard_p4c4k2": lambda: _standard_case([path(4), cycle(4), clique(2)]),
+    "standard_c4p3c5k2": lambda: _standard_case([cycle(4), path(3), cycle(5), clique(2)]),
+    "json_nonuniform": _nonuniform_case,
+    "json_nonuniform_reversed": lambda: _reversed_nonuniform_case(),
+    **{f"json_random_{seed}": functools.partial(_json_random_case, seed) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("make", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_checkers_and_predicates_against_per_block_reference(make):
+    """The four checkers and both predicates give the literal per-block
+    definitions' messages, in the same order, and verdicts."""
+    g, dc = make()
+    sets = _reference_sets(g, dc)
+    assert _checks(g, dc, sets) == _ref_checks(g, dc, sets)
+
+
+def _mutant_blockgeom(monkeypatch, old, new):
+    """A copy of `blockgeom` with one source edit, importable while the
+    test runs (its dataclass looks its module up)."""
+    src = inspect.getsource(blockgeom)
+    assert src.count(old) == 1
+    mutant = types.ModuleType("blocklex._blockgeom_mutant")
+    mutant.__package__ = "blocklex"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(src.replace(old, new), blockgeom.__file__, "exec"), mutant.__dict__)
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        # bones pinned at segment ends instead of starts
+        ("else s for k, s in", "else [e - 1 for _, e in dc.partitions[k].segments] for k, s in"),
+        # stacks walked along the next axis instead of their own
+        ("np.moveaxis(grid, i, -1)", "np.moveaxis(grid, (i + 1) % dc.d, -1)"),
+    ],
+    ids=["bones_at_segment_ends", "stacks_along_the_wrong_axis"],
+)
+def test_reference_catches_a_mutant_checker(old, new, monkeypatch):
+    mutant = _mutant_blockgeom(monkeypatch, old, new)
+    assert any(
+        _checks(g, dc, sets, mutant) != _ref_checks(g, dc, sets)
+        for g, dc in (make() for make in REFERENCE_CASES.values())
+        for sets in [_reference_sets(g, dc)]
+    )
+
+
+def test_checkers_build_one_rank_box_per_call_whatever_the_block_count(monkeypatch):
+    """K2^4 and K2^8 under atomic partitions have 16 and 256 blocks; each
+    checker and predicate builds the rank box once per call on both."""
+    built = []
+    monkeypatch.setattr(
+        blockgeom, "rank_box", lambda *args: built.append(1) or rank_box(*args)
+    )
+    per_call = []
+    for d in (4, 8):
+        g, dc = _uniform_case([clique(2)] * d, [None] * d, None)
+        a = VertexSet(np.random.default_rng(d).random(g.n) < 0.5)
+        for check in (
+            blockgeom.check_skeleton_containment,
+            blockgeom.check_shared_bone_containment,
+            blockgeom.check_slice_block_consecutive,
+            blockgeom.check_consecutive_slices,
+            is_block_compressed,
+            is_slice_compressed,
+        ):
+            built.clear()
+            check(g, dc, a)
+            per_call.append(len(built))
+    assert per_call == [1] * 12
 
 
 @pytest.mark.parametrize(
@@ -628,15 +839,17 @@ def test_shared_bone_inside_with_earlier_block_partial_is_reported(make):
         f"blocks {b1} < {b2} share bone 0; bone of {b2} inside but {b1} "
         "not fully contained"
     ) in msgs
-    assert msgs == _ref_shared_bone_messages(g, dc, a)
     rng = np.random.default_rng(7)
+    sets = [a]
     for _ in range(10):
         picks = rng.choice(len(blocks), size=3, replace=False)
         ids = set(rng.choice(g.n, size=g.n // 4, replace=False).tolist())
         for k in picks:
             ids |= set(bone(g, dc, blocks[k], int(rng.integers(dc.d))).ids().tolist())
-        a = VertexSet.from_ids(g.n, sorted(ids))
-        assert check_shared_bone_containment(g, dc, a) == _ref_shared_bone_messages(g, dc, a)
+        sets.append(VertexSet.from_ids(g.n, sorted(ids)))
+    assert [check_shared_bone_containment(g, dc, a) for a in sets] == [
+        ref[1] for ref in _ref_checks(g, dc, sets)
+    ]
 
 
 def _ref_block_diagnostics(g, dc):

@@ -157,6 +157,32 @@ def test_compress_laws_needs_a_positive_count(capsys, n):
     assert "--laws" in err and "--set" not in err
 
 
+def test_compress_laws_compress_each_sample_once_per_factor(capsys, monkeypatch):
+    """The size, induced-edge and monotonicity laws read one compression of
+    each sample per factor; the subset is compressed once more."""
+    from blocklex import cli
+
+    calls = []
+    once = cli.compress_once
+    monkeypatch.setattr(cli, "compress_once", lambda *args: calls.append(args) or once(*args))
+    assert run(capsys, "compress", "K2xK3xK2", "--laws", "12")[0] == 0
+    assert len(calls) == 12 * 3 * 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("profile", "K2", "--budget", "nan"),
+        ("explore", "petersen_tori", "--c5", "-1", "--k2", "3"),
+    ],
+    ids=["budget_nan", "negative_factor_count"],
+)
+def test_an_input_that_asks_for_nothing_exits_64(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_certify_exit_codes(capsys):
     code, out, _ = run(capsys, "certify", "C5^3", "--format", "json")
     assert code == 0
@@ -893,6 +919,45 @@ def test_a_collection_that_does_not_fit_exits_64(capsys, tmp_path):
     assert run(capsys, "order", "K3xK2xK2", "--bl", _k3xk2_collection(tmp_path))[0] == 64
     (tmp_path / "bad.json").write_text("{")
     assert run(capsys, "order", "K3xK2", "--bl", str(tmp_path / "bad.json"))[0] == 64
+
+
+def _standard_collection_file(tmp_path, spec):
+    from blocklex import parse_graph_spec, standard_collection
+
+    path = tmp_path / f"{spec}.json"
+    path.write_text(json.dumps(standard_collection(parse_graph_spec(spec).factors).to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "spec,collection",
+    [
+        ("K2xK3xK5", "K2xK3xK4"),
+        ("K2xK3xK3", "K2xK3xK4"),
+        ("K2xK3xK4xK2", "K2xK3xK4"),
+        ("K2xK3xK4", "K2xK3"),
+    ],
+)
+def test_certify_with_a_collection_that_does_not_fit_exits_64(capsys, tmp_path, spec, collection):
+    """Checked before any hypothesis runs: before, these argvs raised an
+    IndexError, failed on a numpy broadcast, or reported a failed
+    hypothesis (exit 2)."""
+    dc = _standard_collection_file(tmp_path, collection)
+    code, out, err = run(capsys, "certify", spec, "--partitions", dc)
+    assert (code, out) == (64, "")
+
+    def sizes(s):
+        return [int(x[1:]) for x in s.split("x")]
+
+    assert err == (
+        f"error: a collection over factor sizes {sizes(collection)} does not fit "
+        f"a graph with factor sizes {sizes(spec)}\n"
+    )
+
+
+def test_certify_with_a_collection_that_fits_runs(capsys, tmp_path):
+    dc = _standard_collection_file(tmp_path, "K2xK3xK4")
+    assert run(capsys, "certify", "K2xK3xK4", "--partitions", dc)[0] == 0
 
 
 def test_a_block_permutation_of_floats_exits_64(capsys, tmp_path):

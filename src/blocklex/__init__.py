@@ -28,7 +28,15 @@ from .graphs import (
     petersen,
     subproduct,
 )
-from .budget import Budget, BudgetExceeded, Inconclusive, SizeCapExceeded
+from .budget import (
+    BlocklexError,
+    Budget,
+    BudgetExceeded,
+    HypothesisFailed,
+    Inconclusive,
+    SizeCapExceeded,
+    UsageError,
+)
 from .orders import (
     TotalOrder,
     colex_perm,

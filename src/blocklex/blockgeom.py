@@ -32,8 +32,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budget import SizeCapExceeded
-from .graphs import Graph, VertexSet, induced_subgraph, integers, json_fields, json_typed
+from .budget import HypothesisFailed, SizeCapExceeded, UsageError
+from .graphs import (
+    Graph,
+    VertexSet,
+    induced_subgraph,
+    integers,
+    json_fields,
+    json_typed,
+    split_integers,
+)
 from .orders import TotalOrder, identity_perm, rank_box, restrict_perm
 from .partitions import (
     FactorTable,
@@ -94,22 +102,22 @@ class DominationCollection:
         self.partitions = tuple(self.partitions)
         d = len(self.partitions)
         if d < 1:
-            raise ValueError("need at least one factor partition")
+            raise UsageError("need at least one factor partition")
         for bid, perm in self.block_perms.items():
             self._check_block_id(bid)
             if sorted(perm) != list(range(d)):
-                raise ValueError(f"bad permutation {perm!r} for block {bid}")
+                raise UsageError(f"bad permutation {perm!r} for block {bid}")
         if self.default_perm is not None and sorted(self.default_perm) != list(
             range(d)
         ):
-            raise ValueError("bad default permutation")
+            raise UsageError("bad default permutation")
 
     def _check_block_id(self, bid: BlockId):
         if len(bid) != self.d:
-            raise ValueError(f"block id {bid} has wrong arity")
+            raise UsageError(f"block id {bid} has wrong arity")
         for i, j in enumerate(bid):
             if not 0 <= j < self.partitions[i].num_segments:
-                raise ValueError(f"block id {bid} out of range in factor {i}")
+                raise UsageError(f"block id {bid} out of range in factor {i}")
 
     @property
     def d(self) -> int:
@@ -145,15 +153,15 @@ class DominationCollection:
         The permutation of a sub-block is the restriction of the full-block
         permutation; every full block projecting onto the sub-block must
         restrict identically, otherwise the subproduct orders would be
-        ill-defined and a ValueError is raised.  Each restriction is built
+        ill-defined and a UsageError is raised.  Each restriction is built
         once per collection; it is validated once this collection is, and
         shares this collection's block class verdicts.
         """
         s_sorted = sorted(set(int(i) for i in s))
         if not s_sorted:
-            raise ValueError("factor subset must be nonempty")
+            raise UsageError("factor subset must be nonempty")
         if s_sorted[0] < 0 or s_sorted[-1] >= self.d:
-            raise ValueError("factor subset out of range")
+            raise UsageError("factor subset out of range")
         cache = self.__dict__.setdefault("_restricted_cache", {})
         dc = cache.get(tuple(s_sorted))
         if dc is None:
@@ -174,7 +182,7 @@ class DominationCollection:
             sub_bid = pick(bid)[:-1]
             prev = sub_perms.setdefault(sub_bid, perm)
             if prev != perm:
-                raise ValueError(
+                raise UsageError(
                     f"block permutations restrict inconsistently onto factors "
                     f"{s_sorted} at sub-block {sub_bid}: {prev} vs {perm}"
                 )
@@ -216,7 +224,7 @@ class DominationCollection:
         parts = tuple(Partition.from_json(p) for p in parts)
         perms = json_typed(data.get("block_perms", {}), dict, "a block collection's 'block_perms'")
         perms = {
-            tuple(int(t) - 1 for t in key.split(",")): tuple(
+            tuple(t - 1 for t in split_integers(key, "block ids")): tuple(
                 x - 1 for x in integers(perm, "block permutations")
             )
             for key, perm in perms.items()
@@ -266,7 +274,7 @@ class DominationCollection:
             if self.d > 2:
                 for s in itertools.combinations(range(self.d), 2):
                     self.restricted(s)
-        except ValueError as e:
+        except UsageError as e:
             ok = False
             diags.append(str(e))
         undecided = None
@@ -339,7 +347,7 @@ def standard_collection(
         partitions = parts
     partitions = tuple(partitions)
     if not partitions:
-        raise ValueError("need at least one factor partition")
+        raise UsageError("need at least one factor partition")
     sizes = [[b - a + 1 for a, b in p.segments] for p in partitions]
     ids = itertools.product(*(range(len(s)) for s in sizes))
     by_sizes: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -393,7 +401,7 @@ def bone(g: Graph, dc: DominationCollection, bid: BlockId, i: int) -> VertexSet:
     the segment starts."""
     box = _block_box(g, dc, bid)
     if not 0 <= i < dc.d:
-        raise ValueError("bone direction out of range")
+        raise UsageError("bone direction out of range")
     return VertexSet.from_ids(g.n, _bone_ids(box, i))
 
 
@@ -423,7 +431,7 @@ def stack(g: Graph, dc: DominationCollection, direction: int, anchor) -> VertexS
     """Union of the blocks obtained by varying the block coordinate in the
     given direction, anchored at a vertex or block id."""
     if not 0 <= direction < dc.d:
-        raise ValueError("stack direction out of range")
+        raise UsageError("stack direction out of range")
     bid = tuple(anchor) if not isinstance(anchor, (int, np.integer)) else block_of(
         g, dc, int(anchor)
     )
@@ -436,7 +444,7 @@ def stack(g: Graph, dc: DominationCollection, direction: int, anchor) -> VertexS
 def slice_vertices(g: Graph, dc: DominationCollection, q: int) -> VertexSet:
     """Union of the blocks whose first factor segment index is q (0-based)."""
     if not 0 <= q < dc.partitions[0].num_segments:
-        raise ValueError("slice index out of range")
+        raise UsageError("slice index out of range")
     return VertexSet.from_ids(g.n, _rank_box(g, dc)[_cuts(dc)[0][q]].ravel())
 
 
@@ -445,12 +453,12 @@ def slice_vertices(g: Graph, dc: DominationCollection, q: int) -> VertexSet:
 
 def _orderable_factors(gs: Graph | Sequence[Graph], dc: DominationCollection):
     if not dc.validated:
-        raise ValueError(
+        raise UsageError(
             "domination collection must pass validate() before building orders"
         )
     factors = gs.factors if isinstance(gs, Graph) else gs
     if factors is None or len(factors) != dc.d:
-        raise ValueError("graph does not match the collection")
+        raise UsageError("graph does not match the collection")
     return factors
 
 
@@ -494,12 +502,12 @@ def standard_block_lex_order(
     """Standard block-lexicographic order of a product: standard monotonic
     partitions with size-sorted block domination."""
     if g.factors is None:
-        raise ValueError("requires a product graph")
+        raise UsageError("requires a product graph")
     if dc is None:
         dc = standard_collection(g.factors)
     ok, diags = dc.validate(g)
     if not ok:
-        raise ValueError("standard collection failed validation: " + "; ".join(diags))
+        raise HypothesisFailed("standard collection failed validation: " + "; ".join(diags))
     return block_lex_order(g, dc), dc
 
 
@@ -520,7 +528,7 @@ def validate_regular_domination_collection(
         middle = list(range(1, d - 1))
         try:
             sub_dc = dc.restricted(middle)
-        except ValueError as e:
+        except UsageError as e:
             return False, diags + [str(e)]
         first = tuple(0 for _ in middle)
         last = tuple(dc.partitions[i].num_segments - 1 for i in middle)

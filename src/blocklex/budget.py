@@ -1,4 +1,11 @@
-"""One wall-clock deadline for the whole process.
+"""One error hierarchy and one wall-clock deadline for the whole process.
+
+Every error blocklex raises on purpose is a `BlocklexError`, and its class
+names the answer and the CLI's exit code: `UsageError` (64) rejects an
+argument or an input and is a ValueError, `HypothesisFailed` (2) is an
+input that is well formed but fails a hypothesis a command needs, and
+`Inconclusive` (3) is an answer that could not be told.  Any other
+exception is a bug.
 
 A `Budget` entered in a `with` statement sets the deadline, and every
 engine polls it with `Budget.check()`, which raises `BudgetExceeded` once
@@ -14,11 +21,39 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-__all__ = ["Budget", "BudgetExceeded", "Inconclusive", "SizeCapExceeded"]
+__all__ = [
+    "BlocklexError",
+    "UsageError",
+    "HypothesisFailed",
+    "Inconclusive",
+    "Budget",
+    "BudgetExceeded",
+    "SizeCapExceeded",
+]
 
 
-class Inconclusive(Exception):
+class BlocklexError(Exception):
+    """An error blocklex raises on purpose; `exit_code` is the CLI's."""
+
+    exit_code: int
+
+
+class UsageError(BlocklexError, ValueError):
+    """An argument or an input is rejected."""
+
+    exit_code = 64
+
+
+class HypothesisFailed(BlocklexError):
+    """An input is well formed but fails a hypothesis the command needs."""
+
+    exit_code = 2
+
+
+class Inconclusive(BlocklexError):
     """The answer could not be told: a budget or a size cap ran out."""
+
+    exit_code = 3
 
 
 class BudgetExceeded(Inconclusive):

@@ -39,7 +39,7 @@ from .blockgeom import (
     uniform_collection,
     validate_regular_domination_collection,
 )
-from .budget import BudgetExceeded, Inconclusive, SizeCapExceeded
+from .budget import BlocklexError, BudgetExceeded, Inconclusive, SizeCapExceeded, UsageError
 from .graphs import Graph, cartesian_product, clique, path, petersen, cycle
 from .orders import TotalOrder
 from .partitions import (
@@ -237,7 +237,7 @@ def certify(
     """
     prod_graph = gs if isinstance(gs, Graph) else cartesian_product(gs)
     if prod_graph.factors is None or len(prod_graph.factors) < 3:
-        raise ValueError("local-global certification needs at least 3 factors")
+        raise UsageError("local-global certification needs at least 3 factors")
     gs = list(prod_graph.factors)
     d = len(gs)
     product = _product_summary(gs)
@@ -358,10 +358,10 @@ def certify_domination(
     gs = list(gs)
     d = len(gs)
     if d < 3:
-        raise ValueError("local-global certification needs at least 3 factors")
+        raise UsageError("local-global certification needs at least 3 factors")
     pi = tuple(int(x) for x in pi)
     if sorted(pi) != list(range(d)):
-        raise ValueError("pi is not a permutation of the factor indices")
+        raise UsageError("pi is not a permutation of the factor indices")
     product = _product_summary(gs)
     hyps: list[Hypothesis] = []
     parts_digest = ""
@@ -447,7 +447,7 @@ def crosscheck(
     """
     g = gs if isinstance(gs, Graph) else cartesian_product(gs)
     if g.factors is None or len(g.factors) != 3:
-        raise ValueError("cross-checks run on three-factor products")
+        raise UsageError("cross-checks run on three-factor products")
     order = order_override
     prefix = (
         block_lex_prefix_counts(g, dc) if order is None else prefix_edge_counts(g, order)
@@ -578,7 +578,7 @@ def matching_reduced_clique(p: int, i: int) -> Graph:
     """Even clique on 2p vertices minus i disjoint perfect matchings
     (round-robin one-factorization)."""
     if p < 2 or not 0 <= i <= 2 * p - 1:
-        raise ValueError("need p >= 2 and 0 <= i <= 2p-1")
+        raise UsageError("need p >= 2 and 0 <= i <= 2p-1")
     n = 2 * p
     removed = set()
     # circle method: vertex n-1 fixed, others rotate
@@ -610,6 +610,8 @@ def explore_conjecture(
     if family == "path_clique":
         # products of path powers and clique powers admitting nested solutions
         max_n = int(params.get("max_vertices", 16))
+        if max_n < 2:  # the smallest instance, P2 or K2, has 2 vertices
+            raise UsageError(f"max_vertices must be at least 2, got {max_n}")
         paths, cliques = functools.cache(path), functools.cache(clique)
         seen = set()
         for n1 in range(2, max_n + 1):
@@ -643,6 +645,9 @@ def explore_conjecture(
         p = int(params.get("p", 3))
         i = int(params.get("i", 1))
         d = int(params.get("d", 1))
+        for key, value, least in (("s", s, 2), ("d", d, 1)):
+            if value < least:
+                raise UsageError(f"{key} must be at least {least}, got {value}")
         if s != 2:
             return ExplorationReport(
                 family,
@@ -699,7 +704,7 @@ def explore_conjecture(
             "c3": int(params.get("c3", 0)),
         }
         if min(dims.values()) < 0:
-            raise ValueError(f"factor counts must not be negative, got {dims}")
+            raise UsageError(f"factor counts must not be negative, got {dims}")
         factors: list[Graph] = []
         factors += [cycle(5)] * dims["c5"]
         factors += [petersen()] * dims["petersen"]
@@ -707,7 +712,7 @@ def explore_conjecture(
         factors += [clique(2)] * dims["k2"]
         factors += [cycle(3)] * dims["c3"]
         if len(factors) < 1:
-            raise ValueError("no factors requested")
+            raise UsageError("no factors requested")
         name = " x ".join(
             f"{k}^{v}" for k, v in dims.items() if v
         )
@@ -727,7 +732,7 @@ def explore_conjecture(
                             {"standard_block_lex_optimal": ok, "first_failing_m": bad},
                         )
                     )
-                except (ValueError, Inconclusive) as e:
+                except BlocklexError as e:
                     instances.append(
                         Instance(name, g.n, "INCONCLUSIVE", {"reason": str(e)})
                     )
@@ -755,5 +760,5 @@ def explore_conjecture(
                 )
         note = "standard block-lexicographic order exploration"
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise UsageError(f"unknown family {family!r}")
     return ExplorationReport(family, params, instances, note)

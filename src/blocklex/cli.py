@@ -6,7 +6,8 @@ Reports are deterministic for a fixed config and seed (no timestamps),
 embed the tool version and the digests of their inputs, and echo the seed
 so randomized runs can be replayed.  Exit codes: 0 success/certified,
 2 hypothesis or verification failure, 3 budget or size cap exceeded or
-inconclusive, 64 usage or parse errors.
+inconclusive, 64 usage or parse errors; an error is a `BlocklexError`
+that carries its code, and any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ import numpy as np
 
 from . import __version__
 from .blockgeom import DominationCollection, block_lex_order, standard_collection
-from .budget import Budget, BudgetExceeded, Inconclusive, SizeCapExceeded
+from .budget import (
+    BlocklexError,
+    Budget,
+    BudgetExceeded,
+    HypothesisFailed,
+    SizeCapExceeded,
+    UsageError,
+)
 from .certify import certify, certify_domination, explore_conjecture
 from .compression import (
     OrderFamily,
@@ -35,7 +43,7 @@ from .compression import (
     singleton_schedule,
     weight,
 )
-from .graphs import Graph, VertexSet, induced_edges, parse_graph_spec
+from .graphs import Graph, VertexSet, induced_edges, parse_graph_spec, split_integers
 from .orders import domination_order, lex_order, reverse_order
 from .partitions import (
     Partition,
@@ -59,21 +67,12 @@ from .solver import (
 )
 
 EXIT_OK = 0
-EXIT_HYPOTHESIS = 2
-EXIT_BUDGET = 3
-EXIT_USAGE = 64
+EXIT_HYPOTHESIS = HypothesisFailed.exit_code
+EXIT_BUDGET = BudgetExceeded.exit_code
 
 # engines `profile` and `order --verify` can be told to use; with none, a
 # product is decided by the one order rule (`solver.check_prefix_counts`)
 STRATEGIES = ["full", "compressed", "bnb"]
-
-
-class UsageError(Exception):
-    pass
-
-
-class HypothesisFailed(Exception):
-    """An input is well formed but fails a hypothesis the command needs."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,11 +95,15 @@ def _envelope(cfg: argparse.Namespace, inputs: dict, result: dict) -> dict:
 
 
 def _write(cfg: argparse.Namespace, text: str) -> None:
-    if cfg.out:
+    text = text if text.endswith("\n") else text + "\n"
+    if not cfg.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            f.write(text)
+    except OSError as e:
+        raise UsageError(str(e)) from None
 
 
 def _dumps(obj) -> str:
@@ -176,20 +179,25 @@ def _emit(cfg: argparse.Namespace, inputs: dict, result: dict, text_lines, csv_l
 
 def _load_json_arg(text: str):
     """Inline JSON, or @path to read a file."""
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as f:
-            return json.load(f)
-    return json.loads(text)
+    try:
+        if text.startswith("@"):
+            with open(text[1:], encoding="utf-8") as f:
+                return json.load(f)
+        return json.loads(text)
+    except (OSError, ValueError) as e:  # json.load's every malformed text is a ValueError
+        raise UsageError(str(e)) from None
+
+
+def _indices(cfg: argparse.Namespace, flag: str) -> tuple[int, ...]:
+    """The 1-based comma-separated indices of `--flag`, 0-based."""
+    return tuple(x - 1 for x in split_integers(getattr(cfg, flag), f"--{flag}"))
 
 
 def _graph_from_spec(cfg: argparse.Namespace) -> Graph:
     spec = cfg.spec
     if spec.startswith("@"):
         return Graph.from_json(_load_json_arg(spec))
-    try:
-        return parse_graph_spec(spec)
-    except ValueError as e:
-        raise UsageError(str(e))
+    return parse_graph_spec(spec)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -261,8 +269,7 @@ def _resolve_partition(cfg: argparse.Namespace, g: Graph) -> Partition:
     if cfg.atomic:
         return atomic_partition(order)
     if cfg.boundaries:
-        bounds = [int(x) for x in cfg.boundaries.split(",")]
-        return Partition.from_boundaries(order, bounds)
+        return Partition.from_boundaries(order, split_integers(cfg.boundaries, "--boundaries"))
     if cfg.file:
         return Partition.from_json(_load_json_arg("@" + cfg.file))
     return standard_monotonic_partition(delta_sequence(prof, order))
@@ -336,9 +343,8 @@ def _cmd_order(cfg: argparse.Namespace) -> int:
         orders = [factor_profile_and_order(f)[1] for f in g.factors]
         order = lex_order(g, orders)
     elif kind == "domination":
-        perm = tuple(int(x) - 1 for x in cfg.domination.split(","))
         orders = [factor_profile_and_order(f)[1] for f in g.factors]
-        order = domination_order(g, orders, perm)
+        order = domination_order(g, orders, _indices(cfg, "domination"))
     elif kind == "sbl":
         order = block_lex_order(g, _validated(standard_collection(g.factors), g, "standard"))
     elif kind == "bl":
@@ -399,7 +405,7 @@ def _cmd_compress(cfg: argparse.Namespace) -> int:
     result: dict = {"set": a.ids().tolist(), "size": len(a)}
     lines = [f"set of size {len(a)} on {cfg.spec}"]
     if cfg.once:
-        s = tuple(int(x) - 1 for x in cfg.once.split(","))
+        s = _indices(cfg, "once")
         out = compress_once(g, a, s, family)
         result["compressed"] = out.ids().tolist()
         result["induced_before"] = induced_edges(g, a)
@@ -477,8 +483,7 @@ def _cmd_certify(cfg: argparse.Namespace) -> int:
         raise UsageError("certify needs a product spec with at least 3 factors")
     style = cfg.partitions
     if cfg.domination:
-        perm = tuple(int(x) - 1 for x in cfg.domination.split(","))
-        cert = certify_domination(g.factors, perm)
+        cert = certify_domination(g.factors, _indices(cfg, "domination"))
     else:
         if style in ("standard", "atomic"):
             parts, dc = style, None
@@ -620,18 +625,9 @@ def main(argv=None) -> int:
         clear_caches()
         with Budget(cfg.budget):
             return cfg.handler(cfg)
-    except UsageError as e:
+    except BlocklexError as e:  # any other exception is a bug
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NoNestedSolutions, HypothesisFailed) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except Inconclusive as e:  # could not tell
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return e.exit_code
 
 
 if __name__ == "__main__":

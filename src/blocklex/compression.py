@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .blockgeom import DominationCollection, block_lex_walk, block_occupancy
-from .budget import Budget
+from .budget import Budget, HypothesisFailed, UsageError
 from .graphs import Graph, VertexSet, cut_columns
 from .orders import TotalOrder, order_box, rank_box
 from .solver import DeltaSequence
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class CompressionDidNotStabilize(RuntimeError):
+class CompressionDidNotStabilize(HypothesisFailed):
     """The fixpoint iteration hit its cycle cap.  With schedule orders all
     consistent with one global order this cannot happen, so hitting the cap
     is evidence of an inconsistent schedule."""
@@ -60,10 +60,10 @@ class OrderFamily:
 
     def __init__(self, g: Graph, kind: str, factor_orders=(), collection=None):
         if g.factors is None:
-            raise ValueError("order families live on product graphs")
+            raise UsageError("order families live on product graphs")
         self._orders = tuple(factor_orders)
         if kind != "custom" and tuple(o.n for o in self._orders) != g.factor_shape:
-            raise ValueError("one order per factor required, of the factor's size")
+            raise UsageError("one order per factor required, of the factor's size")
         self.g = g
         self.kind = kind
         self._dc = collection
@@ -80,7 +80,7 @@ class OrderFamily:
         cls, g: Graph, dc: DominationCollection
     ) -> "OrderFamily":
         if not dc.validated:
-            raise ValueError("collection must pass validate() first")
+            raise UsageError("collection must pass validate() first")
         return cls(g, "block_lex", dc.factor_orders, dc)
 
     @classmethod
@@ -104,15 +104,15 @@ class OrderFamily:
         a custom order, from `walk` (its subproduct ids by rank)."""
         key = tuple(sorted(set(int(i) for i in s)))
         if not key:
-            raise ValueError("empty factor subset")
+            raise UsageError("empty factor subset")
         if key[0] < 0 or key[-1] >= self.d:
-            raise ValueError("factor subset out of range")
+            raise UsageError("factor subset out of range")
         if walk is None:
             box = self._boxes.get(key)
             if box is not None:
                 return box
             if self.kind == "custom":
-                raise ValueError(f"no order supplied for factor subset {key}")
+                raise UsageError(f"no order supplied for factor subset {key}")
             ranks = order_box([self._orders[i] for i in key])
             if self.kind == "lex":
                 walk = ranks.ravel()
@@ -120,7 +120,7 @@ class OrderFamily:
                 walk = block_lex_walk(ranks, self._dc.restricted(key))
         cuts = cut_columns(self.g, key)
         if len(walk) != cuts.shape[0]:
-            raise ValueError(f"order for subset {key} has wrong size")
+            raise UsageError(f"order for subset {key} has wrong size")
         box = self._boxes[key] = cuts[walk]
         return box
 
@@ -128,7 +128,7 @@ class OrderFamily:
 def _ensure_family(g: Graph, orders) -> OrderFamily:
     if isinstance(orders, OrderFamily):
         if orders.g is not g and orders.g.digest != g.digest:
-            raise ValueError("order family belongs to a different graph")
+            raise UsageError("order family belongs to a different graph")
         return orders
     if isinstance(orders, DominationCollection):
         return OrderFamily.block_lexicographic(g, orders)
@@ -181,7 +181,7 @@ def compress_to_fixpoint(
     max_cycles = g.n * family.d
     schedule = [tuple(sorted(set(int(i) for i in s))) for s in schedule]
     if not schedule:
-        raise ValueError("empty schedule")
+        raise UsageError("empty schedule")
     cycles = 0
     while True:
         if cycles > max_cycles:
@@ -234,13 +234,13 @@ def vertex_weight_table(g: Graph, deltas: Sequence[DeltaSequence]) -> np.ndarray
     the coordinate's rank.  Each delta-sequence must carry the factor order
     it was read from."""
     if g.factors is None:
-        raise ValueError("weights live on product graphs")
+        raise UsageError("weights live on product graphs")
     if len(deltas) != len(g.factors):
-        raise ValueError("one delta-sequence per factor required")
+        raise UsageError("one delta-sequence per factor required")
     w = np.zeros((), dtype=np.int64)
     for d in deltas:
         if d.source_order is None:
-            raise ValueError("delta-sequence must carry its source order")
+            raise UsageError("delta-sequence must carry its source order")
         w = np.add.outer(w, np.asarray(d.values, dtype=np.int64))
     # w is laid out by ranks, as the rank box is
     table = np.empty(g.n, dtype=np.int64)

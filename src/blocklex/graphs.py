@@ -18,9 +18,12 @@ import hashlib
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Mapping
+from typing import Iterator, Sequence
 
 import numpy as np
+
+from .budget import UsageError
 
 __all__ = [
     "Graph",
@@ -42,36 +45,49 @@ __all__ = [
     "parse_graph_spec",
     "mixed_radix",
     "integers",
+    "split_integers",
     "json_fields",
 ]
 
 
 def integers(values: Iterable, what: str) -> list[int]:
-    """`values` as a list of ints.  Raises a ValueError naming `what` when
-    `values` is not a list or holds a non-integer: floats (1.0 included)
-    and bools read from JSON are refused, not truncated."""
-    try:
-        values = list(values)
-    except TypeError:
-        raise ValueError(f"{what} must be a list of integers, got {values!r}") from None
+    """`values` as a list of ints.  Raises a UsageError naming `what` when
+    `values` is not a sequence (a str, bytes or a mapping included) or
+    holds a non-integer: floats (1.0 included) and bools read from JSON are
+    refused, not truncated."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise UsageError(f"{what} must be a list of integers, got {values!r}")
+    values = list(values)
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{what} must be integers, got {v!r}")
+            raise UsageError(f"{what} must be integers, got {v!r}")
     return [int(v) for v in values]
 
 
+def split_integers(text: str, what: str) -> list[int]:
+    """The comma-separated integers of `text`, each read by `int`; a
+    UsageError names `what` and the first piece that is not one."""
+    out = []
+    for t in text.split(","):
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise UsageError(f"{what} must be integers, got {t!r}") from None
+    return out
+
+
 def json_typed(value, kind: type, what: str):
-    """`value` if it is a `kind`, list or dict; a ValueError names `what` otherwise."""
+    """`value` if it is a `kind`, list or dict; a UsageError names `what` otherwise."""
     if isinstance(value, kind):
         return value
-    raise ValueError(f"{what} must be a JSON {'list' if kind is list else 'object'}, got {value!r}")
+    raise UsageError(f"{what} must be a JSON {'list' if kind is list else 'object'}, got {value!r}")
 
 
 def json_fields(data, what: str, *keys: str) -> list:
-    """`data[k]` for each of `keys`; a ValueError names `what` otherwise."""
+    """`data[k]` for each of `keys`; a UsageError names `what` otherwise."""
     json_typed(data, dict, what)
     if missing := [k for k in keys if k not in data]:
-        raise ValueError(f"{what} has no {missing[0]!r} key")
+        raise UsageError(f"{what} has no {missing[0]!r} key")
     return [data[k] for k in keys]
 
 
@@ -104,13 +120,13 @@ class VertexSet:
         mask = np.zeros(n, dtype=bool)
         if isinstance(ids, np.ndarray):
             if ids.size and ids.dtype.kind not in "iu":
-                raise ValueError("vertex ids must be integers")
+                raise UsageError("vertex ids must be integers")
         else:
             ids = integers(ids, "vertex ids")
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size:
             if ids.min() < 0 or ids.max() >= n:
-                raise ValueError("vertex id out of range")
+                raise UsageError("vertex id out of range")
             mask[ids] = True
         return cls(mask)
 
@@ -173,11 +189,11 @@ class VertexSet:
 def _as_mask(g: "Graph", a) -> np.ndarray:
     if isinstance(a, VertexSet):
         if a.n != g.n:
-            raise ValueError("vertex set size does not match graph")
+            raise UsageError("vertex set size does not match graph")
         return a.mask
     if isinstance(a, np.ndarray) and a.dtype == bool:
         if a.shape[0] != g.n:
-            raise ValueError("mask length does not match graph")
+            raise UsageError("mask length does not match graph")
         return a
     return VertexSet.from_ids(g.n, a).mask
 
@@ -204,14 +220,14 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], factors=None):
         if n < 1:
-            raise ValueError("graph needs at least one vertex")
+            raise UsageError("graph needs at least one vertex")
         seen = set()
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
+                raise UsageError(f"loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise UsageError(f"edge ({u},{v}) out of range")
             seen.add((min(u, v), max(u, v)))
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
         self._set(n, np.ascontiguousarray(pairs.T), factors)
@@ -233,7 +249,7 @@ class Graph:
         if factors is not None:
             factors = tuple(factors)
             if math.prod(f.n for f in factors) != n:
-                raise ValueError("factor sizes do not multiply to n")
+                raise UsageError("factor sizes do not multiply to n")
         self.factors = factors
         self._neighbors = None
         self._coords = None
@@ -280,7 +296,7 @@ class Graph:
         """Per-vertex neighbor bitmasks, built once; only for n <= 63."""
         if self._bitmasks is None:
             if self.n > 63:
-                raise ValueError("bitmask adjacency limited to n <= 63")
+                raise UsageError("bitmask adjacency limited to n <= 63")
             adj = [0] * self.n
             eu, ev = self._edges
             for u, v in zip(eu.tolist(), ev.tolist()):
@@ -306,7 +322,7 @@ class Graph:
         """Mixed-radix weights: id = sum coords[i] * radix[i], factor 0 most
         significant."""
         if self.factors is None:
-            raise ValueError("graph was not built as a product")
+            raise UsageError("graph was not built as a product")
         if self._radix is None:
             w = mixed_radix(self.factor_shape)
             w.setflags(write=False)
@@ -316,7 +332,7 @@ class Graph:
     def coords(self) -> np.ndarray:
         """(n, d) array: row v holds the coordinate tuple of vertex v."""
         if self.factors is None:
-            raise ValueError("graph was not built as a product")
+            raise UsageError("graph was not built as a product")
         if self._coords is None:
             shape = self.factor_shape
             ids = np.arange(self.n, dtype=np.int64)
@@ -346,6 +362,9 @@ class Graph:
         n, edges = json_fields(data, "a graph", "n", "edges")
         (n,) = integers([n], "graph sizes")
         edges = [integers(e, "edge ends") for e in json_typed(edges, list, "a graph's 'edges'")]
+        for e in edges:
+            if len(e) != 2:
+                raise UsageError(f"an edge must have two ends, got {e}")
         g = cls(n, edges)
         if "factors" in data and data["factors"]:
             shape = integers(data["factors"], "factor sizes")
@@ -353,11 +372,11 @@ class Graph:
             for s in shape:
                 prod *= s
             if prod != n:
-                raise ValueError("declared factors do not multiply to n")
+                raise UsageError("declared factors do not multiply to n")
             factors = _extract_factors(g, shape)
             rebuilt = cartesian_product(factors)
             if rebuilt.edges() != g.edges():
-                raise ValueError("edge set is not the product of the declared factors")
+                raise UsageError("edge set is not the product of the declared factors")
             return rebuilt
         return g
 
@@ -415,7 +434,7 @@ def _extract_factors(g: Graph, shape: list[int]) -> list[Graph]:
 
 def clique(n: int) -> Graph:
     if n < 1:
-        raise ValueError("clique needs n >= 1")
+        raise UsageError("clique needs n >= 1")
     u = [i for i in range(n) for _ in range(i + 1, n)]
     v = [j for i in range(n) for j in range(i + 1, n)]
     return Graph._unchecked(n, np.array((u, v), dtype=np.int64))
@@ -423,13 +442,13 @@ def clique(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     if n < 1:
-        raise ValueError("path needs n >= 1")
+        raise UsageError("path needs n >= 1")
     return Graph._unchecked(n, np.array((range(n - 1), range(1, n)), dtype=np.int64))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
-        raise ValueError("cycle needs n >= 3")
+        raise UsageError("cycle needs n >= 3")
     # the path's edges, with the closing edge (0, n-1) second in (u, v) order
     pairs = np.array(([0, 0, *range(1, n - 1)], [1, n - 1, *range(2, n)]), dtype=np.int64)
     return Graph._unchecked(n, pairs)
@@ -445,14 +464,14 @@ def petersen() -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
-        raise ValueError("complete bipartite needs both sides >= 1")
+        raise UsageError("complete bipartite needs both sides >= 1")
     u = [i for i in range(a) for _ in range(b)]
     return Graph._unchecked(a + b, np.array((u, [*range(a, a + b)] * a), dtype=np.int64))
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     if not graphs:
-        raise ValueError("union of no graphs")
+        raise UsageError("union of no graphs")
     # each graph's sorted edges, shifted past the graphs before it, follow
     # theirs in sorted order
     offsets = list(itertools.accumulate((g.n for g in graphs), initial=0))
@@ -469,7 +488,7 @@ def cartesian_product(graphs: Sequence[Graph]) -> Graph:
     of simple graphs is simple, so its edges skip `Graph`'s input checks."""
     graphs = list(graphs)
     if not graphs:
-        raise ValueError("product of no graphs")
+        raise UsageError("product of no graphs")
     shape = [g.n for g in graphs]
     n = math.prod(shape)
     ids = np.arange(n, dtype=np.int64).reshape(shape)
@@ -486,19 +505,19 @@ def cartesian_product(graphs: Sequence[Graph]) -> Graph:
 
 def graph_power(g: Graph, k: int) -> Graph:
     if k < 1:
-        raise ValueError("power needs k >= 1")
+        raise UsageError("power needs k >= 1")
     return cartesian_product([g] * k)
 
 
 def subproduct(g: Graph, s: Sequence[int]) -> Graph:
     """Product of the selected factors (0-based indices), ascending order."""
     if g.factors is None:
-        raise ValueError("subproduct requires a product graph")
+        raise UsageError("subproduct requires a product graph")
     s = sorted(set(int(i) for i in s))
     if not s:
-        raise ValueError("factor index set must be nonempty")
+        raise UsageError("factor index set must be nonempty")
     if s[0] < 0 or s[-1] >= len(g.factors):
-        raise ValueError("factor index out of range")
+        raise UsageError("factor index out of range")
     return cartesian_product([g.factors[i] for i in s])
 
 
@@ -510,11 +529,11 @@ def permute_factors(g: Graph, pi: Sequence[int]) -> tuple[Graph, np.ndarray]:
     any vertex set through psi preserves all edge counts.
     """
     if g.factors is None:
-        raise ValueError("permute_factors requires a product graph")
+        raise UsageError("permute_factors requires a product graph")
     d = len(g.factors)
     pi = [int(x) for x in pi]
     if sorted(pi) != list(range(d)):
-        raise ValueError("pi is not a permutation of the factor indices")
+        raise UsageError("pi is not a permutation of the factor indices")
     h = cartesian_product([g.factors[i] for i in pi])
     # h's id box with its axes in g's factor order: entry [c_0, ..., c_{d-1}]
     # is the id in h of the vertex with coordinates c in g
@@ -569,7 +588,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
         old = [int(v) for v in vertices]
     pos = {v: i for i, v in enumerate(old)}
     if len(pos) != len(old):
-        raise ValueError("duplicate vertices")
+        raise UsageError("duplicate vertices")
     edges = []
     for i, v in enumerate(old):
         for w in g.neighbors[v].tolist():
@@ -594,14 +613,14 @@ def _split_top(text: str, sep: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
+                raise UsageError(f"unbalanced parentheses in {text!r}")
         if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
+        raise UsageError(f"unbalanced parentheses in {text!r}")
     parts.append("".join(cur))
     return parts
 
@@ -619,7 +638,7 @@ def _parse_atom(tok: str) -> Graph:
         return disjoint_union([parse_graph_spec(t) for t in args])
     m = _NAME_RE.match(tok)
     if not m:
-        raise ValueError(f"cannot parse graph name {tok!r}")
+        raise UsageError(f"cannot parse graph name {tok!r}")
     if m.group("ba") is not None:
         return complete_bipartite(int(m.group("ba")), int(m.group("bb")))
     if m.group("kn") is not None:
@@ -637,15 +656,18 @@ def parse_graph_spec(text: str) -> Graph:
     separator, powers use '^'; each union argument is a spec."""
     text = text.strip()
     if not text:
-        raise ValueError("empty graph spec")
+        raise UsageError("empty graph spec")
     terms = _split_top(text, "x")
     if any(not t.strip() for t in terms):
-        raise ValueError(f"empty product term in {text!r}")
+        raise UsageError(f"empty product term in {text!r}")
     parts: list[Graph] = []
     for t in terms:
         pieces = _split_top(t, "^")  # a power is a product
-        k = int(pieces.pop()) if len(pieces) > 1 else 1
+        try:
+            k = int(pieces.pop()) if len(pieces) > 1 else 1
+        except ValueError as e:  # int()'s own message names the bad power
+            raise UsageError(str(e)) from None
         if k < 1:
-            raise ValueError("power needs k >= 1")
+            raise UsageError("power needs k >= 1")
         parts += [_parse_atom("^".join(pieces))] * k
     return parts[0] if len(parts) == 1 else cartesian_product(parts)

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .budget import UsageError
 from .graphs import Graph, VertexSet, cut_columns
 
 __all__ = [
@@ -39,9 +40,9 @@ class TotalOrder:
         ranks = np.asarray(ranks, dtype=np.int64).copy()
         n = ranks.shape[0]
         if n == 0:
-            raise ValueError("order on empty vertex set")
+            raise UsageError("order on empty vertex set")
         if sorted(ranks.tolist()) != list(range(1, n + 1)):
-            raise ValueError("ranks are not a bijection onto 1..n")
+            raise UsageError("ranks are not a bijection onto 1..n")
         inverse = np.empty(n, dtype=np.int64)
         inverse[ranks - 1] = np.arange(n, dtype=np.int64)
         self._freeze(ranks, inverse)
@@ -63,14 +64,14 @@ class TotalOrder:
         seq = np.asarray(vertices)
         n = len(seq)
         if n == 0:
-            raise ValueError("order on empty vertex set")
+            raise UsageError("order on empty vertex set")
         ranks = np.zeros(n, dtype=np.int64)
         # read unsigned, a negative id is out of range too
         if seq.ndim == 1 and seq.dtype.kind in "iu" and seq.astype(np.uint64).max() < n:
             ranks[seq] = np.arange(1, n + 1)
         # a repeated, missing or out-of-range id leaves some vertex at rank 0
         if not ranks.all():
-            raise ValueError(f"sequence is not a permutation of 0..{n - 1}")
+            raise UsageError(f"sequence is not a permutation of 0..{n - 1}")
         order = object.__new__(cls)
         order._freeze(ranks, seq.astype(np.int64))
         return order
@@ -84,7 +85,7 @@ class TotalOrder:
 
     def vertex_at(self, r: int) -> int:
         if not 1 <= r <= self.n:
-            raise ValueError(f"rank {r} out of 1..{self.n}")
+            raise UsageError(f"rank {r} out of 1..{self.n}")
         return int(self.inverse[r - 1])
 
     def sequence(self) -> list[int]:
@@ -93,13 +94,13 @@ class TotalOrder:
 
     def initial_segment(self, k: int) -> VertexSet:
         if not 0 <= k <= self.n:
-            raise ValueError(f"segment size {k} out of 0..{self.n}")
+            raise UsageError(f"segment size {k} out of 0..{self.n}")
         return VertexSet(self.ranks <= k)
 
     def segment(self, a: int, b: int) -> VertexSet:
         """Vertices with rank in [a, b] (1-based, inclusive)."""
         if not (1 <= a <= b <= self.n):
-            raise ValueError(f"segment [{a},{b}] out of 1..{self.n}")
+            raise UsageError(f"segment [{a},{b}] out of 1..{self.n}")
         return VertexSet((self.ranks >= a) & (self.ranks <= b))
 
     def to_json(self) -> dict:
@@ -135,7 +136,7 @@ def colex_perm(d: int) -> tuple[int, ...]:
 def _check_perm(pi: Sequence[int], d: int) -> tuple[int, ...]:
     pi = tuple(int(x) for x in pi)
     if sorted(pi) != list(range(d)):
-        raise ValueError(f"{pi!r} is not a permutation of 0..{d - 1}")
+        raise UsageError(f"{pi!r} is not a permutation of 0..{d - 1}")
     return pi
 
 
@@ -159,9 +160,9 @@ def rank_box(g: Graph, factor_orders: Sequence[TotalOrder]) -> np.ndarray:
     rank r_i in factor_orders[i].  Every order on the product induced by
     the factor orders is a walk of this box."""
     if g.factors is None:
-        raise ValueError("induced orders require a product graph")
+        raise UsageError("induced orders require a product graph")
     if tuple(o.n for o in factor_orders) != g.factor_shape:
-        raise ValueError(f"factor orders do not fit factors of sizes {g.factor_shape}")
+        raise UsageError(f"factor orders do not fit factors of sizes {g.factor_shape}")
     return order_box(factor_orders)
 
 
@@ -208,12 +209,12 @@ def is_consistent(
     big ranks increasingly.
     """
     if g.factors is None:
-        raise ValueError("consistency requires a product graph")
+        raise UsageError("consistency requires a product graph")
     s_sorted = sorted(set(int(i) for i in s))
     if not s_sorted or s_sorted[0] < 0 or s_sorted[-1] >= len(g.factors):
-        raise ValueError("bad factor index set")
+        raise UsageError("bad factor index set")
     cuts = cut_columns(g, s_sorted)
     if o_big.n != g.n or o_small.n != cuts.shape[0]:
-        raise ValueError("orders do not fit the product and the subproduct")
+        raise UsageError("orders do not fit the product and the subproduct")
     big = o_big.ranks[cuts[o_small.inverse]]
     return bool(np.all(big[1:] > big[:-1]))

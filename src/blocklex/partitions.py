@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .budget import UsageError
 from .graphs import Graph, integers, json_fields
 from .orders import TotalOrder
 from .solver import DeltaSequence, Profile, delta_sequence, exact_profile
@@ -51,16 +52,16 @@ class Partition:
     def __post_init__(self):
         n = self.order.n
         if not self.segments:
-            raise ValueError("partition needs at least one segment")
+            raise UsageError("partition needs at least one segment")
         expect = 1
         for a, b in self.segments:
             if a != expect or b < a:
-                raise ValueError(
+                raise UsageError(
                     f"segments must be contiguous and ordered; got {self.segments}"
                 )
             expect = b + 1
         if expect != n + 1:
-            raise ValueError("segments do not cover all ranks")
+            raise UsageError("segments do not cover all ranks")
 
     @property
     def n(self) -> int:
@@ -87,7 +88,7 @@ class Partition:
         for i, (a, b) in enumerate(self.segments):
             if a <= r <= b:
                 return i
-        raise ValueError(f"rank {r} out of range")
+        raise UsageError(f"rank {r} out of range")
 
     def to_json(self) -> dict:
         return {"order": self.order.ranks.tolist(), "boundaries": list(self.boundaries)}
@@ -111,7 +112,7 @@ def standard_monotonic_partition(delta: DeltaSequence) -> Partition:
     """Unique split of the delta-sequence into maximal runs that increase
     by exactly one at each step."""
     if delta.source_order is None:
-        raise ValueError("delta-sequence must carry its source order")
+        raise UsageError("delta-sequence must carry its source order")
     vals = delta.values
     ends = [i for i in range(1, len(vals)) if vals[i] - vals[i - 1] != 1]
     return Partition.from_boundaries(
@@ -258,7 +259,7 @@ def segment_delta_shift(g: Graph, p: Partition, i: int, x: int, y: int) -> tuple
     a, b = p.segments[i]
     rx, ry = p.order.rank(x), p.order.rank(y)
     if not (a <= rx <= b and a <= ry <= b):
-        raise ValueError("both vertices must lie in the given segment")
+        raise UsageError("both vertices must lie in the given segment")
     t = factor_table(g, p)
     seg = t.segments[i].delta
     return t.delta[rx - 1] - t.delta[ry - 1], seg[rx - a] - seg[ry - a]

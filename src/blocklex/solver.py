@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import staircase
-from .budget import Budget, BudgetExceeded, SizeCapExceeded
+from .budget import Budget, BudgetExceeded, HypothesisFailed, SizeCapExceeded, UsageError
 from .graphs import Graph, cartesian_product
 from .orders import TotalOrder
 
@@ -58,7 +58,7 @@ __all__ = [
 
 FULL_ENUM_CAP = 24
 
-class NoNestedSolutions(ValueError):
+class NoNestedSolutions(HypothesisFailed):
     """The chain search proved that the graph has no nested solutions."""
 
 
@@ -396,21 +396,15 @@ def _popcount_classes(k: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray,
 
 
 @functools.lru_cache(maxsize=None)
-def _size_classes(n: int) -> tuple[tuple[operator.itemgetter, tuple], ...]:
+def _size_classes(n: int) -> tuple[tuple[operator.itemgetter, list[int]], ...]:
     """For each size m = 0..n: a getter of the fields of the words of
     popcount m, ascending, with the first again at the end (itemgetter of
-    one index gives a bare value: one index more keeps a tuple); and the
-    sets of those words."""
+    one index gives a bare value: one index more keeps a tuple); and those
+    words.  A witness's vertex set is built from its word when asked for."""
     classes: list[list[int]] = [[] for _ in range(n + 1)]
     for r in range(1 << n):
         classes[r.bit_count()].append(r)
-    return tuple(
-        (
-            operator.itemgetter(*words, words[0]),
-            tuple(tuple(x for x in range(n) if r >> x & 1) for r in words),
-        )
-        for words in classes
-    )
+    return tuple((operator.itemgetter(*words, words[0]), words) for words in classes)
 
 
 def _profile_from_values(
@@ -444,12 +438,13 @@ def _profile_from_values(
     pick = max if maximize else min
     if isinstance(val, bytes):
         values, wits = [], []
-        for get, sets in _size_classes(n):
+        for get, words in _size_classes(n):
             fields = get(val)
             best = pick(fields)
             values.append(best)
             if with_witnesses:
-                wits.append(sets[fields.index(best)])
+                r = words[fields.index(best)]
+                wits.append(tuple(x for x in range(n) if r >> x & 1))
         return values, wits if with_witnesses else None
     ufunc = np.maximum if maximize else np.minimum
     streamed = isinstance(val, _SubsetRows)
@@ -693,7 +688,7 @@ def exact_profile(
     every other request runs "full".
     """
     if strategy not in (None, "full", "bnb", "compressed"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise UsageError(f"unknown strategy {strategy!r}")
     if strategy is None:
         if g.factors is not None and not with_witnesses and (prof := _rule_profile(g)):
             return prof
@@ -702,7 +697,7 @@ def exact_profile(
         return _enumerated_profile(g, "induced_max", strategy, with_witnesses)
     # compressed oracle
     if g.factors is None:
-        raise ValueError("compressed strategy requires a product graph")
+        raise UsageError("compressed strategy requires a product graph")
     orders = [factor_profile_and_order(f)[1] for f in g.factors]
     vals = staircase.downset_profile(g, orders)
     return Profile(
@@ -770,7 +765,7 @@ def delta_sequence(
     profile: Profile, source_order: Optional[TotalOrder] = None
 ) -> DeltaSequence:
     if profile.kind != "induced_max":
-        raise ValueError("delta-sequences are defined on induced-edge profiles")
+        raise UsageError("delta-sequences are defined on induced-edge profiles")
     vals = profile.i_values
     return DeltaSequence(
         tuple(vals[m] - vals[m - 1] for m in range(1, len(vals))), source_order

@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .budget import Budget, SizeCapExceeded
+from .budget import Budget, SizeCapExceeded, UsageError
 from .graphs import Graph, VertexSet
 from .orders import TotalOrder, rank_box
 
@@ -332,10 +332,10 @@ def downset_profile(
     admits a larger lattice.
     """
     if g.factors is None:
-        raise ValueError("downset profiles require a product graph")
+        raise UsageError("downset profiles require a product graph")
     d = len(g.factors)
     if len(factor_orders) != d:
-        raise ValueError("one order per factor required")
+        raise UsageError("one order per factor required")
     if m_max is None:
         m_max = g.n
     m_max = min(m_max, g.n)
@@ -431,7 +431,7 @@ def enumerate_downsets(sizes: Sequence[int], m: int) -> Iterator:
     cells, each visited once (canonical nested-slab generation)."""
     sizes = [int(x) for x in sizes]
     if any(x < 1 for x in sizes):
-        raise ValueError("box sides must be >= 1")
+        raise UsageError("box sides must be >= 1")
     total = math.prod(sizes)
     if not 0 <= m <= total:
         return iter(())
@@ -444,10 +444,10 @@ def enumerate_compressed(
     """Every vertex set of size m stable under all single-factor
     compressions, exactly once."""
     if g.factors is None:
-        raise ValueError("compressed enumeration requires a product graph")
+        raise UsageError("compressed enumeration requires a product graph")
     d = len(g.factors)
     if len(factor_orders) != d:
-        raise ValueError("one order per factor required")
+        raise UsageError("one order per factor required")
     box = rank_box(g, factor_orders)
     for struct in enumerate_downsets(box.shape, m):
         cells = np.array(list(_struct_cells(struct)), dtype=np.int64).reshape(-1, d)
@@ -490,7 +490,7 @@ def staircase_scan_2d(
     incremental edge accounting.
     """
     if g.factors is None or len(g.factors) != 2:
-        raise ValueError("two-factor product required")
+        raise UsageError("two-factor product required")
     n1, n2 = g.factor_shape
     _, L1 = rank_edge_tables(g.factors[0], factor_orders[0])
     W2, _ = rank_edge_tables(g.factors[1], factor_orders[1])

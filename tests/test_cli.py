@@ -174,13 +174,35 @@ def test_compress_laws_compress_each_sample_once_per_factor(capsys, monkeypatch)
     [
         ("profile", "K2", "--budget", "nan"),
         ("explore", "petersen_tori", "--c5", "-1", "--k2", "3"),
+        ("explore", "path_clique", "--max-vertices", "-5"),
+        ("explore", "path_clique", "--max-vertices", "1"),
+        ("explore", "hspi", "--p", "3", "--i", "1", "--d", "-2"),
+        ("explore", "hspi", "--p", "3", "--i", "1", "--d", "0"),
+        ("explore", "hspi", "--p", "3", "--i", "1", "--s", "1"),
+        ("explore", "hspi", "--p", "3", "--i", "1", "--s", "-1"),
     ],
-    ids=["budget_nan", "negative_factor_count"],
+    ids=[
+        "budget_nan", "negative_factor_count", "max_vertices_-5", "max_vertices_1",
+        "d_-2", "d_0", "s_1", "s_-1",
+    ],
 )
 def test_an_input_that_asks_for_nothing_exits_64(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (64, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "explore" and argv[1] != "petersen_tori":
+        assert err.startswith(f"error: {argv[-2][2:].replace('-', '_')} must be at least ")
+
+
+def test_an_explorer_power_or_size_it_cannot_build_is_a_note(capsys):
+    """s = 3 names an instance the explorer cannot construct, so it is
+    reported with a note, not refused; the smallest path-clique bound
+    still has its instances."""
+    code, out, _ = run(capsys, "explore", "hspi", "--p", "3", "--i", "1", "--s", "3")
+    assert (code, json.loads(out)["result"]["instances"]) == (0, [])
+    assert "only s=2" in json.loads(out)["result"]["note"]
+    code, out, _ = run(capsys, "explore", "path_clique", "--max-vertices", "2")
+    assert code == 0 and json.loads(out)["result"]["instances"]
 
 
 def test_certify_exit_codes(capsys):

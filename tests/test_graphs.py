@@ -428,3 +428,37 @@ def test_product_edges_equal_the_coordinate_definition(sizes, data):
     assert g.edges() == want
     assert g.digest == Graph(g.n, want, factors=factors).digest
     assert g.factors == tuple(factors)
+
+
+def test_integers_take_sequences_and_refuse_strings_and_mappings():
+    """`integers` reads edges, orders, boundaries and permutations from
+    JSON: a string or an object is no list, though both iterate."""
+    from blocklex.graphs import integers
+
+    for values in ([1, 2], (1, 2), range(1, 3), np.array([1, 2], dtype=np.int32)):
+        assert integers(values, "ids") == [1, 2]
+    for values in ("12", b"12", {1: 2}, {}, 5, None):
+        with pytest.raises(ValueError, match=r"^ids must be a list of integers, got "):
+            integers(values, "ids")
+
+
+def test_split_integers_reads_what_int_reads():
+    """Each comma-separated piece is an integer exactly when `int` reads
+    it (a piece past its digit limit is not); the first piece that is not
+    names the flag in a UsageError."""
+    from blocklex import UsageError
+    from blocklex.graphs import split_integers
+
+    pieces = ["1", " 2 ", "+3", "-4", "1_0", "\u0663", "", " ", "x", "1.0", "1__0", "_1", "1_",
+              "+-1", "0x1", "1e2", "\u00b2", "--1", "+", "\u00a05\u00a0", "1" * 5000]
+    for t in pieces:
+        try:
+            want = [int(t)]
+        except ValueError:
+            want = None
+        if want is None:
+            with pytest.raises(UsageError) as e:
+                split_integers(f"1,{t},2", "--once")
+            assert str(e.value) == f"--once must be integers, got {t!r}"
+        else:
+            assert split_integers(f"1,{t},2", "--once") == [1] + want + [2], t

@@ -482,6 +482,27 @@ def test_small_path_equals_the_numpy_table_path():
     assert _small_path_disagreements(_profile_from_values) == []
 
 
+def test_size_classes_hold_words_not_vertex_sets():
+    """A profile from cold caches builds no vertex set per word: the size
+    classes keep the words, and a witness is built from its own word.
+    Values and witnesses are the numpy table path's."""
+    from blocklex import petersen, solver
+
+    g = petersen()
+    table = solver._subset_dp(g.adjacency_bitmasks(), g.n, True)
+    for witnesses in (False, True):
+        solver.clear_caches()
+        solver._size_classes.cache_clear()
+        prof = exact_profile(g, "full", with_witnesses=witnesses)
+        classes = solver._size_classes(g.n)
+        assert solver._size_classes.cache_info().hits == 1
+        assert [words for _, words in classes] == [
+            [r for r in range(1 << g.n) if r.bit_count() == m] for m in range(g.n + 1)
+        ]
+        values, wits = solver._profile_from_values(g.n, table, True, witnesses)
+        assert (list(prof.i_values), prof.witnesses and list(prof.witnesses)) == (values, wits)
+
+
 def test_a_small_path_that_keeps_the_largest_attaining_mask_is_caught():
     """Mutation check of the comparison above: a reduction that keeps the
     largest mask attaining each size's extremum disagrees with the numpy
@@ -493,9 +514,10 @@ def test_a_small_path_that_keeps_the_largest_attaining_mask_is_caught():
         if not with_witnesses:
             return values, None
         wits = []
-        for (get, sets), best in zip(_size_classes(n), values):
+        for (get, words), best in zip(_size_classes(n), values):
             fields = get(val)[:-1]
-            wits.append(sets[len(fields) - 1 - fields[::-1].index(best)])
+            r = words[len(fields) - 1 - fields[::-1].index(best)]
+            wits.append(tuple(x for x in range(n) if r >> x & 1))
         return values, wits
 
     bad = _small_path_disagreements(largest_attaining)
